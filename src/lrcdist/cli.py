@@ -41,7 +41,7 @@ def _env_oracle_limit() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_ORACLE_LIMIT
+        raise BadArgs(f"LRC_ORACLE_LIMIT must be an integer, got {raw!r}") from None
 
 
 def _decision_dict(d: Decision) -> dict:
@@ -268,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InvalidParams, BadArgs, EnvelopeExceeded, UnboundedFamily, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from .errors import (
     NoLocalCover,
     NotAchievable,
     RetriesExhausted,
+    SelfCheckFailed,
 )
 from .params import CodeParams, derive_params
 from .tanner import FullTannerGraph, graph_to_pruned, p2f
@@ -181,7 +182,8 @@ def encode(c: LinearCode, message: list[int] | np.ndarray) -> np.ndarray:
     for i, piv in enumerate(pivots):
         acc = int(reduced[i, frees] @ word[frees] % q)
         word[piv] = (-acc) % q
-    assert not (c.H @ word % q).any()
+    if (c.H @ word % q).any():
+        raise SelfCheckFailed("encoded word fails the parity check H c = 0")
     return word
 
 

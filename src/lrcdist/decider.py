@@ -39,10 +39,12 @@ from math import comb
 
 from . import constructions as cons
 from . import extremal
+from .errors import SelfCheckFailed
 from .multigraph import ForbiddenFamily, Multigraph, is_family_free, k_density
 from .params import CodeParams
 
 DEFAULT_ORACLE_LIMIT = 8
+SELF_CHECK_LIMIT = 20_000  # most k1-subsets the witness self-check enumerates
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,10 @@ def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules
 
     Witness materialization assumes desk-scale n1 (the dense multigraph
     representation); the value itself is cheap for any valid parameters.
+
+    A d* witness is checked to be family-free whenever C(n1, k1) is at
+    most ``SELF_CHECK_LIMIT``; a failed check raises ``SelfCheckFailed``,
+    and a skipped one is recorded in ``notes``.
     """
     is_d_star, rule, witness, notes = _resolve(p, oracle_limit, use_rules)
     if is_d_star is None:
@@ -188,11 +194,20 @@ def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules
             notes=notes,
         )
     if is_d_star:
-        assert witness is not None
-        assert witness.order == p.n1 and witness.size == p.n2
+        if witness is None or witness.order != p.n1 or witness.size != p.n2:
+            raise SelfCheckFailed(f"rule {rule} gave no witness of order {p.n1} and size {p.n2}")
         # self-check the witness where the density sweep is affordable
-        if comb(p.n1, p.k1) <= 20_000:
-            assert is_family_free(witness, ForbiddenFamily(p.k1, p.k2))
+        subsets = comb(p.n1, p.k1)
+        if subsets <= SELF_CHECK_LIMIT:
+            if not is_family_free(witness, ForbiddenFamily(p.k1, p.k2)):
+                raise SelfCheckFailed(
+                    f"rule {rule} gave a witness with {p.k1} vertices inducing more than {p.k2} edges"
+                )
+        else:
+            notes = (
+                *notes,
+                f"witness self-check skipped: C({p.n1}, {p.k1}) = {subsets} > {SELF_CHECK_LIMIT}",
+            )
         return Decision(
             params=p, value=p.d_star, status="exact", rule=rule, witness=witness, notes=notes
         )

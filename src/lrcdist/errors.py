@@ -75,3 +75,7 @@ class RetriesExhausted(LrcError, RuntimeError):
 
 class NoLocalCover(LrcError, RuntimeError):
     """No low-weight parity row covers the erased coordinate (impossible for verified codes)."""
+
+
+class SelfCheckFailed(LrcError, RuntimeError):
+    """A computed result failed the package's own check of it: a bug, never bad input."""

@@ -9,12 +9,19 @@ order n1 and size n2 exists for the family (k1, k2).
 Graphs are immutable; the multiplicity lives in a dense symmetric
 matrix, which is the right trade-off for the desk-scale orders (<= 16)
 every exhaustive search in this package operates at.
+
+One kernel answers the k-subset density queries: a depth-first walk over
+the k-subsets (over their complements when k exceeds half the order)
+that carries, for every remaining vertex, its edge count into the
+vertices chosen so far, so the last vertex of a subset is a single
+``max``.  ``k_density`` runs it to the end.  ``is_family_free``
+settles a graph whose whole size is within the bound without looking at
+any subset, and otherwise stops the walk at the first violating subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import BadArgs, BadK, EnvelopeExceeded, UnknownVertex
@@ -144,21 +151,50 @@ def induced_size(g: Multigraph, vertices: Iterable[int]) -> int:
     return g.induced_size(vertices)
 
 
+def _densest(g: Multigraph, k: int, cap: int | None = None) -> int:
+    """Largest induced size over the k-vertex subsets of ``g``, 1 <= k <= g.order.
+
+    With ``cap`` set the walk stops at the first subset inducing more than
+    ``cap`` edges and returns a value above ``cap``; it returns the exact
+    maximum whenever that maximum is at most ``cap``.  For k > order / 2
+    it walks the complements T instead, since a subset S induces
+    size - (degree sum of T) + induced(T) edges; the walk is therefore
+    never deeper than order / 2.
+    """
+    n, rows = g.order, g._rows
+    if 2 * k > n:
+        size, left, gain = g.size, n - k, [-d for d in g.degrees()]
+    else:
+        size, left, gain = 0, k, [0] * n
+    if left == 0:
+        return size
+    best = 0
+
+    def extend(start: int, left: int, size: int, gain: list[int]) -> bool:
+        # ``left`` more vertices come from start..n-1; adding vertex start + i
+        # to the chosen prefix, whose subset scores ``size``, scores gain[i] more
+        nonlocal best
+        if left == 1:
+            top = size + max(gain)
+            if top > best:
+                best = top
+            return cap is not None and best > cap
+        for i in range(n - start - left + 1):
+            u = start + i
+            nxt = [a + b for a, b in zip(gain[i + 1:], rows[u][u + 1:])]
+            if extend(u + 1, left - 1, size + gain[i], nxt):
+                return True
+        return False
+
+    extend(0, left, size, gain)
+    return best
+
+
 def k_density(g: Multigraph, k: int) -> int:
     """Maximum induced size over all k-vertex subsets, by exhaustive enumeration."""
     if not 1 <= k <= g.order:
         raise BadK(f"k must be in [1, {g.order}], got {k}")
-    rows = g._rows
-    best = 0
-    for combo in combinations(range(g.order), k):
-        total = 0
-        for i in range(1, k):
-            row = rows[combo[i]]
-            for j in range(i):
-                total += row[combo[j]]
-        if total > best:
-            best = total
-    return best
+    return _densest(g, k)
 
 
 def density_profile(g: Multigraph) -> list[int]:
@@ -195,7 +231,10 @@ def is_family_free(g: Multigraph, family: ForbiddenFamily) -> bool:
         raise BadK(
             f"family order {family.order} exceeds graph order {g.order}"
         )
-    return k_density(g, family.order) <= family.max_size
+    if g.size <= family.max_size:
+        # no induced subgraph is larger than the whole graph
+        return True
+    return _densest(g, family.order, family.max_size) <= family.max_size
 
 
 def multigraph_to_json(g: Multigraph) -> dict:

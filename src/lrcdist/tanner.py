@@ -27,6 +27,7 @@ from .errors import (
     EnvelopeExceeded,
     InvalidTanner,
     NothingToReduce,
+    SelfCheckFailed,
     ShapeMismatch,
     UnknownCheck,
 )
@@ -291,7 +292,8 @@ def refine(p: PrunedGraph) -> PrunedGraph:
     out = PrunedGraph(
         n=p.n, k=p.k, r=p.r, m=m, checks=tuple(frozenset(c) for c in checks)
     )
-    assert out.m == p.n2, "refined pruned graph must have exactly n2 variables"
+    if out.m != p.n2:
+        raise SelfCheckFailed(f"refined pruned graph has {out.m} variables, not n2 = {p.n2}")
     return out
 
 

@@ -55,6 +55,14 @@ def test_oracle_limit_env_var(capsys, monkeypatch):
     assert json.loads(out)["status"] == "exact"
 
 
+def test_oracle_limit_env_var_rejects_non_integer(capsys, monkeypatch):
+    monkeypatch.setenv("LRC_ORACLE_LIMIT", "abc")
+    code, out, err = run(capsys, "decide", "--n", "16", "--k", "9", "--r", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "LRC_ORACLE_LIMIT" in err
+
+
 def test_construct_verify_round_trip(tmp_path, capsys):
     out_path = tmp_path / "code.json"
     code, out, _ = run(

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import lrcdist
+from lrcdist import decider
 from lrcdist.decider import Decision, decide, forest_component_min
-from lrcdist.errors import InvalidParams
+from lrcdist.errors import InvalidParams, SelfCheckFailed
 from lrcdist.extremal import free_multigraph
-from lrcdist.multigraph import ForbiddenFamily, is_family_free
+from lrcdist.multigraph import ForbiddenFamily, Multigraph, is_family_free
 from lrcdist.params import derive_params
 
 
@@ -111,3 +117,49 @@ def test_decision_is_dataclass_value():
     d = decide(derive_params(16, 9, 4))
     assert isinstance(d, Decision)
     assert d.params.n == 16
+
+
+def piled_up(n1, n2):
+    # right order and size, but every edge on one pair: not (3, 3)-free for n2 = 4
+    return Multigraph(n1, {(0, 1): n2})
+
+
+PILED_UP_UNDER_O = """
+import sys
+from lrcdist import decider
+from lrcdist.errors import SelfCheckFailed
+from lrcdist.multigraph import Multigraph
+from lrcdist.params import derive_params
+
+decider.cons.almost_regular = lambda n1, n2: Multigraph(n1, {(0, 1): n2})
+try:
+    decider.decide(derive_params(16, 9, 4))
+except SelfCheckFailed:
+    print("optimize", sys.flags.optimize, "raised")
+"""
+
+
+def test_self_check_rejects_non_free_witness(monkeypatch):
+    # (16, 9, 4) is decided by real_n1m1 with an almost_regular witness
+    monkeypatch.setattr(decider.cons, "almost_regular", piled_up)
+    with pytest.raises(SelfCheckFailed):
+        decide(derive_params(16, 9, 4))
+    # the check must not be an assert that python -O strips
+    src = os.path.dirname(os.path.dirname(lrcdist.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", PILED_UP_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["optimize", "1", "raised"]
+
+
+def test_skipped_self_check_is_noted():
+    p = derive_params(60, 5, 1)
+    assert (p.n1, p.n2, p.k1) == (30, 0, 5)
+    d = decide(p)
+    assert (d.rule, d.status, d.value) == ("divides", "exact", p.d_star)
+    assert d.notes == ("witness self-check skipped: C(30, 5) = 142506 > 20000",)
+    # a checked witness carries no such note
+    assert decide(derive_params(16, 9, 4)).notes == ()

@@ -85,9 +85,9 @@ def test_loops_rejected():
 
 def test_density_invariants_random():
     rng = random.Random(7)
-    for _ in range(40):
-        order = rng.randint(2, 7)
-        g = random_multigraph(rng, order, rng.randint(0, 9))
+    for _ in range(150):
+        order = rng.randint(2, 8)
+        g = random_multigraph(rng, order, rng.randint(0, 14))
         profile = density_profile(g)
         assert k_density(g, order) == g.size
         assert profile[order] == g.size
@@ -98,6 +98,10 @@ def test_density_invariants_random():
             assert d == profile[k]
             assert d >= prev
             prev = d
+            # caps at, below and above the whole size: the size bound, the
+            # early exit and the full enumeration inside is_family_free
+            for s in range(g.size + 2):
+                assert is_family_free(g, ForbiddenFamily(k, s)) == (d <= s)
         # dropping a minimum-degree vertex keeps at least size - deg(v) edges
         degs = g.degrees()
         if order >= 2:
