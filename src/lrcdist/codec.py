@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .tanner import FullTannerGraph, graph_to_pruned, p2f
 
 DISTANCE_LENGTH_ENVELOPE = 20
 DISTANCE_CLAIM_ENVELOPE = 8
+FIELD_ORDER_ENVELOPE = isqrt(2**63 - 1) + 1  # largest q with (q - 1)**2 inside int64
 _BATCH = 4096
 
 
@@ -43,8 +44,9 @@ class PrimeField:
     q: int
 
     def __post_init__(self):
-        if self.q < 2 or not gf.is_prime(self.q):
-            raise BadArgs(f"field order must be prime, got {self.q}")
+        # the range test comes first: it also keeps trial division short
+        if not 2 <= self.q <= FIELD_ORDER_ENVELOPE or not gf.is_prime(self.q):
+            raise BadArgs(f"field order must be a prime <= {FIELD_ORDER_ENVELOPE} (int64), got {self.q}")
 
 
 @dataclass(eq=False)
@@ -79,17 +81,20 @@ def build_parity_check(t: FullTannerGraph, field: PrimeField, seed: int) -> Line
     return LinearCode(params=p, field=field, H=h)
 
 
+def _check_distance_envelope(p: CodeParams, claimed: int | None) -> None:
+    """Reject a code whose exhaustive distance search lies outside the envelope."""
+    if p.n > DISTANCE_LENGTH_ENVELOPE:
+        raise EnvelopeExceeded(f"distance search limited to n <= {DISTANCE_LENGTH_ENVELOPE}")
+    if claimed is not None and claimed > DISTANCE_CLAIM_ENVELOPE:
+        raise EnvelopeExceeded(f"distance search limited to claimed distance <= {DISTANCE_CLAIM_ENVELOPE}")
+
+
 def min_distance(c: LinearCode) -> int:
     """Exact minimum distance: the smallest w for which some w columns of H
     are linearly dependent, checked in ascending w over all column subsets.
     """
     p = c.params
-    if p.n > DISTANCE_LENGTH_ENVELOPE:
-        raise EnvelopeExceeded(f"distance search limited to n <= {DISTANCE_LENGTH_ENVELOPE}")
-    if c.claimed_distance is not None and c.claimed_distance > DISTANCE_CLAIM_ENVELOPE:
-        raise EnvelopeExceeded(
-            f"distance search limited to claimed distance <= {DISTANCE_CLAIM_ENVELOPE}"
-        )
+    _check_distance_envelope(p, c.claimed_distance)
     q = c.field.q
     if gf.rank_mod(c.H, q) != p.n - p.k:
         raise DegenerateCode("parity-check matrix does not have full row rank")
@@ -133,6 +138,7 @@ def construct_optimal_lrc(
     attempt and ``max_retries`` caps the spend before RetriesExhausted.
     """
     decision = decide(p, oracle_limit=oracle_limit)
+    _check_distance_envelope(p, p.d_star)
     if decision.status != "exact":
         raise NotAchievable(
             f"decision unresolved for (n={p.n}, k={p.k}, r={p.r}); no witness to build from"
@@ -142,7 +148,6 @@ def construct_optimal_lrc(
             f"best achievable distance for (n={p.n}, k={p.k}, r={p.r}) is "
             f"d* - 1 = {decision.value}; the optimal construction does not exist"
         )
-    assert decision.witness is not None
     t = p2f(graph_to_pruned(decision.witness, p))
     fld = field if field is not None else default_field(p)
     for attempt in range(1, max_retries + 1):
@@ -179,10 +184,11 @@ def encode(c: LinearCode, message: list[int] | np.ndarray) -> np.ndarray:
     frees = [j for j in range(p.n) if j not in set(pivots)]
     word = np.zeros(p.n, dtype=np.int64)
     word[frees] = msg
+    # every product is reduced before summing: q**2 alone nearly fills int64
     for i, piv in enumerate(pivots):
-        acc = int(reduced[i, frees] @ word[frees] % q)
+        acc = int((reduced[i, frees] * word[frees] % q).sum() % q)
         word[piv] = (-acc) % q
-    if (c.H @ word % q).any():
+    if ((c.H * word % q).sum(axis=1) % q).any():
         raise SelfCheckFailed("encoded word fails the parity check H c = 0")
     return word
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import BadArgs, NotGraphic
+from .errors import BadArgs, NotGraphic, SelfCheckFailed
 from .multigraph import Multigraph
 
 
@@ -116,7 +116,8 @@ def realize(d: DegreeSequence) -> Multigraph:
     mult: dict[tuple[int, int], int] = {}
     while heap:
         neg_u, u = heapq.heappop(heap)
-        assert heap, "greedy pairing lost the realizability invariant"
+        if not heap:
+            raise SelfCheckFailed("greedy pairing lost the realizability invariant")
         neg_v, v = heapq.heappop(heap)
         key = (u, v) if u < v else (v, u)
         mult[key] = mult.get(key, 0) + 1

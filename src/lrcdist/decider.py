@@ -3,12 +3,12 @@
 The answer is always d* or d* - 1, and equals d* exactly when some
 loopless multigraph of order n1 and size n2 has every k1-subset inducing
 at most k2 edges.  ``decide`` settles the question by a chain of
-closed-form rules (each sound in both directions unless noted), falling
-back to the exhaustive multigraph oracle inside the search envelope, and
-attaches the witness graph whenever the answer is d*.
+closed-form rules that enumerate no subsets ("d* only": earlier rules
+settle every d* - 1 instance that reaches it), falling back to the
+exhaustive multigraph oracle inside the search envelope, and attaches
+the witness graph whenever the answer is d*.
 
-Rule identifiers, in evaluation order (cheap arithmetic first, then
-construction-evaluating rules, then oracles):
+Rule identifiers, in evaluation order (closed forms first, then oracles):
 
     k1_eq_1              r = k: every 1-vertex subgraph is empty
     divides              n2 = 0: the empty graph is trivially free
@@ -20,13 +20,12 @@ construction-evaluating rules, then oracles):
                          span at most k1 vertices and violate
     t_bound              min-degree peeling bound exceeds k2: no free graph
     forest_k2_lt_k1m1    k2 < k1 - 1: balanced forests are extremal
-    real_n1m1            n1 - k1 = 1: almost-regular graphs are extremal,
-                         free iff n2 - floor(2 n2 / n1) <= k2
-    mantel               k1 = 3, k2 = 2: free iff n2 <= floor(n1^2 / 4)
+    real_n1m1            n1 - k1 = 1: the almost-regular graph is free (d* only)
+    mantel               k1 = 3, k2 = 2: the bipartite Turan graph is free (d* only)
     turan_sufficient     k2 = C(k1, 2) - 1: the balanced complete
                          (k1-1)-partite graph is free (one-sided rule)
-    forest_n2_lt_n1      n2 < n1: the balanced forest minimizes k1-density
-    cycle_n2_eq_n1       n2 = n1: the cycle minimizes k1-density
+    forest_n2_lt_n1      n2 < n1: the balanced forest is free (d* only)
+    cycle_n2_eq_n1       n2 = n1: the cycle is free (d* only)
     girth_k2_eq_k1m1     k2 = k1 - 1: free graphs of this size exist iff
                          simple graphs of girth > k1 reach size n2
     oracle               exhaustive multigraph search
@@ -40,7 +39,7 @@ from math import comb
 from . import constructions as cons
 from . import extremal
 from .errors import SelfCheckFailed
-from .multigraph import ForbiddenFamily, Multigraph, is_family_free, k_density
+from .multigraph import ForbiddenFamily, Multigraph, is_family_free
 from .params import CodeParams
 
 DEFAULT_ORACLE_LIMIT = 8
@@ -124,13 +123,11 @@ def _resolve(p: CodeParams, oracle_limit: int, use_rules: bool):
                 return True, "forest_k2_lt_k1m1", cons.balanced_forest(n1, n1 - n2), ()
             return False, "forest_k2_lt_k1m1", None, ()
         if n1 - k1 == 1:
-            if n2 - (2 * n2) // n1 <= k2:
-                return True, "real_n1m1", cons.almost_regular(n1, n2), ()
-            return False, "real_n1m1", None, ()
+            # d* - 1 needs n2 - floor(2 n2 / n1) > k2, which is t_bound after one peel
+            return True, "real_n1m1", cons.almost_regular(n1, n2), ()
         if k1 == 3 and k2 == 2:
-            if n2 <= n1 * n1 // 4:
-                return True, "mantel", _truncate(cons.turan_graph(n1, 2), n2), ()
-            return False, "mantel", None, ()
+            # past floor(n1^2 / 4) edges t_bound already ends above 2 at order 3
+            return True, "mantel", _truncate(cons.turan_graph(n1, 2), n2), ()
         if k2 == comb(k1, 2) - 1:
             # forbidding k1-subsets of size C(k1,2) means forbidding k1-cliques;
             # the balanced complete (k1-1)-partite graph is the densest such
@@ -138,16 +135,12 @@ def _resolve(p: CodeParams, oracle_limit: int, use_rules: bool):
             turan = cons.turan_graph(n1, k1 - 1)
             if n2 <= turan.size:
                 return True, "turan_sufficient", _truncate(turan, n2), ()
+        # k1 - 1 <= k2 and k1 < n1 here, and k1 < n1 vertices of a forest or a
+        # cycle induce a forest, so at most k1 - 1 edges
         if n2 < n1:
-            forest = cons.balanced_forest(n1, n1 - n2)
-            if k_density(forest, k1) <= k2:
-                return True, "forest_n2_lt_n1", forest, ()
-            return False, "forest_n2_lt_n1", None, ()
+            return True, "forest_n2_lt_n1", cons.balanced_forest(n1, n1 - n2), ()
         if n2 == n1:
-            cyc = cons.cycle_graph(n1)
-            if k_density(cyc, k1) <= k2:
-                return True, "cycle_n2_eq_n1", cyc, ()
-            return False, "cycle_n2_eq_n1", None, ()
+            return True, "cycle_n2_eq_n1", cons.cycle_graph(n1), ()
         if k2 == k1 - 1 and k1 >= 3 and n1 <= search_limit:
             girth = extremal.max_size_girth(n1, k1)
             if n2 <= girth.value:

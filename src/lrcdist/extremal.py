@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .errors import BadArgs, EnvelopeExceeded, UnboundedFamily
+from .errors import BadArgs, EnvelopeExceeded, SelfCheckFailed, UnboundedFamily
 from .multigraph import ForbiddenFamily, Multigraph
 
 SEARCH_ENVELOPE = 10
@@ -217,7 +217,8 @@ def _free_multigraph(order: int, size: int, f_order: int, f_size: int) -> Multig
     if not reached:
         return None
     g = Multigraph(order, assign)
-    assert g.size == size
+    if g.size != size:
+        raise SelfCheckFailed(f"family search reached size {size} but built size {g.size}")
     return g
 
 

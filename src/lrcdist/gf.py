@@ -63,8 +63,8 @@ def batch_columns_independent(h: np.ndarray, q: int, subsets: np.ndarray) -> np.
     selected columns of h are linearly independent over GF(q).
 
     Vectorized fraction-free elimination over the whole batch; intermediate
-    products stay below q**2 and fit comfortably in int64 for any q this
-    package selects.
+    products stay below q**2, which fits in int64 for every q that
+    ``codec.PrimeField`` accepts.
     """
     b, w = subsets.shape
     a = h[:, subsets].transpose(1, 0, 2).astype(np.int64) % q  # (B, m, w)

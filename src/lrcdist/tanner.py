@@ -152,11 +152,8 @@ def p2f(p: PrunedGraph, strategy: str | AttachStrategy = "first") -> FullTannerG
     """
     pick = BUILTIN_STRATEGIES[strategy] if isinstance(strategy, str) else strategy
     checks = [set(c) for c in p.checks]
-    spare = sum((p.r + 1) - len(c) for c in checks)
-    assert spare == p.n - p.m, "pruned-graph edge identity guarantees exact capacity"
     for i, v in enumerate(range(p.m, p.n)):
         candidates = [ci for ci, c in enumerate(checks) if len(c) < p.r + 1]
-        assert candidates, "capacity exhausted early; pruned graph was invalid"
         chosen = pick(candidates, i)
         if chosen not in candidates:
             raise InvalidTanner(f"strategy chose check {chosen} without spare capacity")
@@ -251,7 +248,8 @@ def reduce_check_nodes(p: PrunedGraph) -> PrunedGraph:
     for _ in range((p.r + 1) - removed_degree):
         degrees = {v: var_degree(v) for v in range(p.m)}
         candidates = [v for v, d in degrees.items() if d >= 2]
-        assert candidates, "edge identity guarantees a degree->=2 variable exists"
+        if not candidates:
+            raise SelfCheckFailed("no variable of degree >= 2 left; the edge identity failed")
         v = max(candidates, key=lambda x: (degrees[x], -x))
         hosts = [ci for ci, c in enumerate(checks) if v in c]
         host = max(hosts, key=lambda ci: (len(checks[ci]), -ci))

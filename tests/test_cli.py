@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
+import lrcdist
 from lrcdist.cli import main
 
 
@@ -206,3 +210,62 @@ def test_sweep_json_agrees_with_decide(capsys):
         d = json.loads(out)
         assert d["value"] == t["value"]
         assert d["rule"] == t["rule"]
+
+
+def run_subprocess(*argv, timeout=60):
+    # a separate interpreter, so a hang fails the test instead of stalling the suite
+    src = os.path.dirname(os.path.dirname(lrcdist.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "lrcdist", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def test_decide_forest_and_cycle_rules_need_no_subset_sweep():
+    # C(30, 15) = 155,117,520 k1-subsets: the rules must settle these by arithmetic
+    cases = (((610, 286, 20), "forest_n2_lt_n1"), ((900, 436, 30), "cycle_n2_eq_n1"))
+    for (n, k, r), rule in cases:
+        done = run_subprocess("decide", "--n", str(n), "--k", str(k), "--r", str(r))
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)
+        assert (payload["n1"], payload["k1"]) == (30, 15)
+        assert payload["status"] == "exact"
+        assert payload["value"] == payload["d_star"]
+        assert payload["rule"] == rule
+
+
+def test_construct_outside_distance_envelope_exit_2(tmp_path):
+    # (60, 30, 5) decides d* at once; the envelope must reject it before any
+    # field is chosen or any matrix is built
+    out_path = tmp_path / "x.json"
+    done = run_subprocess(
+        "construct", "--n", "60", "--k", "30", "--r", "5", "--out", str(out_path)
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "n <= 20" in done.stderr
+    assert not out_path.exists()
+
+
+def test_construct_field_beyond_int64_exit_2(capsys, tmp_path):
+    out_path = tmp_path / "x.json"
+    code, _, err = run(
+        capsys,
+        "construct", "--n", "12", "--k", "7", "--r", "3",
+        "--field", "8589934609", "--out", str(out_path),
+    )
+    assert code == 2
+    assert "int64" in err
+    assert not out_path.exists()
+
+
+def test_verify_field_beyond_int64_exit_2(tmp_path, capsys):
+    out_path = tmp_path / "code.json"
+    run(capsys, "construct", "--n", "12", "--k", "7", "--r", "3", "--out", str(out_path))
+    data = json.loads(out_path.read_text())
+    data["q"] = 8589934609  # prime, and every entry of H still lies in [0, q)
+    out_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--code", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert "int64" in err

@@ -3,6 +3,7 @@ import pytest
 
 from lrcdist import gf
 from lrcdist.codec import (
+    FIELD_ORDER_ENVELOPE,
     LinearCode,
     PrimeField,
     build_parity_check,
@@ -275,3 +276,29 @@ def test_prime_field_validation():
     with pytest.raises(BadArgs):
         PrimeField(1)
     assert PrimeField(2).q == 2
+
+
+def test_prime_field_rejects_orders_beyond_int64():
+    # (q - 1)**2 must fit in int64; 3037000493 is the largest prime that does.
+    # 2**61 - 1 is prime too, and is rejected before trial division starts
+    assert FIELD_ORDER_ENVELOPE == 3_037_000_500
+    assert PrimeField(3037000493).q == 3037000493
+    for q in (3037000507, 8589934609, 2**61 - 1):
+        with pytest.raises(BadArgs):
+            PrimeField(q)
+
+
+def test_encode_and_repair_over_largest_mersenne_field():
+    # over q = 2**31 - 1 a dot product of reduced symbols overflows int64
+    # unless every product is reduced mod q before the sum
+    code = construct_optimal_lrc(derive_params(20, 12, 5), field=PrimeField(2**31 - 1), seed=0)
+    assert code.verified
+    rng = np.random.default_rng(3)
+    for _ in range(16):
+        msg = rng.integers(0, code.field.q, size=code.params.k)
+        word = encode(code, msg)
+        assert not (code.H.astype(object) @ word.astype(object) % code.field.q).any()
+        j = int(rng.integers(0, code.params.n))
+        erased: list = [int(x) for x in word]
+        erased[j] = None
+        assert repair_symbol(code, erased) == int(word[j])
