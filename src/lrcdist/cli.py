@@ -44,33 +44,34 @@ def _env_oracle_limit() -> int:
         raise BadArgs(f"LRC_ORACLE_LIMIT must be an integer, got {raw!r}") from None
 
 
-def _decision_dict(d: Decision) -> dict:
-    p = d.params
-    witness = multigraph_to_json(d.witness) if d.witness is not None else None
+_RECORD_FIELDS = (
+    "n", "k", "r", "n1", "n2", "k1", "k2", "d_star",
+    "value", "status", "rule", "witness_almost_regular",
+)
+
+
+def _decision_record(d: Decision) -> dict:
+    """The decision as ``decide`` and ``sweep`` report it."""
+    p, w = d.params, d.witness
     return {
-        "n": p.n,
-        "k": p.k,
-        "r": p.r,
-        "n1": p.n1,
-        "n2": p.n2,
-        "k1": p.k1,
-        "k2": p.k2,
-        "d_star": p.d_star,
+        **{f: getattr(p, f) for f in _RECORD_FIELDS[:8]},
         "value": list(d.value) if isinstance(d.value, tuple) else d.value,
         "status": d.status,
         "rule": d.rule,
-        "witness": witness,
-        "witness_almost_regular": (
-            d.witness.is_almost_regular() if d.witness is not None else None
-        ),
-        "notes": list(d.notes),
+        "witness_almost_regular": w.is_almost_regular() if w is not None else None,
     }
 
 
 def cmd_decide(args) -> int:
     params = derive_params(args.n, args.k, args.r)
     decision = decide(params, oracle_limit=args.oracle_limit)
-    print(json.dumps(_decision_dict(decision), indent=2))
+    record = _decision_record(decision)
+    # the witness goes just before its regularity flag, the notes last
+    almost = record.pop("witness_almost_regular")
+    w = decision.witness
+    record["witness"] = multigraph_to_json(w) if w is not None else None
+    record.update(witness_almost_regular=almost, notes=list(decision.notes))
+    print(json.dumps(record, indent=2))
     return EXIT_OK if decision.status == "exact" else EXIT_UNRESOLVED
 
 
@@ -102,23 +103,16 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    p = code.params
-    results = {}
-    rank = codec.gf.rank_mod(code.H, code.field.q)
-    results["full_rank"] = rank == p.n - p.k
-    results["locality"] = codec.verify_locality(code)
-    if results["full_rank"]:
-        d = codec.min_distance(code)
-        results["distance_matches_claim"] = d == code.claimed_distance
-        results["distance"] = d
-    else:
-        results["distance_matches_claim"] = False
-        results["distance"] = None
-    ok = results["full_rank"] and results["locality"] and results["distance_matches_claim"]
-    for name in ("full_rank", "locality", "distance_matches_claim"):
-        print(f"{name}: {'pass' if results[name] else 'FAIL'}")
-    print(f"measured_distance: {results['distance']}")
-    return EXIT_OK if ok else 1
+    full_rank, locality, distance = codec.verify_code(code)
+    checks = {
+        "full_rank": full_rank,
+        "locality": locality,
+        "distance_matches_claim": full_rank and distance == code.claimed_distance,
+    }
+    for name, passed in checks.items():
+        print(f"{name}: {'pass' if passed else 'FAIL'}")
+    print(f"measured_distance: {distance}")
+    return EXIT_OK if all(checks.values()) else 1
 
 
 def _oracle_result_dict(res: ExtremalResult) -> dict:
@@ -131,22 +125,18 @@ def _oracle_result_dict(res: ExtremalResult) -> dict:
 
 def cmd_oracle(args) -> int:
     if args.kind in ("eX", "ex"):
-        if args.forbid_order is None or args.forbid_size is None:
-            raise BadArgs("--forbid-order and --forbid-size are required for eX/ex")
         family = ForbiddenFamily(order=args.forbid_order, max_size=args.forbid_size)
         if args.kind == "eX":
             res = extremal.max_size_multigraph(args.vertices, family)
         else:
             res = extremal.max_size_simple(args.vertices, family)
     else:
-        if args.girth_k is None:
-            raise BadArgs("--girth-k is required for girth-ex")
         res = extremal.max_size_girth(args.vertices, args.girth_k)
     print(json.dumps(_oracle_result_dict(res), indent=2))
     return EXIT_OK
 
 
-def _sweep_rows(n_max: int, r_max: int, oracle_limit: int):
+def _sweep_decisions(n_max: int, r_max: int, oracle_limit: int):
     for n in range(2, n_max + 1):
         for k in range(1, n):
             for r in range(1, min(k, r_max) + 1):
@@ -154,50 +144,28 @@ def _sweep_rows(n_max: int, r_max: int, oracle_limit: int):
                     params = derive_params(n, k, r)
                 except InvalidParams:
                     continue
-                d = decide(params, oracle_limit=oracle_limit)
-                if d.status == "exact":
-                    value = d.value
-                    value_csv = str(d.value)
-                else:
-                    value = list(d.value)
-                    value_csv = f"{d.value[0]}..{d.value[1]}"
-                almost = d.witness.is_almost_regular() if d.witness is not None else None
-                yield {
-                    "n": n,
-                    "k": k,
-                    "r": r,
-                    "n1": params.n1,
-                    "n2": params.n2,
-                    "k1": params.k1,
-                    "k2": params.k2,
-                    "d_star": params.d_star,
-                    "value": value,
-                    "value_csv": value_csv,
-                    "status": d.status,
-                    "rule": d.rule,
-                    "witness_almost_regular": almost,
-                }
+                yield decide(params, oracle_limit=oracle_limit)
 
 
-_SWEEP_FIELDS = [
-    "n", "k", "r", "n1", "n2", "k1", "k2", "d_star",
-    "value", "status", "rule", "witness_almost_regular",
-]
+def _csv_cell(value) -> object:
+    """``lo..hi`` for an interval, true/false for a flag, empty for None."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return f"{value[0]}..{value[1]}"
+    return value
 
 
 def cmd_sweep(args) -> int:
-    rows = list(_sweep_rows(args.n_max, args.r_max, args.oracle_limit))
+    records = [_decision_record(d) for d in _sweep_decisions(args.n_max, args.r_max, args.oracle_limit)]
     if args.format == "json":
-        payload = [{f: row[f] for f in _SWEEP_FIELDS} for row in rows]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(records, indent=2))
     else:
         writer = csv.writer(sys.stdout)
-        writer.writerow(_SWEEP_FIELDS)
-        for row in rows:
-            out = dict(row, value=row["value_csv"])
-            almost = out["witness_almost_regular"]
-            out["witness_almost_regular"] = "" if almost is None else str(almost).lower()
-            writer.writerow([out[f] for f in _SWEEP_FIELDS])
+        writer.writerow(_RECORD_FIELDS)
+        writer.writerows([_csv_cell(v) for v in record.values()] for record in records)
     return EXIT_OK
 
 
@@ -251,10 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = or_sub.add_parser(kind, help=label)
         sp.add_argument("--vertices", type=int, required=True)
         if kind == "girth-ex":
-            sp.add_argument("--girth-k", type=int, default=None)
+            sp.add_argument("--girth-k", type=int, required=True)
         else:
-            sp.add_argument("--forbid-order", type=int, default=None)
-            sp.add_argument("--forbid-size", type=int, default=None)
+            sp.add_argument("--forbid-order", type=int, required=True)
+            sp.add_argument("--forbid-size", type=int, required=True)
         sp.set_defaults(func=cmd_oracle)
 
     p_sweep = sub.add_parser("sweep", help="decide every (n, k, r) in a range")

@@ -6,9 +6,10 @@ large enough prime field yields, with overwhelming probability, a code
 whose minimum distance matches the decided optimum; the default modulus
 is the smallest prime above (d* - 1) * C(n, d* - 1), the point where the
 union-bound failure estimate drops below one (observed first-attempt
-success is the norm).  Verification is never probabilistic: rank,
-locality and minimum distance are all checked exhaustively before a code
-is marked verified.
+success is the norm).  Verification is never probabilistic: ``verify_code``
+checks rank, locality and minimum distance exhaustively, and it is the one
+verifier behind both ``construct_optimal_lrc`` and ``lrcdist verify``.  The
+rank is computed once, inside ``min_distance``.
 """
 
 from __future__ import annotations
@@ -120,6 +121,19 @@ def verify_locality(c: LinearCode) -> bool:
     return bool(((local_rows != 0).any(axis=0)).all())
 
 
+def verify_code(c: LinearCode) -> tuple[bool, bool, int | None]:
+    """Exact checks of a code: (full row rank, locality, minimum distance).
+
+    The distance is None when H lacks full row rank; ``min_distance`` checks
+    the rank itself, so it is computed once.
+    """
+    locality = verify_locality(c)
+    try:
+        return True, locality, min_distance(c)
+    except DegenerateCode:
+        return False, locality, None
+
+
 def construct_optimal_lrc(
     p: CodeParams,
     field: PrimeField | None = None,
@@ -129,7 +143,8 @@ def construct_optimal_lrc(
 ) -> LinearCode:
     """Decide the instance, and when the answer is d*, build and verify a code.
 
-    Attempt i uses seed + i; each attempt is verified exhaustively (full row
+    The distance envelope is checked first, since it needs only p.  Attempt i
+    uses seed + i; ``verify_code`` checks each attempt exhaustively (full row
     rank, locality, exact minimum distance equal to the decided value).  A
     single attempt fails with probability at most (d*-1)*C(n, d*-1)/q by the
     union bound, so over the default field (q just above that product) the
@@ -137,8 +152,8 @@ def construct_optimal_lrc(
     user-supplied small field, success decays like (1 - failure_rate) per
     attempt and ``max_retries`` caps the spend before RetriesExhausted.
     """
-    decision = decide(p, oracle_limit=oracle_limit)
     _check_distance_envelope(p, p.d_star)
+    decision = decide(p, oracle_limit=oracle_limit)
     if decision.status != "exact":
         raise NotAchievable(
             f"decision unresolved for (n={p.n}, k={p.k}, r={p.r}); no witness to build from"
@@ -153,11 +168,7 @@ def construct_optimal_lrc(
     for attempt in range(1, max_retries + 1):
         code = build_parity_check(t, fld, seed + attempt - 1)
         code.claimed_distance = p.d_star
-        if gf.rank_mod(code.H, fld.q) != p.n - p.k:
-            continue
-        if not verify_locality(code):
-            continue
-        if min_distance(code) != p.d_star:
+        if verify_code(code) != (True, True, p.d_star):
             continue
         code.verified = True
         code.attempts = attempt
@@ -228,15 +239,23 @@ def code_to_json(c: LinearCode) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def code_from_json(data: dict) -> LinearCode:
     try:
         p = derive_params(data["n"], data["k"], data["r"])
         field = PrimeField(data["q"])
-        h = np.array(data["H"], dtype=np.int64)
-        claimed = data["claimed_distance"]
-        verified = bool(data["verified"])
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, claimed, verified = data["H"], data["claimed_distance"], data["verified"]
+        # np.array would silently truncate 1.5 to 1 and read true as 1
+        if not all(_is_int(x) for row in rows for x in row):
+            raise BadArgs("matrix entries must be integers")
+        h = np.array(rows, dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadArgs(f"malformed code JSON: {exc}") from exc
+    if not (claimed is None or _is_int(claimed)) or not isinstance(verified, bool):
+        raise BadArgs("claimed_distance must be an integer or null, verified a boolean")
     if h.shape != (p.n - p.k, p.n):
         raise BadArgs(f"H must be {(p.n - p.k, p.n)}, got {h.shape}")
     if ((h < 0) | (h >= field.q)).any():

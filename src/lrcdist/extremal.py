@@ -79,10 +79,6 @@ def _family_search(
                 sub_of_pair[pi].append(si)
     per_pair_subs = comb(order - 2, f_order - 2) if f_order >= 2 and order >= 2 else 0
 
-    first_pair_of_block = {}
-    for pi, (u, _) in enumerate(pairs):
-        first_pair_of_block.setdefault(u, pi)
-
     # greedy randomized seed: a strong initial bound makes the pruning bite
     rng = random.Random(_RNG_SEED)
     best = 0
@@ -134,8 +130,9 @@ def _family_search(
         if i == npairs:
             return
         u, v = pairs[i]
-        # entering vertex block u: degree of u-2 is final, enforce sorted order
-        if first_pair_of_block.get(u) == i and u >= 2 and deg[u - 2] < deg[u - 1]:
+        # entering vertex block u at (u, u + 1): degree of u-2 is final,
+        # enforce sorted order
+        if v == u + 1 and u >= 2 and deg[u - 2] < deg[u - 1]:
             return
         # a branch is useless unless it can beat `best` (max mode) or reach
         # `target` (decision mode)
@@ -256,10 +253,6 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
     npairs = len(pairs)
     infinity = 10 ** 6
 
-    first_pair_of_block = {}
-    for pi, (u, _) in enumerate(pairs):
-        first_pair_of_block.setdefault(u, pi)
-
     def push_edge(dist: list[list[int]], u: int, v: int) -> list[list[int]]:
         nd = [row.copy() for row in dist]
         for a in range(order):
@@ -303,7 +296,7 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
         if i == npairs:
             return
         u, v = pairs[i]
-        if first_pair_of_block.get(u) == i and u >= 2 and deg[u - 2] < deg[u - 1]:
+        if v == u + 1 and u >= 2 and deg[u - 2] < deg[u - 1]:
             return
         addable = 0
         for j in range(i, npairs):

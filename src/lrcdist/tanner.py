@@ -15,13 +15,20 @@ h(r+1) - (n - m) edges.  ``refine`` normalizes any pruned graph to the
 canonical shape (h = n1 checks, m = n2 variables, all of degree two)
 without ever lowering the minimum distance; a degree-two variable is
 just an edge between two checks, which is where the multigraph appears.
+``f2p`` and ``reduce_check_nodes`` end in the same prune: degree-one
+variables are dropped and the rest renumbered in order.
+
+``tanner_min_distance`` needs the smallest neighbourhood of every size of
+local-check subset; one depth-first walk over those subsets finds them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Sequence
+from functools import reduce
+from operator import or_
+from typing import AbstractSet, Callable, Sequence
 
 from .errors import (
     EnvelopeExceeded,
@@ -130,16 +137,21 @@ class PrunedGraph:
         return self.n1 * (self.r + 1) - self.n
 
 
+def _variable_degrees(checks: Sequence[AbstractSet[int]]) -> Counter[int]:
+    return Counter(v for c in checks for v in c)
+
+
+def _prune(t: FullTannerGraph | PrunedGraph, checks: Sequence[AbstractSet[int]]) -> PrunedGraph:
+    """Keep ``checks``, drop the variables of degree one, renumber the rest in order."""
+    degree = _variable_degrees(checks)
+    remap = {v: i for i, v in enumerate(sorted(v for v, d in degree.items() if d >= 2))}
+    pruned = tuple(frozenset(remap[v] for v in c if v in remap) for c in checks)
+    return PrunedGraph(n=t.n, k=t.k, r=t.r, m=len(remap), checks=pruned)
+
+
 def f2p(t: FullTannerGraph) -> PrunedGraph:
     """Drop global checks, then drop the variables left with degree one."""
-    degree: dict[int, int] = {}
-    for c in t.local_checks:
-        for v in c:
-            degree[v] = degree.get(v, 0) + 1
-    keep = sorted(v for v, d in degree.items() if d >= 2)
-    remap = {v: i for i, v in enumerate(keep)}
-    checks = tuple(frozenset(remap[v] for v in c if v in remap) for c in t.local_checks)
-    return PrunedGraph(n=t.n, k=t.k, r=t.r, m=len(keep), checks=checks)
+    return _prune(t, t.local_checks)
 
 
 def p2f(p: PrunedGraph, strategy: str | AttachStrategy = "first") -> FullTannerGraph:
@@ -181,29 +193,26 @@ def neighborhood_size(t: FullTannerGraph, checks: Sequence[int]) -> int:
     return len(seen)
 
 
-def _local_min_neighborhoods(masks: list[int], local_count: int) -> dict[int, int]:
-    """Minimum |N(S)| over all-local subsets S, for every subset size."""
-    mins: dict[int, int] = {}
-    if local_count <= 20:
-        union = [0] * (1 << local_count)
-        for mask in range(1, 1 << local_count):
-            low = (mask & -mask).bit_length() - 1
-            union[mask] = union[mask ^ (1 << low)] | masks[low]
-            eta = mask.bit_count()
-            size = union[mask].bit_count()
-            if eta not in mins or size < mins[eta]:
+def _local_min_neighborhoods(masks: list[int]) -> list[int]:
+    """Minimum |N(S)| over all-local subsets S, indexed by subset size.
+
+    One depth-first walk over the subsets in lexicographic order, carrying
+    the running union of the chosen checks' variable masks: O(L) memory for
+    L local checks.
+    """
+    count = len(masks)
+    mins = [0] + [reduce(or_, masks, 0).bit_count()] * count  # no union is larger
+
+    def walk(start: int, union: int, eta: int) -> None:
+        for i in range(start, count):
+            u = union | masks[i]
+            size = u.bit_count()
+            if size < mins[eta]:
                 mins[eta] = size
-    else:
-        for eta in range(1, local_count + 1):
-            best = None
-            for combo in combinations(range(local_count), eta):
-                u = 0
-                for c in combo:
-                    u |= masks[c]
-                s = u.bit_count()
-                if best is None or s < best:
-                    best = s
-            mins[eta] = best
+            if i + 1 < count:
+                walk(i + 1, u, eta + 1)
+
+    walk(0, 0, 1)
     return mins
 
 
@@ -217,11 +226,10 @@ def tanner_min_distance(t: FullTannerGraph) -> int:
     n, k = t.n, t.k
     if n - k > CHECK_ENVELOPE:
         raise EnvelopeExceeded(f"check-subset enumeration limited to n - k <= {CHECK_ENVELOPE}")
-    local_count = len(t.local_checks)
     masks = [sum(1 << v for v in c) for c in t.local_checks]
-    mins = _local_min_neighborhoods(masks, local_count)
+    mins = _local_min_neighborhoods(masks)
     worst_failing = 0
-    for eta in range(1, local_count + 1):
+    for eta in range(1, len(masks) + 1):
         if mins[eta] < eta + k:
             worst_failing = eta
     return (n - k) - worst_failing + 1 if worst_failing else n - k
@@ -241,12 +249,8 @@ def reduce_check_nodes(p: PrunedGraph) -> PrunedGraph:
     victim = min(range(len(checks)), key=lambda i: (len(checks[i]), i))
     removed_degree = len(checks[victim])
     del checks[victim]
-
-    def var_degree(v: int) -> int:
-        return sum(1 for c in checks if v in c)
-
     for _ in range((p.r + 1) - removed_degree):
-        degrees = {v: var_degree(v) for v in range(p.m)}
+        degrees = _variable_degrees(checks)
         candidates = [v for v, d in degrees.items() if d >= 2]
         if not candidates:
             raise SelfCheckFailed("no variable of degree >= 2 left; the edge identity failed")
@@ -254,11 +258,7 @@ def reduce_check_nodes(p: PrunedGraph) -> PrunedGraph:
         hosts = [ci for ci, c in enumerate(checks) if v in c]
         host = max(hosts, key=lambda ci: (len(checks[ci]), -ci))
         checks[host].discard(v)
-
-    keep = sorted(v for v in range(p.m) if var_degree(v) >= 2)
-    remap = {v: i for i, v in enumerate(keep)}
-    new_checks = tuple(frozenset(remap[v] for v in c if v in remap) for c in checks)
-    return PrunedGraph(n=p.n, k=p.k, r=p.r, m=len(keep), checks=new_checks)
+    return _prune(p, checks)
 
 
 def refine(p: PrunedGraph) -> PrunedGraph:
@@ -272,15 +272,12 @@ def refine(p: PrunedGraph) -> PrunedGraph:
         p = reduce_check_nodes(p)
     checks = [set(c) for c in p.checks]
     m = p.m
-
-    def degree(v: int) -> int:
-        return sum(1 for c in checks if v in c)
-
     while True:
-        high = [v for v in range(m) if degree(v) > 2]
+        degrees = _variable_degrees(checks)
+        high = [v for v, d in degrees.items() if d > 2]
         if not high:
             break
-        v = min(high, key=lambda x: (-degree(x), x))
+        v = min(high, key=lambda x: (-degrees[x], x))
         c1, c2 = sorted(ci for ci, c in enumerate(checks) if v in c)[:2]
         fresh = m
         m += 1

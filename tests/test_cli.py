@@ -269,3 +269,30 @@ def test_verify_field_beyond_int64_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "int64" in err
+
+
+def test_verify_mistyped_code_json_exit_2(tmp_path, capsys):
+    out_path = tmp_path / "code.json"
+    run(capsys, "construct", "--n", "12", "--k", "7", "--r", "3", "--out", str(out_path))
+    data = json.loads(out_path.read_text())
+    for key, value in (("H", 1.5), ("claimed_distance", "4")):
+        tampered = json.loads(json.dumps(data))
+        if key == "H":
+            tampered["H"][0][0] = value
+        else:
+            tampered[key] = value
+        out_path.write_text(json.dumps(tampered))
+        code, out, err = run(capsys, "verify", "--code", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+def test_oracle_missing_required_option_exit_2():
+    for argv, option in (
+        (("eX", "--vertices", "4", "--forbid-order", "3"), "--forbid-size"),
+        (("girth-ex", "--vertices", "4"), "--girth-k"),
+    ):
+        done = run_subprocess("oracle", *argv)
+        assert done.returncode == 2
+        assert option in done.stderr

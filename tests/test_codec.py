@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrcdist import gf
+from lrcdist import codec, gf
 from lrcdist.codec import (
     FIELD_ORDER_ENVELOPE,
     LinearCode,
@@ -14,6 +14,7 @@ from lrcdist.codec import (
     encode,
     min_distance,
     repair_symbol,
+    verify_code,
     verify_locality,
 )
 from lrcdist.decider import decide
@@ -302,3 +303,45 @@ def test_encode_and_repair_over_largest_mersenne_field():
         erased: list = [int(x) for x in word]
         erased[j] = None
         assert repair_symbol(code, erased) == int(word[j])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("H", 1.5), ("H", True), ("H", 2**70), ("claimed_distance", "4"), ("claimed_distance", 4.0),
+     ("verified", "no"), ("verified", 1)],
+)
+def test_json_rejects_mistyped_values(key, value):
+    # a float or bool entry must not be truncated into a different matrix
+    data = code_to_json(construct_optimal_lrc(derive_params(12, 7, 3), seed=0))
+    if key == "H":
+        data["H"][0][0] = value
+    else:
+        data[key] = value
+    with pytest.raises(BadArgs):
+        code_from_json(data)
+
+
+def test_verify_code_reports_rank_locality_and_distance():
+    code = construct_optimal_lrc(derive_params(12, 7, 3), seed=0)
+    assert verify_code(code) == (True, True, 4)
+    code.H[1] = code.H[0]
+    assert verify_code(code) == (False, False, None)
+
+
+def test_construct_computes_the_rank_once_per_attempt(monkeypatch):
+    calls = []
+    rank_mod = gf.rank_mod
+    monkeypatch.setattr(gf, "rank_mod", lambda *a: calls.append(a) or rank_mod(*a))
+    code = construct_optimal_lrc(derive_params(16, 9, 4), seed=0)
+    assert code.verified
+    assert len(calls) == code.attempts
+
+
+def test_construct_checks_envelope_before_deciding(monkeypatch):
+    # (92, 65, 12) has n > 20: the oracle must not spend seconds deciding it first
+    def refuse(*args, **kwargs):
+        raise AssertionError("decide ran for an instance outside the distance envelope")
+
+    monkeypatch.setattr(codec, "decide", refuse)
+    with pytest.raises(EnvelopeExceeded):
+        construct_optimal_lrc(derive_params(92, 65, 12))

@@ -210,6 +210,14 @@ def test_tanner_min_distance_witness_codes():
         assert tanner_min_distance(t) == min(p.d_star, p.n - p.k)
 
 
+def test_tanner_min_distance_beyond_twenty_local_checks():
+    # (42, 20, 1) decides by `divides`: 21 disjoint local checks and one global
+    p, d, t = witness_tanner(42, 20, 1)
+    assert d.rule == "divides"
+    assert len(t.local_checks) == 21
+    assert tanner_min_distance(t) == p.d_star == 4
+
+
 def test_tanner_min_distance_vacuous_cap():
     # r = n - 1: the single local check sees every variable, all conditions
     # hold, and the distance reports exactly n - k
