@@ -152,6 +152,10 @@ def construct_optimal_lrc(
     user-supplied small field, success decays like (1 - failure_rate) per
     attempt and ``max_retries`` caps the spend before RetriesExhausted.
     """
+    if seed < 0:
+        raise BadArgs(f"seed must be >= 0, got {seed}")
+    if max_retries < 1:
+        raise BadArgs(f"max_retries must be >= 1, got {max_retries}")
     _check_distance_envelope(p, p.d_star)
     decision = decide(p, oracle_limit=oracle_limit)
     if decision.status != "exact":

@@ -19,6 +19,15 @@ relabeling, so the restriction is lossless), and two upper bounds prune
 branches (a capacity-averaging bound over the forbidden subsets, and a
 per-pair residual bound).
 
+Each search carries its state from node to node instead of recomputing
+it.  The family search keeps every pair's room, the multiplicity it can
+still take, and lowers it only for the pairs that share a forbidden
+subset with the pair just assigned; the residual bound is the sum of the
+rooms left and the branch top is the pair's own room.  The girth search
+updates distances only where they can fall below k, the one threshold it
+tests.  Both greedy seeds try the same fixed pair orders, drawn once per
+number of pairs and cached.
+
 ``free_multigraph`` answers the decision form directly: is there a
 family-free multigraph of the given order and exact size?  It stops at
 the first witness, which makes it the cheap path for distance decisions.
@@ -41,6 +50,8 @@ from .multigraph import ForbiddenFamily, Multigraph
 SEARCH_ENVELOPE = 10
 _SEED_RESTARTS = 60
 _RNG_SEED = 0x5EED
+# a distance no graph of the searched orders reaches: "no path yet"
+_FAR = 10**6
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,18 @@ def _check_envelope(order: int):
         raise BadArgs(f"order must be >= 0, got {order}")
 
 
+@lru_cache(maxsize=None)
+def _seed_orders(npairs: int) -> tuple[tuple[int, ...], ...]:
+    """The pair orders every greedy seed tries, the same on every call."""
+    rng = random.Random(_RNG_SEED)
+    orders = []
+    for _ in range(_SEED_RESTARTS if npairs else 0):
+        perm = list(range(npairs))
+        rng.shuffle(perm)
+        orders.append(tuple(perm))
+    return tuple(orders)
+
+
 def _family_search(
     order: int,
     f_order: int,
@@ -72,51 +95,54 @@ def _family_search(
     subsets = list(combinations(range(order), f_order)) if f_order >= 2 else []
     nsub = len(subsets)
     sub_of_pair: list[list[int]] = [[] for _ in range(npairs)]
+    pairs_of_sub: list[list[int]] = [[] for _ in range(nsub)]
+    pair_index = {p: pi for pi, p in enumerate(pairs)}
     for si, s in enumerate(subsets):
-        inside = set(s)
-        for pi, (u, v) in enumerate(pairs):
-            if u in inside and v in inside:
-                sub_of_pair[pi].append(si)
+        for p in combinations(s, 2):
+            sub_of_pair[pair_index[p]].append(si)
+            pairs_of_sub[si].append(pair_index[p])
     per_pair_subs = comb(order - 2, f_order - 2) if f_order >= 2 and order >= 2 else 0
+    # room[j]: the multiplicity pair j can still take, min(pair_cap, spare
+    # capacity of each subset holding it); it only falls as edges are added
+    empty_room = [min(pair_cap, f_size) if subs else pair_cap for subs in sub_of_pair]
+
+    def add(cur: list[int], room: list[int], i: int, m: int):
+        for s in sub_of_pair[i]:
+            cur[s] += m
+            spare = f_size - cur[s]
+            for j in pairs_of_sub[s]:
+                if room[j] > spare:
+                    room[j] = spare
 
     # greedy randomized seed: a strong initial bound makes the pruning bite
-    rng = random.Random(_RNG_SEED)
     best = 0
     best_assign: dict[tuple[int, int], int] = {}
-    for _ in range(_SEED_RESTARTS if npairs else 0):
-        perm = list(range(npairs))
-        rng.shuffle(perm)
+    for perm in _seed_orders(npairs):
         cur = [0] * nsub
+        room = empty_room.copy()
         tot = 0
         assign: dict[tuple[int, int], int] = {}
         for pi in perm:
-            room = min((f_size - cur[s] for s in sub_of_pair[pi]), default=pair_cap)
-            m = min(pair_cap, room)
+            m = room[pi]
             if target is not None:
                 m = min(m, target - tot)
             if m > 0:
                 assign[pairs[pi]] = m
                 tot += m
-                for s in sub_of_pair[pi]:
-                    cur[s] += m
+                add(cur, room, pi, m)
+        if target is not None and tot >= target:
+            # later orders could only tie, and a tie never replaces the seed
+            return tot, assign, True
         if tot > best:
             best = tot
             best_assign = assign
-    if target is not None and best >= target:
-        return best, best_assign, True
 
     cur = [0] * nsub
+    room = empty_room.copy()
     deg = [0] * order
     assign_vec = [0] * npairs
     state = {"best": best, "assign": best_assign, "done": False}
     residual_start = nsub * f_size
-
-    def pairwise_ub(i: int, size: int) -> int:
-        ub = size
-        for j in range(i, npairs):
-            room = min((f_size - cur[s] for s in sub_of_pair[j]), default=pair_cap)
-            ub += min(pair_cap, room) if room > 0 else 0
-        return ub
 
     def dfs(i: int, size: int, residual: int):
         if size > state["best"]:
@@ -142,16 +168,15 @@ def _family_search(
                 return
         if size + (npairs - i) * pair_cap <= floor_needed:
             return
-        if pairwise_ub(i, size) <= floor_needed:
+        if size + sum(room[i:]) <= floor_needed:
             return
-        room = min((f_size - cur[s] for s in sub_of_pair[i]), default=pair_cap)
-        top = min(pair_cap, room)
+        top = room[i]
         if target is not None:
             top = min(top, target - size)
+        saved = room.copy()
         for m in range(max(top, 0), -1, -1):
             if m:
-                for s in sub_of_pair[i]:
-                    cur[s] += m
+                add(cur, room, i, m)
                 deg[u] += m
                 deg[v] += m
             assign_vec[i] = m
@@ -160,6 +185,7 @@ def _family_search(
             if m:
                 for s in sub_of_pair[i]:
                     cur[s] -= m
+                room[:] = saved
                 deg[u] -= m
                 deg[v] -= m
             if state["done"]:
@@ -237,6 +263,28 @@ def free_multigraph(order: int, size: int, family: ForbiddenFamily) -> Multigrap
     return _free_multigraph(order, size, family.order, family.max_size)
 
 
+def _add_edge_distances(dist: list[list[int]], u: int, v: int, k: int) -> list[list[int]]:
+    """A copy of ``dist`` updated for a new edge (u, v), exact below k.
+
+    ``dist`` must hold the exact distance wherever that is below k and a
+    value >= k elsewhere; the copy keeps that invariant.  A shortest path
+    that uses the new edge runs a..u, v..b (or the reverse) over old
+    shortest paths, and it is shorter than k only if both of those are
+    shorter than k - 1, so only such pairs (a, b) are relaxed.
+    """
+    nd = [row.copy() for row in dist]
+    near_u = [(a, d) for a, d in enumerate(dist[u]) if d < k - 1]
+    near_v = [(b, d) for b, d in enumerate(dist[v]) if d < k - 1]
+    for a, da in near_u:
+        row_a = nd[a]
+        for b, db in near_v:
+            t = da + 1 + db
+            if t < row_a[b]:
+                row_a[b] = t
+                nd[b][a] = t
+    return nd
+
+
 @lru_cache(maxsize=None)
 def max_size_girth(order: int, k: int) -> ExtremalResult:
     """Exact maximum edges of a simple graph on ``order`` vertices with girth > k.
@@ -244,43 +292,27 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
     Independent of the family oracles: feasibility is tracked with an
     incrementally maintained distance matrix (adding edge (u, v) closes a
     cycle of length dist(u, v) + 1, so the edge is addable iff
-    dist(u, v) >= k).
+    dist(u, v) >= k).  Only distances below k are kept exact; each new edge
+    relaxes just the pairs (a, b) with dist(a, u) and dist(v, b) below
+    k - 1, and every other entry stays at k or above.
     """
     _check_envelope(order)
     if k < 3:
         raise BadArgs(f"need k >= 3, got {k}")
     pairs = list(combinations(range(order), 2))
     npairs = len(pairs)
-    infinity = 10 ** 6
+    no_edges = [[0 if a == b else _FAR for b in range(order)] for a in range(order)]
 
-    def push_edge(dist: list[list[int]], u: int, v: int) -> list[list[int]]:
-        nd = [row.copy() for row in dist]
-        for a in range(order):
-            da_u, da_v = nd[a][u], nd[a][v]
-            row_a = nd[a]
-            row_u, row_v = nd[u], nd[v]
-            for b in range(order):
-                t = da_u + 1 + row_v[b]
-                if t < row_a[b]:
-                    row_a[b] = t
-                t = da_v + 1 + row_u[b]
-                if t < row_a[b]:
-                    row_a[b] = t
-        return nd
-
-    rng = random.Random(_RNG_SEED)
     best = 0
     best_edges: list[tuple[int, int]] = []
-    for _ in range(_SEED_RESTARTS if npairs else 0):
-        perm = list(range(npairs))
-        rng.shuffle(perm)
-        dist = [[0 if a == b else infinity for b in range(order)] for a in range(order)]
+    for perm in _seed_orders(npairs):
+        dist = no_edges
         chosen = []
         for pi in perm:
             u, v = pairs[pi]
             if dist[u][v] >= k:
                 chosen.append((u, v))
-                dist = push_edge(dist, u, v)
+                dist = _add_edge_distances(dist, u, v, k)
         if len(chosen) > best:
             best = len(chosen)
             best_edges = chosen
@@ -309,14 +341,13 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
             edges.append((u, v))
             deg[u] += 1
             deg[v] += 1
-            dfs(i + 1, size + 1, push_edge(dist, u, v))
+            dfs(i + 1, size + 1, _add_edge_distances(dist, u, v, k))
             deg[u] -= 1
             deg[v] -= 1
             edges.pop()
         dfs(i + 1, size, dist)
 
-    dist0 = [[0 if a == b else infinity for b in range(order)] for a in range(order)]
-    dfs(0, 0, dist0)
+    dfs(0, 0, no_edges)
     witness = Multigraph.from_edges(order, state["edges"])
     return ExtremalResult(value=state["best"], witness=witness, exhaustive=True)
 

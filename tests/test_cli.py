@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import lrcdist
 from lrcdist.cli import main
 
@@ -296,3 +298,20 @@ def test_oracle_missing_required_option_exit_2():
         done = run_subprocess("oracle", *argv)
         assert done.returncode == 2
         assert option in done.stderr
+
+
+@pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--retries", "0"), ("--retries", "-2")])
+def test_construct_bad_seed_or_retries_exit_2(capsys, tmp_path, monkeypatch, option, value):
+    # rejected before the instance is decided or a Tanner graph is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("decide ran for a construct call with a bad argument")
+
+    monkeypatch.setattr(lrcdist.codec, "decide", refuse)
+    out_path = tmp_path / "x.json"
+    code, _, err = run(
+        capsys,
+        "construct", "--n", "12", "--k", "7", "--r", "3", option, value, "--out", str(out_path),
+    )
+    assert code == 2
+    assert err.startswith("error:") and option[2:] in err
+    assert not out_path.exists()

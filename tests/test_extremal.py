@@ -2,9 +2,13 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrcdist.errors import BadArgs, EnvelopeExceeded, UnboundedFamily
 from lrcdist.extremal import (
+    _FAR,
+    _add_edge_distances,
     free_multigraph,
     max_size_girth,
     max_size_multigraph,
@@ -239,3 +243,79 @@ def test_girth_engine_matches_naive_enumeration():
     for order in range(2, 6):
         for k in (3, 4, 5):
             assert max_size_girth(order, k).value == naive_girth_max(order, k)
+
+
+def bfs_distances(order, edges, source):
+    adj = [[] for _ in range(order)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+@st.composite
+def edge_sequences(draw):
+    order = draw(st.integers(2, 9))
+    k = draw(st.integers(3, 7))
+    pairs = [(u, v) for u in range(order) for v in range(order) if u != v]
+    return order, k, draw(st.lists(st.sampled_from(pairs), max_size=24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_sequences())
+def test_bounded_distance_update_matches_bfs(case):
+    # below k every entry is the BFS distance; elsewhere it is >= k, the
+    # only test the girth search makes on it
+    order, k, edges = case
+    dist = [[0 if a == b else _FAR for b in range(order)] for a in range(order)]
+    for step, (u, v) in enumerate(edges, 1):
+        before = [row.copy() for row in dist]
+        new = _add_edge_distances(dist, u, v, k)
+        # the search keeps the parent matrix for the branch without the edge
+        assert dist == before
+        dist = new
+        for a in range(order):
+            reach = bfs_distances(order, edges[:step], a)
+            for b in range(order):
+                if reach.get(b, _FAR) < k:
+                    assert dist[a][b] == reach[b]
+                else:
+                    assert dist[a][b] >= k
+
+
+@st.composite
+def family_queries(draw):
+    order = draw(st.integers(2, 6))
+    family = ForbiddenFamily(draw(st.integers(2, order)), draw(st.integers(0, 3)))
+    size = draw(st.integers(0, family.max_size * order * (order - 1) // 2 + 2))
+    return order, family, size
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_queries())
+def test_free_multigraph_witness_has_size_and_is_free(query):
+    order, family, size = query
+    g = free_multigraph(order, size, family)
+    if g is not None:
+        assert g.order == order and g.size == size
+        assert is_family_free(g, family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_queries())
+def test_free_multigraph_existence_is_monotone_and_matches_maximum(query):
+    order, family, size = query
+    exists = free_multigraph(order, size, family) is not None
+    assert exists == (size <= max_size_multigraph(order, family).value)
+    if exists and size > 0:
+        assert free_multigraph(order, size - 1, family) is not None
