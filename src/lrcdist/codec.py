@@ -10,12 +10,23 @@ success is the norm).  Verification is never probabilistic: ``verify_code``
 checks rank, locality and minimum distance exhaustively, and it is the one
 verifier behind both ``construct_optimal_lrc`` and ``lrcdist verify``.  The
 rank is computed once, inside ``min_distance``.
+
+The distance is the smallest w such that some w columns of H are dependent.
+``min_distance`` first asks whether any (g - 1)-subset is dependent, for the
+claimed distance g (``construct_optimal_lrc`` always claims d*).  If none
+is, no smaller subset is dependent either, because independence is
+hereditary, and the scan starts at w = g; otherwise it starts at w = 1.
+Either way the result is the exact distance; a wrong claim costs one extra
+level.  Each level groups its w-subsets by their w - 1 smallest columns and
+eliminates each such prefix once for all its extensions
+(``gf.batch_columns_independent``), in batches of at most ``_ENTRY_BUDGET``
+int64 entries, so memory stays flat however many subsets a level has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb, isqrt
 
 import numpy as np
@@ -37,7 +48,7 @@ from .tanner import FullTannerGraph, graph_to_pruned, p2f
 DISTANCE_LENGTH_ENVELOPE = 20
 DISTANCE_CLAIM_ENVELOPE = 8
 FIELD_ORDER_ENVELOPE = isqrt(2**63 - 1) + 1  # largest q with (q - 1)**2 inside int64
-_BATCH = 4096
+_ENTRY_BUDGET = 1 << 17  # int64 entries in one stacked (prefixes, rows, columns) array
 
 
 @dataclass(frozen=True)
@@ -90,26 +101,47 @@ def _check_distance_envelope(p: CodeParams, claimed: int | None) -> None:
         raise EnvelopeExceeded(f"distance search limited to claimed distance <= {DISTANCE_CLAIM_ENVELOPE}")
 
 
+def _has_dependent_columns(h: np.ndarray, q: int, w: int) -> bool:
+    """Whether some w columns of h, 1 <= w <= rows, are linearly dependent over GF(q).
+
+    The w-subsets are grouped by their w - 1 smallest columns (the prefix);
+    the prefixes that end at the same column go to the kernel in batches
+    sized by ``_ENTRY_BUDGET``, and the scan stops at the first dependent one.
+    """
+    m, n = h.shape
+    if w == 1:
+        return not (h % q).any(axis=0).all()
+    for last in range(w - 2, n - 1):
+        prefixes = np.array([(*head, last) for head in combinations(range(last), w - 2)], dtype=np.int64)
+        batch = max(1, _ENTRY_BUDGET // (m * (w - 1 + n - 1 - last)))
+        for i in range(0, len(prefixes), batch):
+            if not gf.batch_columns_independent(h, q, prefixes[i:i + batch]).all():
+                return True
+    return False
+
+
 def min_distance(c: LinearCode) -> int:
     """Exact minimum distance: the smallest w for which some w columns of H
-    are linearly dependent, checked in ascending w over all column subsets.
+    are linearly dependent over GF(q).
+
+    Independence is hereditary (a subset of independent columns is
+    independent), so when no (g - 1)-subset is dependent for the claimed
+    distance g, no smaller subset is either and the scan starts at w = g.
+    Otherwise, or without a claim, it starts at w = 1.  Any n - k + 1
+    columns of the n - k rows are dependent, so that level needs no scan.
     """
     p = c.params
     _check_distance_envelope(p, c.claimed_distance)
     q = c.field.q
-    if gf.rank_mod(c.H, q) != p.n - p.k:
+    m = p.n - p.k
+    if gf.rank_mod(c.H, q) != m:
         raise DegenerateCode("parity-check matrix does not have full row rank")
-    for w in range(1, p.n - p.k + 2):
-        combos = combinations(range(p.n), w)
-        while True:
-            batch = list(islice(combos, _BATCH))
-            if not batch:
-                break
-            subs = np.array(batch, dtype=np.int64)
-            ok = gf.batch_columns_independent(c.H, q, subs)
-            if not ok.all():
-                return w
-    raise AssertionError("n - k + 1 columns can never be independent")
+    g = c.claimed_distance
+    from_claim = g is not None and 2 <= g <= m + 1 and not _has_dependent_columns(c.H, q, g - 1)
+    for w in range(g if from_claim else 1, m + 1):
+        if _has_dependent_columns(c.H, q, w):
+            return w
+    return m + 1
 
 
 def verify_locality(c: LinearCode) -> bool:
@@ -196,13 +228,12 @@ def encode(c: LinearCode, message: list[int] | np.ndarray) -> np.ndarray:
     reduced, pivots = gf.rref_mod(c.H, q)
     if len(pivots) != p.n - p.k:
         raise DegenerateCode("parity-check matrix does not have full row rank")
-    frees = [j for j in range(p.n) if j not in set(pivots)]
+    pivot_set = set(pivots)
+    frees = [j for j in range(p.n) if j not in pivot_set]
     word = np.zeros(p.n, dtype=np.int64)
     word[frees] = msg
     # every product is reduced before summing: q**2 alone nearly fills int64
-    for i, piv in enumerate(pivots):
-        acc = int((reduced[i, frees] * word[frees] % q).sum() % q)
-        word[piv] = (-acc) % q
+    word[pivots] = -((reduced[:, frees] * msg % q).sum(axis=1) % q) % q
     if ((c.H * word % q).sum(axis=1) % q).any():
         raise SelfCheckFailed("encoded word fails the parity check H c = 0")
     return word

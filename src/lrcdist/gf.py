@@ -1,4 +1,12 @@
-"""Linear algebra over prime fields GF(q), batched where distance checks need it."""
+"""Linear algebra over prime fields GF(q), batched where distance checks need it.
+
+``batch_columns_independent`` is the one kernel of the exhaustive distance
+search in ``codec.min_distance``.  It takes a batch of column prefixes that
+end at the same column and answers, for every later column, whether it
+extends the prefix independently.  The prefix's pivot steps are shared by
+all its extensions, each step touches only the trailing block, and the
+caller sizes every batch by a fixed budget of int64 entries.
+"""
 
 from __future__ import annotations
 
@@ -46,9 +54,9 @@ def rref_mod(mat: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
             a[[rank, piv]] = a[[piv, rank]]
         inv = pow(int(a[rank, col]), -1, q)
         a[rank] = (a[rank] * inv) % q
-        for row in range(rows):
-            if row != rank and a[row, col]:
-                a[row] = (a[row] - a[row, col] * a[rank]) % q
+        factors = a[:, col].copy()
+        factors[rank] = 0
+        a = (a - np.outer(factors, a[rank]) % q) % q
         pivots.append(col)
         rank += 1
     return a, pivots
@@ -58,33 +66,37 @@ def rank_mod(mat: np.ndarray, q: int) -> int:
     return len(rref_mod(mat, q)[1])
 
 
-def batch_columns_independent(h: np.ndarray, q: int, subsets: np.ndarray) -> np.ndarray:
-    """For each row of ``subsets`` (column indices into h), report whether the
-    selected columns of h are linearly independent over GF(q).
+def batch_columns_independent(h: np.ndarray, q: int, prefixes: np.ndarray) -> np.ndarray:
+    """For each row of ``prefixes`` and each later column c of h, report whether
+    the prefix's columns together with column c are linearly independent over GF(q).
 
-    Vectorized fraction-free elimination over the whole batch; intermediate
-    products stay below q**2, which fits in int64 for every q that
-    ``codec.PrimeField`` accepts.
+    Every row of the (B, s) array ``prefixes`` lists s ascending column indices
+    into the (m, n) matrix h and ends at the same column p (-1 when s = 0); the
+    later columns are p + 1, ..., n - 1, and the result is a (B, n - 1 - p)
+    bool array.  Each prefix is stacked with all later columns and its s
+    fraction-free pivot steps run once for all of them: a prefix without a
+    pivot is dependent, and otherwise column c extends it independently iff
+    c's entries below the pivots are not all zero.  Each step updates only the
+    trailing block and swaps rows only where the pivot moved; products stay
+    below q**2, which fits in int64 for every q that ``codec.PrimeField``
+    accepts.
     """
-    b, w = subsets.shape
-    a = h[:, subsets].transpose(1, 0, 2).astype(np.int64) % q  # (B, m, w)
-    m = a.shape[1]
-    ok = np.ones(b, dtype=bool)
-    idx = np.arange(b)
-    for j in range(min(w, m)):
+    b, s = prefixes.shape
+    m, n = h.shape
+    last = int(prefixes[0, -1]) if s else -1
+    cols = np.concatenate([prefixes, np.broadcast_to(np.arange(last + 1, n), (b, n - 1 - last))], axis=1)
+    a = (h.T.astype(np.int64) % q)[cols].transpose(0, 2, 1)  # (B, m, s + later)
+    # with s >= m no row is left below the pivots, so step m - 1 has nothing to do
+    for j in range(min(s, m - 1)):
+        # without a pivot, pv = 0 and column j is zero below row j, so the
+        # update zeroes the trailing block: every extension reads dependent
         nz = a[:, j:, j] != 0
-        has = nz.any(axis=1)
-        ok &= has
-        piv = np.argmax(nz, axis=1) + j
-        piv[~has] = j
-        rowj = a[idx, j, :].copy()
-        a[idx, j, :] = a[idx, piv, :]
-        a[idx, piv, :] = rowj
-        pv = a[:, j, j]
-        if j + 1 < m:
-            below = a[:, j + 1:, :]
-            factor = a[:, j + 1:, j][:, :, None]
-            a[:, j + 1:, :] = (below * pv[:, None, None] - a[:, j, :][:, None, :] * factor) % q
-    if w > m:
-        ok[:] = False
-    return ok
+        piv = nz.argmax(axis=1) + j
+        moved = np.nonzero(piv != j)[0]
+        if moved.size:
+            top = a[moved, j, j:].copy()
+            a[moved, j, j:] = a[moved, piv[moved], j:]
+            a[moved, piv[moved], j:] = top
+        pv = a[:, j, j][:, None, None]
+        a[:, j + 1:, j + 1:] = (a[:, j + 1:, j + 1:] * pv - a[:, j + 1:, j, None] * a[:, j, None, j + 1:]) % q
+    return a[:, s:, s:].any(axis=1)

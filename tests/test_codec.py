@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrcdist import codec, gf
 from lrcdist.codec import (
@@ -345,3 +349,75 @@ def test_construct_checks_envelope_before_deciding(monkeypatch):
     monkeypatch.setattr(codec, "decide", refuse)
     with pytest.raises(EnvelopeExceeded):
         construct_optimal_lrc(derive_params(92, 65, 12))
+
+
+@st.composite
+def small_codes(draw):
+    # q**k stays enumerable for brute_min_weight; n <= 7 keeps a claim one
+    # above the distance inside the claim envelope; half of the matrices get a
+    # repeated row, so rank-deficient H shows up over every field
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, min(n - 1, {2: 10, 3: 6, 5: 4, 7: 3}[q])))
+    m = n - k
+    h = np.array(draw(st.lists(st.integers(0, q - 1), min_size=m * n, max_size=m * n)), dtype=np.int64)
+    h = h.reshape(m, n)
+    if m > 1 and draw(st.booleans()):
+        h[1] = h[0] * draw(st.integers(0, q - 1)) % q
+    return LinearCode(params=derive_params(n, k, k), field=PrimeField(q), H=h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_codes(), st.sampled_from([None, 0, 1, -1]))
+def test_min_distance_matches_brute_weight_under_any_claim(code, offset):
+    # the claim (None, right, one above, one below) may only change where
+    # the scan starts, never the distance
+    if gf.rank_mod(code.H, code.field.q) < code.params.n - code.params.k:
+        with pytest.raises(DegenerateCode):
+            min_distance(code)
+        return
+    want = brute_min_weight(code)
+    code.claimed_distance = None if offset is None else want + offset
+    assert min_distance(code) == want
+
+
+def test_min_distance_starts_at_the_claimed_level(monkeypatch):
+    code = construct_optimal_lrc(derive_params(16, 9, 4), seed=0)
+    d = code.params.d_star
+    levels = []
+    scan = codec._has_dependent_columns
+    monkeypatch.setattr(codec, "_has_dependent_columns", lambda h, q, w: levels.append(w) or scan(h, q, w))
+    expected = {
+        d: [d - 1, d],  # no dependent (d-1)-subset: start at d
+        d - 1: [d - 2, d - 1, d],
+        d + 1: [d, *range(1, d + 1)],  # a dependent d-subset: fall back to w = 1
+        None: list(range(1, d + 1)),
+    }
+    for claim, want in expected.items():
+        levels.clear()
+        code.claimed_distance = claim
+        assert min_distance(code) == d
+        assert levels == want
+
+
+def test_min_distance_over_the_largest_field():
+    # products of entries near 3 * 10**9 nearly fill int64; the kernel must
+    # agree with a per-subset rank over q = 3037000493, the largest prime
+    # PrimeField accepts
+    q = 3037000493
+    assert q <= FIELD_ORDER_ENVELOPE and gf.next_prime_above(q) > FIELD_ORDER_ENVELOPE
+    rng = np.random.default_rng(11)
+    for trial in range(12):
+        n = int(rng.integers(3, 9))
+        k = int(rng.integers(1, n))
+        h = rng.integers(q - 1000, q, size=(n - k, n)).astype(np.int64)
+        if trial % 2 and n - k > 1:
+            # plant a dependency: column 2 is a combination of columns 0 and 1
+            a, b = (int(x) for x in rng.integers(1, q, size=2))
+            h[:, 2] = (h[:, 0].astype(object) * a + h[:, 1].astype(object) * b) % q
+        code = LinearCode(params=derive_params(n, k, k), field=PrimeField(q), H=h)
+        want = next(
+            w for w in range(1, n + 1)
+            if any(gf.rank_mod(h[:, list(s)], q) < w for s in combinations(range(n), w))
+        )
+        assert min_distance(code) == want
