@@ -156,7 +156,8 @@ def _resolve(p: CodeParams, oracle_limit: int, use_rules: bool):
     notes = [f"n1={n1} exceeds oracle limit {search_limit}"]
     if not use_rules:
         notes.append("closed-form rules disabled")
-    elif k2 == k1 - 1 and k1 >= 3:
+    elif k2 == k1 - 1 and k1 >= 3 and n1 <= extremal.SEARCH_ENVELOPE:
+        # limits are clamped to the envelope, so only orders inside it qualify
         notes.append("resolvable via the girth oracle at a higher limit")
     return None, "unresolved", None, tuple(notes)
 

@@ -15,18 +15,25 @@ All searches are depth-first branch and bound over vertex pairs in
 lexicographic order.  Three devices keep them exact but fast: a greedy
 randomized seed supplies a strong initial lower bound, completed-vertex
 degrees are forced non-increasing (every graph has a degree-sorted
-relabeling, so the restriction is lossless), and two upper bounds prune
-branches (a capacity-averaging bound over the forbidden subsets, and a
-per-pair residual bound).
+relabeling, so the restriction is lossless), and upper bounds prune
+branches.
 
 Each search carries its state from node to node instead of recomputing
 it.  The family search keeps every pair's room, the multiplicity it can
 still take, and lowers it only for the pairs that share a forbidden
-subset with the pair just assigned; the residual bound is the sum of the
-rooms left and the branch top is the pair's own room.  The girth search
-updates distances only where they can fall below k, the one threshold it
-tests.  Both greedy seeds try the same fixed pair orders, drawn once per
-number of pairs and cached.
+subset with the pair just assigned; its bounds are a capacity average
+over the forbidden subsets and the sum of the rooms left, and the branch
+top is the pair's own room.  The girth search keeps distances only below
+k, the one threshold it tests, and carries the number of pairs still
+addable, lowered by the pairs each new edge pushes below k.  It bounds a
+node with its own answers at smaller orders (an induced subgraph of a
+girth > k graph has girth > k): the vertices after the current one hold
+at most the smaller-order maximum among themselves.  Its bounds hold for
+every completion of the partial graph, with or without sorted degrees,
+so they cut only subtrees with nothing above the best so far; the search
+improves its best at the same nodes as without them and returns the same
+witness.  Both greedy seeds try the same fixed pair orders, drawn once
+per number of pairs and cached.
 
 ``free_multigraph`` answers the decision form directly: is there a
 family-free multigraph of the given order and exact size?  It stops at
@@ -263,26 +270,41 @@ def free_multigraph(order: int, size: int, family: ForbiddenFamily) -> Multigrap
     return _free_multigraph(order, size, family.order, family.max_size)
 
 
-def _add_edge_distances(dist: list[list[int]], u: int, v: int, k: int) -> list[list[int]]:
-    """A copy of ``dist`` updated for a new edge (u, v), exact below k.
+def _add_edge_distances(
+    dist: list[list[int]], u: int, v: int, k: int, index: list[list[int]], after: int
+) -> tuple[list[list[int]], int]:
+    """``dist`` with edge (u, v) added, and the number of pairs it pushed below k.
 
-    ``dist`` must hold the exact distance wherever that is below k and a
-    value >= k elsewhere; the copy keeps that invariant.  A shortest path
+    ``dist`` must hold the exact distance wherever that is below k and
+    ``_FAR`` elsewhere; the result keeps that invariant.  A shortest path
     that uses the new edge runs a..u, v..b (or the reverse) over old
     shortest paths, and it is shorter than k only if both of those are
-    shorter than k - 1, so only such pairs (a, b) are relaxed.
+    shorter than k - 1, so only such pairs (a, b) are relaxed, and only to
+    values below k.  ``dist`` itself is left as it is: the rows that may
+    change are copied, the others are shared.
+
+    Only pairs whose ``index`` is above ``after`` are counted;
+    ``index[a][b]`` is the position of the pair {a, b} in the caller's
+    pair order.  (a, b) and (b, a) are written together, so a pair leaves
+    ``_FAR`` once and is counted once.
     """
-    nd = [row.copy() for row in dist]
-    near_u = [(a, d) for a, d in enumerate(dist[u]) if d < k - 1]
+    near_u = [(a, d + 1) for a, d in enumerate(dist[u]) if d < k - 1]
     near_v = [(b, d) for b, d in enumerate(dist[v]) if d < k - 1]
-    for a, da in near_u:
+    nd = dist.copy()
+    for a, _ in near_u:
+        nd[a] = dist[a].copy()
+    for b, _ in near_v:
+        nd[b] = dist[b].copy()
+    fell = 0
+    for a, da1 in near_u:
         row_a = nd[a]
         for b, db in near_v:
-            t = da + 1 + db
-            if t < row_a[b]:
-                row_a[b] = t
-                nd[b][a] = t
-    return nd
+            t = da1 + db
+            if t < k and t < row_a[b]:
+                if row_a[b] == _FAR and index[a][b] > after:
+                    fell += 1
+                row_a[b] = nd[b][a] = t
+    return nd, fell
 
 
 @lru_cache(maxsize=None)
@@ -292,15 +314,38 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
     Independent of the family oracles: feasibility is tracked with an
     incrementally maintained distance matrix (adding edge (u, v) closes a
     cycle of length dist(u, v) + 1, so the edge is addable iff
-    dist(u, v) >= k).  Only distances below k are kept exact; each new edge
-    relaxes just the pairs (a, b) with dist(a, u) and dist(v, b) below
-    k - 1, and every other entry stays at k or above.
+    dist(u, v) >= k).  Only distances below k are kept; every other entry
+    is ``_FAR``, and a new edge relaxes just the pairs (a, b) with
+    dist(a, u) + 1 + dist(v, b) below k.
+
+    Each node carries ``addable``, the number of addable pairs from its own
+    on; an added edge lowers it by one and by the later pairs it pushes
+    below k, so no node recounts them.  The node bounds come from this
+    function's own answers at smaller orders, ``smaller[m]``: an induced
+    subgraph of a girth > k graph has girth > k.  At pair (u, v), vertex u
+    can still gain the ``in_row`` addable pairs (u, b), b >= v, and the
+    order - u - 1 later vertices at most ``smaller[order - u - 1]`` edges
+    among themselves (and no more than their addable pairs); for u >= 1,
+    vertices u and later hold at most ``smaller[order - u]`` edges in all,
+    of which u's block has already taken some.
+
+    The search improves its best at the same nodes, in the same order, as
+    a search that makes neither cut, so it returns the same witness.  Both
+    bounds hold for every completion of the partial graph, sorted degrees
+    or not, so they cut only subtrees with nothing above the best so far.
+    The pairs a node walks past without a branch (those no longer
+    addable, and a child that would stop at the degree-order cut at once)
+    are the ones whose outcome is already known.
     """
     _check_envelope(order)
     if k < 3:
         raise BadArgs(f"need k >= 3, got {k}")
+    smaller = [max_size_girth(m, k).value for m in range(order)]
     pairs = list(combinations(range(order), 2))
     npairs = len(pairs)
+    index = [[-1] * order for _ in range(order)]
+    for pi, (a, b) in enumerate(pairs):
+        index[a][b] = index[b][a] = pi
     no_edges = [[0 if a == b else _FAR for b in range(order)] for a in range(order)]
 
     best = 0
@@ -310,9 +355,9 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
         chosen = []
         for pi in perm:
             u, v = pairs[pi]
-            if dist[u][v] >= k:
+            if dist[u][v] == _FAR:
                 chosen.append((u, v))
-                dist = _add_edge_distances(dist, u, v, k)
+                dist, _ = _add_edge_distances(dist, u, v, k, index, npairs)
         if len(chosen) > best:
             best = len(chosen)
             best_edges = chosen
@@ -321,33 +366,52 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
     edges: list[tuple[int, int]] = []
     deg = [0] * order
 
-    def dfs(i: int, size: int, dist: list[list[int]]):
+    def dfs(i: int, size: int, dist: list[list[int]], addable: int):
+        # addable: pairs j >= i at _FAR
         if size > state["best"]:
             state["best"] = size
             state["edges"] = edges.copy()
-        if i == npairs:
-            return
-        u, v = pairs[i]
-        if v == u + 1 and u >= 2 and deg[u - 2] < deg[u - 1]:
-            return
-        addable = 0
-        for j in range(i, npairs):
-            a, b = pairs[j]
-            if dist[a][b] >= k:
-                addable += 1
-        if size + addable <= state["best"]:
-            return
-        if dist[u][v] >= k:
-            edges.append((u, v))
-            deg[u] += 1
-            deg[v] += 1
-            dfs(i + 1, size + 1, _add_edge_distances(dist, u, v, k))
-            deg[u] -= 1
-            deg[v] -= 1
-            edges.pop()
-        dfs(i + 1, size, dist)
+        while i < npairs:
+            u, v = pairs[i]
+            if v == u + 1 and u >= 2 and deg[u - 2] < deg[u - 1]:
+                return
+            row = dist[u]
+            in_row = row[v:].count(_FAR)
+            # leaving a pair out lowers in_row and addable alike, so neither
+            # the later vertices' share nor the block's total moves
+            later = min(addable - in_row, smaller[order - u - 1])
+            # vertices u and later hold at most smaller[order - u] edges (at
+            # u = 0 that is the query itself); a 1 in row[u + 1 : v] is one
+            # of them already chosen
+            within = size - row[u + 1 : v].count(1) + smaller[order - u] if u else _FAR
+            b = v
+            while True:
+                if min(size + in_row + later, within) <= state["best"]:
+                    return
+                if not in_row:
+                    break
+                # the pairs before the next addable one are walked past
+                b = row.index(_FAR, b)
+                j = i + b - v
+                edges.append((u, b))
+                deg[u] += 1
+                deg[b] += 1
+                # a child that opens block u + 1 out of degree order, and
+                # cannot beat the best on entry, stops at once: skip its
+                # distances
+                if b < order - 1 or size >= state["best"] or not (u and deg[u - 1] < deg[u]):
+                    nd, fell = _add_edge_distances(dist, u, b, k, index, j)
+                    dfs(j + 1, size + 1, nd, addable - 1 - fell)
+                deg[u] -= 1
+                deg[b] -= 1
+                edges.pop()
+                # leave (u, b) out and go on in block u
+                b += 1
+                in_row -= 1
+                addable -= 1
+            i += order - v  # on to block u + 1
 
-    dfs(0, 0, no_edges)
+    dfs(0, 0, no_edges, npairs)
     witness = Multigraph.from_edges(order, state["edges"])
     return ExtremalResult(value=state["best"], witness=witness, exhaustive=True)
 

@@ -135,6 +135,21 @@ def test_criterion_4_simple_equals_girth():
     _report(4, "family/girth equality", t0)
 
 
+def test_criterion_4b_girth_matches_published_extremal_numbers():
+    # Mantel: ex(n; C3) = floor(n^2 / 4).  ex(n; {C3, C4}) for n = 1..10 from
+    # Garnick, Kwong and Lazebnik, J. Graph Theory 17 (1993); n = 10 is the
+    # Petersen graph, 3-regular on 15 edges
+    t0 = time.time()
+    for n in range(1, 11):
+        assert max_size_girth(n, 3).value == n * n // 4, n
+    c3_c4_free = [0, 1, 2, 3, 5, 6, 8, 10, 12, 15]
+    for n, expected in enumerate(c3_c4_free, 1):
+        assert max_size_girth(n, 4).value == expected, n
+    assert max_size_girth(10, 4).witness.degrees() == (3,) * 10
+    assert time.time() - t0 < 300
+    _report("4b", "published girth extremal numbers", t0)
+
+
 def test_criterion_5_forest_rule_matches_oracle():
     t0 = time.time()
     count = 0

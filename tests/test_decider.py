@@ -88,9 +88,20 @@ def test_unresolved_above_oracle_limit():
     assert d_small.value == (p.d_star - 1, p.d_star)
     assert d_small.rule == "unresolved"
     assert d_small.notes
+    assert "resolvable via the girth oracle at a higher limit" in d_small.notes
     d_full = decide(p, oracle_limit=10)
     assert d_full.status == "exact"
     assert d_full.rule == "girth_k2_eq_k1m1"
+
+
+def test_no_higher_limit_note_beyond_the_search_envelope():
+    # n1 = 11 is a girth-rule key (k2 = k1 - 1), but no limit reaches it:
+    # limits are clamped to extremal.SEARCH_ENVELOPE = 10
+    p = derive_params(131, 45, 12)
+    assert (p.n1, p.k1, p.k2) == (11, 4, 3)
+    d = decide(p, oracle_limit=12)
+    assert d.status == "unresolved"
+    assert d.notes == ("n1=11 exceeds oracle limit 10",)
 
 
 def test_rule_consistency_each_exact_rule_matches_oracle():

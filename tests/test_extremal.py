@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrcdist import extremal
 from lrcdist.errors import BadArgs, EnvelopeExceeded, UnboundedFamily
 from lrcdist.extremal import (
     _FAR,
     _add_edge_distances,
+    _seed_orders,
     free_multigraph,
     max_size_girth,
     max_size_multigraph,
@@ -268,21 +270,38 @@ def edge_sequences(draw):
     order = draw(st.integers(2, 9))
     k = draw(st.integers(3, 7))
     pairs = [(u, v) for u in range(order) for v in range(order) if u != v]
-    return order, k, draw(st.lists(st.sampled_from(pairs), max_size=24))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=24))
+    # the pair position after which pushed-below-k pairs are counted
+    afters = draw(
+        st.lists(
+            st.integers(-1, order * (order - 1) // 2),
+            min_size=len(edges),
+            max_size=len(edges),
+        )
+    )
+    return order, k, edges, afters
 
 
 @settings(max_examples=300, deadline=None)
 @given(edge_sequences())
 def test_bounded_distance_update_matches_bfs(case):
-    # below k every entry is the BFS distance; elsewhere it is >= k, the
-    # only test the girth search makes on it
-    order, k, edges = case
+    # below k every entry is the BFS distance; elsewhere it is _FAR, which
+    # the girth search counts as addable
+    order, k, edges, afters = case
+    index = [[-1] * order for _ in range(order)]
+    for pi, (a, b) in enumerate(combinations(range(order), 2)):
+        index[a][b] = index[b][a] = pi
     dist = [[0 if a == b else _FAR for b in range(order)] for a in range(order)]
-    for step, (u, v) in enumerate(edges, 1):
+    for step, ((u, v), after) in enumerate(zip(edges, afters), 1):
         before = [row.copy() for row in dist]
-        new = _add_edge_distances(dist, u, v, k)
+        new, fell = _add_edge_distances(dist, u, v, k, index, after)
         # the search keeps the parent matrix for the branch without the edge
         assert dist == before
+        assert fell == sum(
+            1
+            for a, b in combinations(range(order), 2)
+            if index[a][b] > after and dist[a][b] >= k > new[a][b]
+        )
         dist = new
         for a in range(order):
             reach = bfs_distances(order, edges[:step], a)
@@ -290,7 +309,97 @@ def test_bounded_distance_update_matches_bfs(case):
                 if reach.get(b, _FAR) < k:
                     assert dist[a][b] == reach[b]
                 else:
-                    assert dist[a][b] >= k
+                    assert dist[a][b] == _FAR
+
+
+def rescan_girth_search(order, k, seed_orders):
+    """Reference girth search with no smaller-order bounds and no carried count.
+
+    It copies the whole distance matrix for each added edge and recounts
+    the addable pairs at every node, as the search did before it carried
+    them.  Its greedy seed tries the pair orders ``seed_orders(npairs)``.
+    """
+    pairs = list(combinations(range(order), 2))
+    npairs = len(pairs)
+
+    def add_edge(dist, u, v):
+        nd = [row.copy() for row in dist]
+        near_u = [(a, d) for a, d in enumerate(dist[u]) if d < k - 1]
+        near_v = [(b, d) for b, d in enumerate(dist[v]) if d < k - 1]
+        for a, da in near_u:
+            for b, db in near_v:
+                t = da + 1 + db
+                if t < nd[a][b]:
+                    nd[a][b] = nd[b][a] = t
+        return nd
+
+    no_edges = [[0 if a == b else _FAR for b in range(order)] for a in range(order)]
+    best, best_edges = 0, []
+    for perm in seed_orders(npairs):
+        dist, chosen = no_edges, []
+        for pi in perm:
+            u, v = pairs[pi]
+            if dist[u][v] >= k:
+                chosen.append((u, v))
+                dist = add_edge(dist, u, v)
+        if len(chosen) > best:
+            best, best_edges = len(chosen), chosen
+
+    state = {"best": best, "edges": best_edges}
+    edges, deg = [], [0] * order
+
+    def dfs(i, size, dist):
+        if size > state["best"]:
+            state["best"] = size
+            state["edges"] = edges.copy()
+        if i == npairs:
+            return
+        u, v = pairs[i]
+        if v == u + 1 and u >= 2 and deg[u - 2] < deg[u - 1]:
+            return
+        addable = sum(1 for a, b in pairs[i:] if dist[a][b] >= k)
+        if size + addable <= state["best"]:
+            return
+        if dist[u][v] >= k:
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+            dfs(i + 1, size + 1, add_edge(dist, u, v))
+            deg[u] -= 1
+            deg[v] -= 1
+            edges.pop()
+        dfs(i + 1, size, dist)
+
+    dfs(0, 0, no_edges)
+    return state["best"], Multigraph.from_edges(order, state["edges"])
+
+
+def test_girth_search_matches_the_rescan_reference():
+    # the smaller-order bounds cut only subtrees with nothing above the best
+    # so far, so the value and the witness are those of the plain search
+    for order in range(0, 8):
+        for k in range(3, order + 2):
+            value, witness = rescan_girth_search(order, k, _seed_orders)
+            res = max_size_girth(order, k)
+            assert (res.value, res.witness) == (value, witness), (order, k)
+
+
+def test_unseeded_girth_search_matches_the_rescan_reference(monkeypatch):
+    # The greedy seed already reaches the maximum at every order up to 9, so
+    # the depth-first search never replaces its witness.  Without the seed
+    # the search starts from the empty graph and replaces its best many
+    # times; a bound that cut a subtree holding a larger graph would change
+    # the witness here.
+    monkeypatch.setattr(extremal, "_seed_orders", lambda npairs: ())
+    max_size_girth.cache_clear()
+    try:
+        for order in range(0, 8):
+            for k in range(3, order + 2):
+                value, witness = rescan_girth_search(order, k, extremal._seed_orders)
+                res = max_size_girth(order, k)
+                assert (res.value, res.witness) == (value, witness), (order, k)
+    finally:
+        max_size_girth.cache_clear()
 
 
 @st.composite
