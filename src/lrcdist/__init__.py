@@ -43,7 +43,6 @@ from .multigraph import (
     ForbiddenFamily,
     Multigraph,
     density_profile,
-    induced_size,
     is_family_free,
     k_density,
     multigraph_from_json,
@@ -90,7 +89,6 @@ __all__ = [
     "f2p",
     "free_multigraph",
     "graph_to_pruned",
-    "induced_size",
     "is_family_free",
     "is_graphic",
     "k_density",

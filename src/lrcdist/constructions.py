@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import BadArgs, NotGraphic, SelfCheckFailed
 from .multigraph import Multigraph
@@ -54,23 +55,41 @@ def cycle_graph(order: int) -> Multigraph:
     """Cycle on `order` vertices; order 2 gives the multigraph 2-cycle (a double edge)."""
     if order < 2:
         raise BadArgs(f"cycle needs order >= 2, got {order}")
-    if order == 2:
-        return Multigraph(2, {(0, 1): 2})
     return Multigraph.from_edges(order, [(v, (v + 1) % order) for v in range(order)])
 
 
-def saturated_pair_graph(order: int, pair_multiplicity: int) -> Multigraph:
-    """Every unordered vertex pair carries exactly `pair_multiplicity` edges."""
+def saturated_pairs(order: int, pair_multiplicity: int) -> Iterator[tuple[tuple[int, int], int]]:
+    """Pairs of ``saturated_pair_graph`` with their multiplicities, in descending order."""
     if order < 2:
         raise BadArgs(f"need order >= 2, got {order}")
     if pair_multiplicity < 0:
         raise BadArgs(f"need pair_multiplicity >= 0, got {pair_multiplicity}")
-    mult = {
-        (u, v): pair_multiplicity
-        for u in range(order)
-        for v in range(u + 1, order)
-    }
-    return Multigraph(order, mult)
+    for u in reversed(range(order)):
+        for v in reversed(range(u + 1, order)):
+            yield (u, v), pair_multiplicity
+
+
+def saturated_pair_graph(order: int, pair_multiplicity: int) -> Multigraph:
+    """Every unordered vertex pair carries exactly `pair_multiplicity` edges."""
+    return Multigraph(order, dict(saturated_pairs(order, pair_multiplicity)))
+
+
+def turan_pairs(order: int, parts: int) -> Iterator[tuple[tuple[int, int], int]]:
+    """Pairs of ``turan_graph`` with their multiplicities, in descending order.
+
+    Parts are consecutive blocks of vertices, so vertex u is joined to every
+    vertex after the end of its own block.
+    """
+    if not 1 <= parts <= order:
+        raise BadArgs(f"need 1 <= parts <= order, got ({order}, {parts})")
+    base, extra = divmod(order, parts)
+    block_end: list[int] = []
+    for i in range(parts):
+        length = base + (1 if i < extra else 0)
+        block_end.extend([len(block_end) + length] * length)
+    for u in reversed(range(order)):
+        for v in reversed(range(block_end[u], order)):
+            yield (u, v), 1
 
 
 def turan_graph(order: int, parts: int) -> Multigraph:
@@ -80,19 +99,7 @@ def turan_graph(order: int, parts: int) -> Multigraph:
     floor(order^2 / 4); with `parts` parts it is the densest simple graph
     containing no clique on parts + 1 vertices.
     """
-    if not 1 <= parts <= order:
-        raise BadArgs(f"need 1 <= parts <= order, got ({order}, {parts})")
-    base, extra = divmod(order, parts)
-    part_of = []
-    for i in range(parts):
-        part_of.extend([i] * (base + (1 if i < extra else 0)))
-    edges = [
-        (u, v)
-        for u in range(order)
-        for v in range(u + 1, order)
-        if part_of[u] != part_of[v]
-    ]
-    return Multigraph.from_edges(order, edges)
+    return Multigraph(order, dict(turan_pairs(order, parts)))
 
 
 def is_graphic(d: DegreeSequence) -> bool:
@@ -113,19 +120,18 @@ def realize(d: DegreeSequence) -> Multigraph:
         raise NotGraphic(f"{d.degrees} fails the even-sum/max-degree condition")
     heap = [(-deg, i) for i, deg in enumerate(d.degrees) if deg]
     heapq.heapify(heap)
-    mult: dict[tuple[int, int], int] = {}
+    edges = []
     while heap:
         neg_u, u = heapq.heappop(heap)
         if not heap:
             raise SelfCheckFailed("greedy pairing lost the realizability invariant")
         neg_v, v = heapq.heappop(heap)
-        key = (u, v) if u < v else (v, u)
-        mult[key] = mult.get(key, 0) + 1
+        edges.append((u, v))
         if neg_u + 1:
             heapq.heappush(heap, (neg_u + 1, u))
         if neg_v + 1:
             heapq.heappush(heap, (neg_v + 1, v))
-    return Multigraph(len(d.degrees), mult)
+    return Multigraph.from_edges(len(d.degrees), edges)
 
 
 def almost_regular(order: int, size: int) -> Multigraph:

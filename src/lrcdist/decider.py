@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from typing import Iterable
 
 from . import constructions as cons
 from . import extremal
@@ -79,18 +80,19 @@ def forest_component_min(n1: int, k1: int, k2: int) -> int:
     return n_large + -(-(n1 - covered_by_large) // (large - 1))
 
 
-def _truncate(g: Multigraph, size: int) -> Multigraph:
-    """Remove excess multiplicity in lexicographic pair order down to ``size``."""
-    excess = g.size - size
-    if excess < 0:
-        raise ValueError(f"cannot truncate size {g.size} to larger size {size}")
-    mult = {}
-    for (u, v), m in g.pair_multiplicities():
-        drop = min(m, excess)
-        excess -= drop
-        if m - drop:
-            mult[(u, v)] = m - drop
-    return Multigraph(g.order, mult)
+def _take(order: int, pairs: Iterable[tuple[tuple[int, int], int]], size: int) -> Multigraph:
+    """The first ``size`` edge units of a pair stream in descending lexicographic order.
+
+    These are the graph's last ``size`` units in lexicographic order; a
+    stream that runs out early gives a smaller graph.
+    """
+    kept: dict[tuple[int, int], int] = {}
+    for pair, m in pairs:
+        if size == 0:
+            break
+        kept[pair] = min(m, size)
+        size -= kept[pair]
+    return Multigraph(order, kept)
 
 
 def _resolve(p: CodeParams, oracle_limit: int, use_rules: bool):
@@ -110,8 +112,7 @@ def _resolve(p: CodeParams, oracle_limit: int, use_rules: bool):
             return False, "k2_zero", None, ()
         if k1 == 2:
             if n2 <= comb(n1, 2) * k2:
-                witness = _truncate(cons.saturated_pair_graph(n1, k2), n2)
-                return True, "k1_eq_2", witness, ()
+                return True, "k1_eq_2", _take(n1, cons.saturated_pairs(n1, k2), n2), ()
             return False, "k1_eq_2", None, ()
         if n2 >= k2 + 1 and k1 >= 2 * k2 + 2:
             return False, "many_edges", None, ()
@@ -127,14 +128,14 @@ def _resolve(p: CodeParams, oracle_limit: int, use_rules: bool):
             return True, "real_n1m1", cons.almost_regular(n1, n2), ()
         if k1 == 3 and k2 == 2:
             # past floor(n1^2 / 4) edges t_bound already ends above 2 at order 3
-            return True, "mantel", _truncate(cons.turan_graph(n1, 2), n2), ()
+            return True, "mantel", _take(n1, cons.turan_pairs(n1, 2), n2), ()
         if k2 == comb(k1, 2) - 1:
             # forbidding k1-subsets of size C(k1,2) means forbidding k1-cliques;
             # the balanced complete (k1-1)-partite graph is the densest such
             # simple graph, so this rule is sufficient-only
-            turan = cons.turan_graph(n1, k1 - 1)
-            if n2 <= turan.size:
-                return True, "turan_sufficient", _truncate(turan, n2), ()
+            witness = _take(n1, cons.turan_pairs(n1, k1 - 1), n2)
+            if witness.size == n2:
+                return True, "turan_sufficient", witness, ()
         # k1 - 1 <= k2 and k1 < n1 here, and k1 < n1 vertices of a forest or a
         # cycle induce a forest, so at most k1 - 1 edges
         if n2 < n1:
@@ -144,7 +145,8 @@ def _resolve(p: CodeParams, oracle_limit: int, use_rules: bool):
         if k2 == k1 - 1 and k1 >= 3 and n1 <= search_limit:
             girth = extremal.max_size_girth(n1, k1)
             if n2 <= girth.value:
-                return True, "girth_k2_eq_k1m1", _truncate(girth.witness, n2), ()
+                witness = _take(n1, reversed(girth.witness.pair_multiplicities()), n2)
+                return True, "girth_k2_eq_k1m1", witness, ()
             return False, "girth_k2_eq_k1m1", None, ()
 
     if n1 <= search_limit:
@@ -169,9 +171,6 @@ def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules
     (values above the module envelope are clamped).  With ``use_rules=False``
     the closed-form catalogue is skipped and only the exhaustive oracle is
     consulted, which is how the rule chain itself gets audited.
-
-    Witness materialization assumes desk-scale n1 (the dense multigraph
-    representation); the value itself is cheap for any valid parameters.
 
     A d* witness is checked to be family-free whenever C(n1, k1) is at
     most ``SELF_CHECK_LIMIT``; a failed check raises ``SelfCheckFailed``,

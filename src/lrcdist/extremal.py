@@ -340,7 +340,6 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
     _check_envelope(order)
     if k < 3:
         raise BadArgs(f"need k >= 3, got {k}")
-    smaller = [max_size_girth(m, k).value for m in range(order)]
     pairs = list(combinations(range(order), 2))
     npairs = len(pairs)
     index = [[-1] * order for _ in range(order)]
@@ -361,7 +360,12 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
         if len(chosen) > best:
             best = len(chosen)
             best_edges = chosen
+    if k >= order and best == max(order - 1, 0):
+        # every cycle is at most order <= k long, so the graph is a forest
+        # and a spanning tree is the maximum: the search cannot beat the seed
+        return ExtremalResult(value=best, witness=Multigraph.from_edges(order, best_edges), exhaustive=True)
 
+    smaller = [max_size_girth(m, k).value for m in range(order)]
     state = {"best": best, "edges": best_edges}
     edges: list[tuple[int, int]] = []
     deg = [0] * order

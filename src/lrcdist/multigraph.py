@@ -6,9 +6,11 @@ The central predicate of the whole package lives here: a multigraph is
 (n, k, r) equals the bound d* exactly when a family-free multigraph of
 order n1 and size n2 exists for the family (k1, k2).
 
-Graphs are immutable; the multiplicity lives in a dense symmetric
-matrix, which is the right trade-off for the desk-scale orders (<= 16)
-every exhaustive search in this package operates at.
+Graphs are immutable and hold only their nonzero pairs (u < v) with
+their multiplicities, in lexicographic order.  The constructions and
+searches produce that form and every reader walks it, and it keeps a
+witness of n2 edges on n1 vertices at O(n2) memory however large n1 is.  The density
+kernels, which index pairs, build a dense matrix for their own walk.
 
 One kernel answers the k-subset density queries: a depth-first walk over
 the k-subsets (over their complements when k exceeds half the order)
@@ -21,8 +23,10 @@ any subset, and otherwise stops the walk at the first violating subset.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from operator import index
+from typing import ItemsView, Iterable, Mapping
 
 from .errors import BadArgs, BadK, EnvelopeExceeded, UnknownVertex
 
@@ -46,26 +50,25 @@ class ForbiddenFamily:
 class Multigraph:
     """Immutable loopless multigraph on vertices 0..order-1."""
 
-    __slots__ = ("order", "_rows", "_size")
+    __slots__ = ("order", "_pairs", "_size")
 
     def __init__(self, order: int, multiplicities: Mapping[tuple[int, int], int] | None = None):
         if order < 0:
             raise BadArgs(f"order must be >= 0, got {order}")
-        rows = [[0] * order for _ in range(order)]
-        size = 0
+        folded: dict[tuple[int, int], int] = {}
         for (u, v), m in (multiplicities or {}).items():
+            u, v = index(u), index(v)  # a non-integer vertex raises TypeError
             if not (0 <= u < order and 0 <= v < order):
                 raise UnknownVertex(f"vertex pair ({u}, {v}) outside 0..{order - 1}")
             if u == v:
                 raise BadArgs(f"self-loop on vertex {u} is not allowed")
             if m < 0:
                 raise BadArgs(f"negative multiplicity {m} on ({u}, {v})")
-            rows[u][v] += m
-            rows[v][u] += m
-            size += m
+            key = (u, v) if u < v else (v, u)
+            folded[key] = folded.get(key, 0) + m
         self.order = order
-        self._rows = tuple(tuple(r) for r in rows)
-        self._size = size
+        self._pairs = {key: m for key, m in sorted(folded.items()) if m}
+        self._size = sum(self._pairs.values())
 
     @classmethod
     def empty(cls, order: int) -> "Multigraph":
@@ -74,11 +77,7 @@ class Multigraph:
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "Multigraph":
         """Build from an edge list; repeated pairs accumulate multiplicity."""
-        mult: dict[tuple[int, int], int] = {}
-        for u, v in edges:
-            key = (u, v) if u <= v else (v, u)
-            mult[key] = mult.get(key, 0) + 1
-        return cls(order, mult)
+        return cls(order, Counter(edges))
 
     @property
     def size(self) -> int:
@@ -86,44 +85,36 @@ class Multigraph:
         return self._size
 
     def multiplicity(self, u: int, v: int) -> int:
+        u, v = index(u), index(v)
         if not (0 <= u < self.order and 0 <= v < self.order):
             raise UnknownVertex(f"vertex pair ({u}, {v}) outside 0..{self.order - 1}")
-        return self._rows[u][v]
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.order:
-            raise UnknownVertex(f"vertex {v} outside 0..{self.order - 1}")
-        return sum(self._rows[v])
+        return self._pairs.get((u, v) if u < v else (v, u), 0)
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self._rows)
+        degs = [0] * self.order
+        for (u, v), m in self._pairs.items():
+            degs[u] += m
+            degs[v] += m
+        return tuple(degs)
 
-    def pair_multiplicities(self) -> Iterator[tuple[tuple[int, int], int]]:
+    def pair_multiplicities(self) -> ItemsView[tuple[int, int], int]:
         """Nonzero (u, v) -> multiplicity pairs with u < v, in lexicographic order."""
-        for u in range(self.order):
-            row = self._rows[u]
-            for v in range(u + 1, self.order):
-                if row[v]:
-                    yield (u, v), row[v]
+        return self._pairs.items()
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with each pair repeated by its multiplicity."""
         out: list[tuple[int, int]] = []
-        for (u, v), m in self.pair_multiplicities():
+        for (u, v), m in self._pairs.items():
             out.extend([(u, v)] * m)
         return out
 
     def induced_size(self, vertices: Iterable[int]) -> int:
-        vs = sorted(set(vertices))
+        """Sum of edge multiplicities over pairs inside ``vertices``."""
+        vs = {index(v) for v in vertices}
         for v in vs:
             if not 0 <= v < self.order:
                 raise UnknownVertex(f"vertex {v} outside 0..{self.order - 1}")
-        total = 0
-        for i, u in enumerate(vs):
-            row = self._rows[u]
-            for v in vs[i + 1:]:
-                total += row[v]
-        return total
+        return sum(m for (u, v), m in self._pairs.items() if u in vs and v in vs)
 
     def is_almost_regular(self) -> bool:
         """True when all vertex degrees differ by at most one."""
@@ -136,19 +127,22 @@ class Multigraph:
         return (
             isinstance(other, Multigraph)
             and self.order == other.order
-            and self._rows == other._rows
+            and self._pairs == other._pairs
         )
 
     def __hash__(self) -> int:
-        return hash((self.order, self._rows))
+        return hash((self.order, tuple(self._pairs.items())))
 
     def __repr__(self) -> str:
         return f"Multigraph(order={self.order}, size={self._size})"
 
 
-def induced_size(g: Multigraph, vertices: Iterable[int]) -> int:
-    """Sum of edge multiplicities over pairs inside ``vertices``."""
-    return g.induced_size(vertices)
+def _matrix(g: Multigraph) -> list[list[int]]:
+    """Dense symmetric multiplicity matrix, for the kernels that index pairs."""
+    rows = [[0] * g.order for _ in range(g.order)]
+    for (u, v), m in g.pair_multiplicities():
+        rows[u][v] = rows[v][u] = m
+    return rows
 
 
 def _densest(g: Multigraph, k: int, cap: int | None = None) -> int:
@@ -161,13 +155,14 @@ def _densest(g: Multigraph, k: int, cap: int | None = None) -> int:
     size - (degree sum of T) + induced(T) edges; the walk is therefore
     never deeper than order / 2.
     """
-    n, rows = g.order, g._rows
+    n = g.order
     if 2 * k > n:
         size, left, gain = g.size, n - k, [-d for d in g.degrees()]
     else:
         size, left, gain = 0, k, [0] * n
     if left == 0:
         return size
+    rows = _matrix(g) if left > 1 else []  # a one-vertex walk reads no pair
     best = 0
 
     def extend(start: int, left: int, size: int, gain: list[int]) -> bool:
@@ -205,7 +200,7 @@ def density_profile(g: Multigraph) -> list[int]:
     n = g.order
     if n > DENSITY_ENVELOPE:
         raise EnvelopeExceeded(f"density profile limited to order <= {DENSITY_ENVELOPE}")
-    rows = g._rows
+    rows = _matrix(g)
     size_of = [0] * (1 << n)
     best = [0] * (n + 1)
     for mask in range(1, 1 << n):
@@ -252,8 +247,5 @@ def multigraph_from_json(data: dict) -> Multigraph:
     for item in data["edges"]:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise BadArgs(f"bad edge entry {item!r}")
-        u, v = item
-        if u == v:
-            raise BadArgs(f"loop edge [{u}, {v}] rejected")
-        edges.append((u, v))
+        edges.append(tuple(item))
     return Multigraph.from_edges(order, edges)

@@ -1,6 +1,9 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -8,8 +11,9 @@ import lrcdist
 from lrcdist import decider
 from lrcdist.decider import Decision, decide, forest_component_min
 from lrcdist.errors import InvalidParams, SelfCheckFailed
-from lrcdist.extremal import free_multigraph
-from lrcdist.multigraph import ForbiddenFamily, Multigraph, is_family_free
+from lrcdist.constructions import saturated_pair_graph, turan_graph
+from lrcdist.extremal import free_multigraph, max_size_girth
+from lrcdist.multigraph import ForbiddenFamily, Multigraph, is_family_free, multigraph_to_json
 from lrcdist.params import derive_params
 
 
@@ -40,6 +44,19 @@ def test_examples():
     # the Mantel arithmetic for that instance: n2 = 3 <= floor(16 / 4)
     p = derive_params(13, 7, 3)
     assert p.n2 <= p.n1 * p.n1 // 4 and (p.k1, p.k2) == (3, 2)
+    for nkr, value, rule in (
+        ((36, 19, 6), 15, "turan_sufficient"),
+        ((25, 11, 5), 13, "cycle_n2_eq_n1"),
+        ((41, 25, 7), 13, "girth_k2_eq_k1m1"),  # the d* - 1 branch
+    ):
+        p = derive_params(*nkr)
+        d = decide(p)
+        assert (d.value, d.status, d.rule) == (value, "exact", rule)
+        if value == p.d_star:
+            assert (d.witness.order, d.witness.size) == (p.n1, p.n2)
+            assert is_family_free(d.witness, ForbiddenFamily(p.k1, p.k2))
+        else:
+            assert d.witness is None
 
 
 def test_witness_shape_and_freeness():
@@ -54,6 +71,57 @@ def test_witness_shape_and_freeness():
             assert is_family_free(d.witness, ForbiddenFamily(p.k1, p.k2))
         else:
             assert d.witness is None
+
+
+def test_sweep_witnesses_are_pinned():
+    # every witness of the n <= 60, r <= 8 sweep, in sweep order
+    digest = hashlib.md5()
+    rows = 0
+    for p in valid_envelope(n_max=60, r_max=8, n1_max=60):
+        w = decide(p).witness
+        digest.update((json.dumps(multigraph_to_json(w) if w else None) + "\n").encode())
+        rows += 1
+    assert rows == 9509
+    assert digest.hexdigest() == "0f8daf0180aa141b5f7758d78b6770cb"
+
+
+def test_truncated_witnesses_keep_the_last_edges():
+    # each rule that cuts a larger graph down to n2 edges keeps its last n2
+    # edge units in lexicographic pair order
+    for nkr, rule, full in (
+        ((14, 5, 3), "k1_eq_2", saturated_pair_graph(4, 1)),
+        ((17, 7, 3), "mantel", turan_graph(5, 2)),
+        ((36, 19, 6), "turan_sufficient", turan_graph(6, 3)),
+        ((71, 33, 9), "girth_k2_eq_k1m1", max_size_girth(8, 4).witness),
+    ):
+        p = derive_params(*nkr)
+        d = decide(p)
+        edges = full.edges()
+        assert d.rule == rule and p.n2 < len(edges), nkr
+        assert d.witness == Multigraph.from_edges(p.n1, edges[len(edges) - p.n2 :]), nkr
+
+
+def test_closed_form_witnesses_hold_only_their_edges():
+    # n1 = 2000 with n2 <= r: one instance per closed-form rule that builds
+    # a witness; an n1 x n1 matrix alone would take tens of MB
+    for nkr, rule, value in (
+        ((4000, 1999, 1), "divides", 4),
+        ((11995, 5, 5), "k1_eq_1", 11991),
+        ((5998, 3, 2), "k1_eq_2", 5995),
+        ((7997, 7, 3), "mantel", 7989),
+        ((13994, 19, 6), "turan_sufficient", 13973),
+        ((9996, 9, 4), "forest_n2_lt_n1", 9986),
+    ):
+        p = derive_params(*nkr)
+        assert p.n1 == 2000
+        tracemalloc.start()
+        try:
+            d = decide(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (d.rule, d.value) == (rule, value), nkr
+        assert peak < 1 << 20, (nkr, peak)
 
 
 def test_agrees_with_forced_oracle_small():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -400,6 +401,17 @@ def test_unseeded_girth_search_matches_the_rescan_reference(monkeypatch):
                 assert (res.value, res.witness) == (value, witness), (order, k)
     finally:
         max_size_girth.cache_clear()
+
+
+def test_forest_girth_queries_skip_the_search():
+    # girth > k on at most k vertices leaves a forest, and the greedy seed
+    # already holds a spanning tree; each cold query is well under a second
+    for k in (9, 10):
+        max_size_girth.cache_clear()
+        start = time.process_time()
+        res = max_size_girth(9, k)
+        assert time.process_time() - start < 1.0, k
+        assert (res.value, res.witness.size) == (8, 8)
 
 
 @st.composite

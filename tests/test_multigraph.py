@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrcdist.constructions import balanced_forest, cycle_graph, saturated_pair_graph
 from lrcdist.errors import BadArgs, BadK, UnknownVertex
@@ -9,7 +11,6 @@ from lrcdist.multigraph import (
     ForbiddenFamily,
     Multigraph,
     density_profile,
-    induced_size,
     is_family_free,
     k_density,
     multigraph_from_json,
@@ -40,17 +41,28 @@ def random_multigraph(rng, order, size):
 
 def test_induced_size_examples():
     c4 = cycle_graph(4)
-    assert induced_size(c4, {0, 1, 2}) == 2
+    assert c4.induced_size({0, 1, 2}) == 2
     double = Multigraph(2, {(0, 1): 2})
-    assert induced_size(double, {0, 1}) == 2
+    assert double.induced_size({0, 1}) == 2
     k4 = complete_graph(4)
     for combo in combinations(range(4), 3):
-        assert induced_size(k4, combo) == 3
+        assert k4.induced_size(combo) == 3
 
 
 def test_induced_size_unknown_vertex():
     with pytest.raises(UnknownVertex):
-        induced_size(cycle_graph(4), {0, 7})
+        cycle_graph(4).induced_size({0, 7})
+
+
+def test_non_integer_vertices_rejected():
+    g = cycle_graph(4)
+    for call in (
+        lambda: Multigraph(3, {(0.5, 1): 1}),
+        lambda: g.multiplicity(0.5, 1),
+        lambda: g.induced_size({0.5, 1}),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_k_density_examples():
@@ -129,3 +141,37 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Multigraph(3, {(0, 1): 1})
+
+
+@st.composite
+def pair_maps(draw):
+    # both orientations of a pair, and zero multiplicities, may appear
+    order = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(order) for v in range(order) if u != v]
+    mult = draw(
+        st.dictionaries(st.sampled_from(pairs), st.integers(0, 3), max_size=12)
+        if pairs
+        else st.just({})
+    )
+    vertices = draw(st.sets(st.integers(0, order - 1)) if order else st.just(set()))
+    return order, mult, vertices
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_maps())
+def test_pair_storage_matches_the_map(case):
+    order, mult, vertices = case
+    g = Multigraph(order, mult)
+    back = multigraph_from_json(multigraph_to_json(g))
+    assert back == g and hash(back) == hash(g)
+    keys = [pair for pair, _ in g.pair_multiplicities()]
+    assert keys == sorted(set(keys))
+    assert all(u < v and m > 0 for (u, v), m in g.pair_multiplicities())
+    for u in range(order):
+        for v in range(order):
+            assert g.multiplicity(u, v) == g.multiplicity(v, u)
+    assert sum(g.degrees()) == 2 * g.size
+    assert g.size == sum(mult.values())
+    assert g.induced_size(vertices) == sum(
+        m for (u, v), m in mult.items() if u in vertices and v in vertices
+    )

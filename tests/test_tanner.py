@@ -183,7 +183,7 @@ def test_neighborhood_matches_pruned_formula():
 
 def test_neighborhood_identity_for_graph_built_tanner():
     # for a full Tanner graph built from a multigraph witness g, every
-    # all-local check subset S sees exactly (r+1)|S| - induced_size(g, S)
+    # all-local check subset S sees exactly (r+1)|S| - g.induced_size(S)
     # variables
     rng = random.Random(31)
     for (n, k, r) in [(6, 3, 3), (16, 9, 4), (13, 7, 3), (10, 5, 4)]:
