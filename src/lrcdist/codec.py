@@ -42,7 +42,7 @@ from .errors import (
     RetriesExhausted,
     SelfCheckFailed,
 )
-from .params import CodeParams, derive_params
+from .params import CodeParams, derive_params, is_int
 from .tanner import FullTannerGraph, graph_to_pruned, p2f
 
 DISTANCE_LENGTH_ENVELOPE = 20
@@ -56,8 +56,8 @@ class PrimeField:
     q: int
 
     def __post_init__(self):
-        # the range test comes first: it also keeps trial division short
-        if not 2 <= self.q <= FIELD_ORDER_ENVELOPE or not gf.is_prime(self.q):
+        # the range test precedes primality: it keeps trial division short
+        if not is_int(self.q) or not 2 <= self.q <= FIELD_ORDER_ENVELOPE or not gf.is_prime(self.q):
             raise BadArgs(f"field order must be a prime <= {FIELD_ORDER_ENVELOPE} (int64), got {self.q}")
 
 
@@ -274,22 +274,18 @@ def code_to_json(c: LinearCode) -> dict:
     }
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def code_from_json(data: dict) -> LinearCode:
     try:
         p = derive_params(data["n"], data["k"], data["r"])
         field = PrimeField(data["q"])
         rows, claimed, verified = data["H"], data["claimed_distance"], data["verified"]
         # np.array would silently truncate 1.5 to 1 and read true as 1
-        if not all(_is_int(x) for row in rows for x in row):
+        if not all(is_int(x) for row in rows for x in row):
             raise BadArgs("matrix entries must be integers")
         h = np.array(rows, dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadArgs(f"malformed code JSON: {exc}") from exc
-    if not (claimed is None or _is_int(claimed)) or not isinstance(verified, bool):
+    if not (claimed is None or is_int(claimed)) or not isinstance(verified, bool):
         raise BadArgs("claimed_distance must be an integer or null, verified a boolean")
     if h.shape != (p.n - p.k, p.n):
         raise BadArgs(f"H must be {(p.n - p.k, p.n)}, got {h.shape}")

@@ -95,73 +95,68 @@ def _take(order: int, pairs: Iterable[tuple[tuple[int, int], int]], size: int) -
     return Multigraph(order, kept)
 
 
-def _resolve(p: CodeParams, oracle_limit: int, use_rules: bool):
-    """Return (is_d_star | None, rule, witness, notes)."""
+def _girth_regime(p: CodeParams) -> bool:
+    """k2 = k1 - 1 with k1 >= 3: the free graphs are the simple graphs of girth > k1."""
+    return p.k2 == p.k1 - 1 and p.k1 >= 3
+
+
+def _resolve(p: CodeParams, search_limit: int, use_rules: bool):
+    """Return (rule, witness): the witness of order n1 and size n2 when d* is
+    attained, None when the answer is d* - 1.  The rule "unresolved" means
+    neither could be shown; every other rule is exact.
+    """
     n1, n2, k1, k2 = p.n1, p.n2, p.k1, p.k2
-    family = ForbiddenFamily(order=k1, max_size=k2)
-    search_limit = min(oracle_limit, extremal.SEARCH_ENVELOPE)
 
     if use_rules:
         if k1 == 1:
-            return True, "k1_eq_1", cons.almost_regular(n1, n2), ()
+            return "k1_eq_1", cons.almost_regular(n1, n2)
         if n2 == 0:
-            return True, "divides", Multigraph.empty(n1), ()
+            return "divides", Multigraph.empty(n1)
         if k2 >= n2:
-            return True, "n2_le_k2", cons.almost_regular(n1, n2), ()
+            return "n2_le_k2", cons.almost_regular(n1, n2)
         if k2 == 0 and k1 >= 2:
-            return False, "k2_zero", None, ()
+            return "k2_zero", None
         if k1 == 2:
             if n2 <= comb(n1, 2) * k2:
-                return True, "k1_eq_2", _take(n1, cons.saturated_pairs(n1, k2), n2), ()
-            return False, "k1_eq_2", None, ()
+                return "k1_eq_2", _take(n1, cons.saturated_pairs(n1, k2), n2)
+            return "k1_eq_2", None
         if n2 >= k2 + 1 and k1 >= 2 * k2 + 2:
-            return False, "many_edges", None, ()
+            return "many_edges", None
         if extremal.t_bound(n1, n2, k1, "floor") > k2:
-            return False, "t_bound", None, ()
+            return "t_bound", None
         if k2 < k1 - 1:
             c_min = forest_component_min(n1, k1, k2)
             if n2 <= n1 - c_min:
-                return True, "forest_k2_lt_k1m1", cons.balanced_forest(n1, n1 - n2), ()
-            return False, "forest_k2_lt_k1m1", None, ()
+                return "forest_k2_lt_k1m1", cons.balanced_forest(n1, n1 - n2)
+            return "forest_k2_lt_k1m1", None
         if n1 - k1 == 1:
             # d* - 1 needs n2 - floor(2 n2 / n1) > k2, which is t_bound after one peel
-            return True, "real_n1m1", cons.almost_regular(n1, n2), ()
+            return "real_n1m1", cons.almost_regular(n1, n2)
         if k1 == 3 and k2 == 2:
             # past floor(n1^2 / 4) edges t_bound already ends above 2 at order 3
-            return True, "mantel", _take(n1, cons.turan_pairs(n1, 2), n2), ()
+            return "mantel", _take(n1, cons.turan_pairs(n1, 2), n2)
         if k2 == comb(k1, 2) - 1:
             # forbidding k1-subsets of size C(k1,2) means forbidding k1-cliques;
             # the balanced complete (k1-1)-partite graph is the densest such
             # simple graph, so this rule is sufficient-only
             witness = _take(n1, cons.turan_pairs(n1, k1 - 1), n2)
             if witness.size == n2:
-                return True, "turan_sufficient", witness, ()
+                return "turan_sufficient", witness
         # k1 - 1 <= k2 and k1 < n1 here, and k1 < n1 vertices of a forest or a
         # cycle induce a forest, so at most k1 - 1 edges
         if n2 < n1:
-            return True, "forest_n2_lt_n1", cons.balanced_forest(n1, n1 - n2), ()
+            return "forest_n2_lt_n1", cons.balanced_forest(n1, n1 - n2)
         if n2 == n1:
-            return True, "cycle_n2_eq_n1", cons.cycle_graph(n1), ()
-        if k2 == k1 - 1 and k1 >= 3 and n1 <= search_limit:
+            return "cycle_n2_eq_n1", cons.cycle_graph(n1)
+        if _girth_regime(p) and n1 <= search_limit:
             girth = extremal.max_size_girth(n1, k1)
             if n2 <= girth.value:
-                witness = _take(n1, reversed(girth.witness.pair_multiplicities()), n2)
-                return True, "girth_k2_eq_k1m1", witness, ()
-            return False, "girth_k2_eq_k1m1", None, ()
+                return "girth_k2_eq_k1m1", _take(n1, reversed(girth.witness.pair_multiplicities()), n2)
+            return "girth_k2_eq_k1m1", None
 
     if n1 <= search_limit:
-        witness = extremal.free_multigraph(n1, n2, family)
-        if witness is not None:
-            return True, "oracle", witness, ()
-        return False, "oracle", None, ()
-
-    notes = [f"n1={n1} exceeds oracle limit {search_limit}"]
-    if not use_rules:
-        notes.append("closed-form rules disabled")
-    elif k2 == k1 - 1 and k1 >= 3 and n1 <= extremal.SEARCH_ENVELOPE:
-        # limits are clamped to the envelope, so only orders inside it qualify
-        notes.append("resolvable via the girth oracle at a higher limit")
-    return None, "unresolved", None, tuple(notes)
+        return "oracle", extremal.free_multigraph(n1, n2, ForbiddenFamily(k1, k2))
+    return "unresolved", None
 
 
 def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules: bool = True) -> Decision:
@@ -176,34 +171,35 @@ def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules
     most ``SELF_CHECK_LIMIT``; a failed check raises ``SelfCheckFailed``,
     and a skipped one is recorded in ``notes``.
     """
-    is_d_star, rule, witness, notes = _resolve(p, oracle_limit, use_rules)
-    if is_d_star is None:
+    search_limit = min(oracle_limit, extremal.SEARCH_ENVELOPE)
+    rule, witness = _resolve(p, search_limit, use_rules)
+    if rule == "unresolved":
+        notes = [f"n1={p.n1} exceeds oracle limit {search_limit}"]
+        if not use_rules:
+            notes.append("closed-form rules disabled")
+        elif _girth_regime(p) and p.n1 <= extremal.SEARCH_ENVELOPE:
+            # limits are clamped to the envelope, so only orders inside it qualify
+            notes.append("resolvable via the girth oracle at a higher limit")
         return Decision(
             params=p,
             value=(p.d_star - 1, p.d_star),
             status="unresolved",
             rule=rule,
             witness=None,
-            notes=notes,
+            notes=tuple(notes),
         )
-    if is_d_star:
-        if witness is None or witness.order != p.n1 or witness.size != p.n2:
-            raise SelfCheckFailed(f"rule {rule} gave no witness of order {p.n1} and size {p.n2}")
-        # self-check the witness where the density sweep is affordable
-        subsets = comb(p.n1, p.k1)
-        if subsets <= SELF_CHECK_LIMIT:
-            if not is_family_free(witness, ForbiddenFamily(p.k1, p.k2)):
-                raise SelfCheckFailed(
-                    f"rule {rule} gave a witness with {p.k1} vertices inducing more than {p.k2} edges"
-                )
-        else:
-            notes = (
-                *notes,
-                f"witness self-check skipped: C({p.n1}, {p.k1}) = {subsets} > {SELF_CHECK_LIMIT}",
+    if witness is None:
+        return Decision(params=p, value=p.d_star - 1, status="exact", rule=rule, witness=None)
+    if witness.order != p.n1 or witness.size != p.n2:
+        raise SelfCheckFailed(f"rule {rule} gave no witness of order {p.n1} and size {p.n2}")
+    # self-check the witness where the density sweep is affordable
+    notes: tuple[str, ...] = ()
+    subsets = comb(p.n1, p.k1)
+    if subsets <= SELF_CHECK_LIMIT:
+        if not is_family_free(witness, ForbiddenFamily(p.k1, p.k2)):
+            raise SelfCheckFailed(
+                f"rule {rule} gave a witness with {p.k1} vertices inducing more than {p.k2} edges"
             )
-        return Decision(
-            params=p, value=p.d_star, status="exact", rule=rule, witness=witness, notes=notes
-        )
-    return Decision(
-        params=p, value=p.d_star - 1, status="exact", rule=rule, witness=None, notes=notes
-    )
+    else:
+        notes = (f"witness self-check skipped: C({p.n1}, {p.k1}) = {subsets} > {SELF_CHECK_LIMIT}",)
+    return Decision(params=p, value=p.d_star, status="exact", rule=rule, witness=witness, notes=notes)

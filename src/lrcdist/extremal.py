@@ -110,8 +110,9 @@ def _family_search(
             pairs_of_sub[si].append(pair_index[p])
     per_pair_subs = comb(order - 2, f_order - 2) if f_order >= 2 and order >= 2 else 0
     # room[j]: the multiplicity pair j can still take, min(pair_cap, spare
-    # capacity of each subset holding it); it only falls as edges are added
-    empty_room = [min(pair_cap, f_size) if subs else pair_cap for subs in sub_of_pair]
+    # capacity of each subset holding it); it only falls as edges are added,
+    # and starts at pair_cap, which callers keep <= f_size wherever subsets exist
+    empty_room = [pair_cap] * npairs
 
     def add(cur: list[int], room: list[int], i: int, m: int):
         for s in sub_of_pair[i]:
@@ -173,8 +174,6 @@ def _family_search(
         if per_pair_subs:
             if size + residual // per_pair_subs <= floor_needed:
                 return
-        if size + (npairs - i) * pair_cap <= floor_needed:
-            return
         if size + sum(room[i:]) <= floor_needed:
             return
         top = room[i]
@@ -240,8 +239,6 @@ def max_size_simple(order: int, family: ForbiddenFamily) -> ExtremalResult:
 
 @lru_cache(maxsize=None)
 def _free_multigraph(order: int, size: int, f_order: int, f_size: int) -> Multigraph | None:
-    if order < 2:
-        return Multigraph.empty(order) if size == 0 else None
     pair_cap = min(f_size, size) if f_order >= 2 else size
     value, assign, reached = _family_search(order, f_order, f_size, pair_cap, size)
     if not reached:

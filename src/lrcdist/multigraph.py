@@ -29,6 +29,7 @@ from operator import index
 from typing import ItemsView, Iterable, Mapping
 
 from .errors import BadArgs, BadK, EnvelopeExceeded, UnknownVertex
+from .params import is_int
 
 DENSITY_ENVELOPE = 16
 
@@ -241,11 +242,11 @@ def multigraph_from_json(data: dict) -> Multigraph:
     if not isinstance(data, dict) or "order" not in data or "edges" not in data:
         raise BadArgs("graph JSON must have 'order' and 'edges' keys")
     order = data["order"]
-    if not isinstance(order, int) or order < 0:
+    if not is_int(order) or order < 0:
         raise BadArgs(f"bad order {order!r}")
     edges = []
     for item in data["edges"]:
-        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+        if not (isinstance(item, (list, tuple)) and len(item) == 2 and all(map(is_int, item))):
             raise BadArgs(f"bad edge entry {item!r}")
         edges.append(tuple(item))
     return Multigraph.from_edges(order, edges)

@@ -30,6 +30,11 @@ class CodeParams:
     d_star: int
 
 
+def is_int(x) -> bool:
+    """An int and not a bool (JSON true is not the integer 1 here)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def derive_params(n: int, k: int, r: int) -> CodeParams:
     """Validate (n, k, r) and derive n1, n2, k1, k2 and d*.
 
@@ -40,7 +45,7 @@ def derive_params(n: int, k: int, r: int) -> CodeParams:
     d*-versus-(d*-1) dichotomy presumes d* >= 2.
     """
     for name, value in (("n", n), ("k", k), ("r", r)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not is_int(value):
             raise InvalidParams(f"{name} must be an integer, got {value!r}", "ordering")
     if not 1 <= r <= k < n:
         raise InvalidParams(f"need 1 <= r <= k < n, got (n={n}, k={k}, r={r})", "ordering")

@@ -39,7 +39,7 @@ from .errors import (
     UnknownCheck,
 )
 from .multigraph import Multigraph
-from .params import CodeParams
+from .params import CodeParams, is_int
 
 CHECK_ENVELOPE = 24
 
@@ -322,12 +322,9 @@ def tanner_to_json(t: FullTannerGraph) -> dict:
 
 def tanner_from_json(data: dict) -> FullTannerGraph:
     try:
-        return FullTannerGraph(
-            n=data["n"],
-            k=data["k"],
-            r=data["r"],
-            local_checks=tuple(frozenset(c) for c in data["local_checks"]),
-            global_count=data["global_count"],
-        )
+        n, k, r, checks, global_count = (data[key] for key in ("n", "k", "r", "local_checks", "global_count"))
+        if not all(map(is_int, (n, k, r, global_count, *(v for c in checks for v in c)))):
+            raise InvalidTanner("n, k, r, global_count and variable indices must be integers")
+        return FullTannerGraph(n, k, r, tuple(frozenset(c) for c in checks), global_count)
     except (KeyError, TypeError) as exc:
         raise InvalidTanner(f"malformed Tanner graph JSON: {exc}") from exc

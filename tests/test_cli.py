@@ -136,6 +136,17 @@ def test_verify_malformed_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_float_field_order_exit_2(tmp_path, capsys):
+    out_path = tmp_path / "code.json"
+    run(capsys, "construct", "--n", "12", "--k", "7", "--r", "3", "--out", str(out_path))
+    data = json.loads(out_path.read_text())
+    data["q"] = float(data["q"])
+    out_path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", "--code", str(out_path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_oracle_commands(capsys):
     code, out, _ = run(
         capsys,

@@ -280,6 +280,9 @@ def test_prime_field_validation():
         PrimeField(9)
     with pytest.raises(BadArgs):
         PrimeField(1)
+    # 661.0 passes the range and primality tests but breaks pow(x, -1, q) later
+    with pytest.raises(BadArgs):
+        PrimeField(661.0)
     assert PrimeField(2).q == 2
 
 

@@ -157,8 +157,11 @@ def test_free_multigraph_never_violated_family():
     # order-1 families cannot be violated; any size is realizable on >= 2 vertices
     g = free_multigraph(5, 7, ForbiddenFamily(1, 0))
     assert g is not None and g.size == 7
-    assert free_multigraph(1, 1, ForbiddenFamily(1, 0)) is None
-    assert free_multigraph(1, 0, ForbiddenFamily(1, 0)).size == 0
+    # orders 0 and 1 have no pairs: only the empty graph exists
+    for order in (0, 1):
+        assert free_multigraph(order, 0, ForbiddenFamily(1, 0)) == Multigraph.empty(order)
+        for size in (1, 2):
+            assert free_multigraph(order, size, ForbiddenFamily(1, 0)) is None
 
 
 def test_t_bound_examples():

@@ -133,6 +133,14 @@ def test_json_malformed():
         multigraph_from_json({"edges": []})
     with pytest.raises(BadArgs):
         multigraph_from_json({"order": 2, "edges": [[0]]})
+    # JSON true is not the integer 1, and 1.0 is not an integer
+    for bad in (
+        {"order": True, "edges": []},
+        {"order": 2, "edges": [[0, True]]},
+        {"order": 2, "edges": [[0, 1.0]]},
+    ):
+        with pytest.raises(BadArgs):
+            multigraph_from_json(bad)
 
 
 def test_equality_and_hash():

@@ -326,6 +326,25 @@ def test_json_round_trip():
         tanner_from_json({"n": 4})
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        # 2.5 would pass the range test and leave variable 2 uncovered
+        {"local_checks": [[0, 1, 2.5], [3, 4, 5]]},
+        {"local_checks": [[0, True, 2], [3, 4, 5]]},
+        {"n": 6.0},
+        {"k": 3.0},
+        {"r": 2.0},
+        {"global_count": 1.0},
+    ],
+)
+def test_json_non_integers_rejected(change):
+    data = {"n": 6, "k": 3, "r": 2, "local_checks": [[0, 1, 2], [3, 4, 5]], "global_count": 1}
+    assert tanner_min_distance(tanner_from_json(data)) == 3
+    with pytest.raises(InvalidTanner):
+        tanner_from_json({**data, **change})
+
+
 def test_invalid_tanner_structures():
     with pytest.raises(InvalidTanner):
         FullTannerGraph(n=6, k=3, r=3, local_checks=(), global_count=3)
