@@ -26,6 +26,7 @@ int64 entries, so memory stays flat however many subsets a level has.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb, isqrt
 
@@ -216,6 +217,14 @@ def construct_optimal_lrc(
     )
 
 
+@lru_cache(maxsize=4)
+def _row_reduced(h: bytes, shape: tuple[int, int], q: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``gf.rref_mod`` keyed on the matrix's contents, so a changed H is never served stale."""
+    reduced, pivots = gf.rref_mod(np.frombuffer(h, dtype=np.int64).reshape(shape), q)
+    reduced.setflags(write=False)  # shared by every encode of this H
+    return reduced, tuple(pivots)
+
+
 def encode(c: LinearCode, message: list[int] | np.ndarray) -> np.ndarray:
     """Systematic encoding: message symbols sit on the non-pivot columns of
     the row-reduced parity-check matrix, pivot columns are solved from them.
@@ -225,7 +234,8 @@ def encode(c: LinearCode, message: list[int] | np.ndarray) -> np.ndarray:
     msg = np.array(message, dtype=np.int64) % q
     if msg.shape != (p.k,):
         raise BadArgs(f"message must have length k = {p.k}")
-    reduced, pivots = gf.rref_mod(c.H, q)
+    h = np.ascontiguousarray(c.H, dtype=np.int64)
+    reduced, pivots = _row_reduced(h.tobytes(), h.shape, q)
     if len(pivots) != p.n - p.k:
         raise DegenerateCode("parity-check matrix does not have full row rank")
     pivot_set = set(pivots)
@@ -233,7 +243,7 @@ def encode(c: LinearCode, message: list[int] | np.ndarray) -> np.ndarray:
     word = np.zeros(p.n, dtype=np.int64)
     word[frees] = msg
     # every product is reduced before summing: q**2 alone nearly fills int64
-    word[pivots] = -((reduced[:, frees] * msg % q).sum(axis=1) % q) % q
+    word[list(pivots)] = -((reduced[:, frees] * msg % q).sum(axis=1) % q) % q
     if ((c.H * word % q).sum(axis=1) % q).any():
         raise SelfCheckFailed("encoded word fails the parity check H c = 0")
     return word

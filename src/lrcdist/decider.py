@@ -2,33 +2,13 @@
 
 The answer is always d* or d* - 1, and equals d* exactly when some
 loopless multigraph of order n1 and size n2 has every k1-subset inducing
-at most k2 edges.  ``decide`` settles the question by a chain of
-closed-form rules that enumerate no subsets ("d* only": earlier rules
-settle every d* - 1 instance that reaches it), falling back to the
-exhaustive multigraph oracle inside the search envelope, and attaches
-the witness graph whenever the answer is d*.
-
-Rule identifiers, in evaluation order (closed forms first, then oracles):
-
-    k1_eq_1              r = k: every 1-vertex subgraph is empty
-    divides              n2 = 0: the empty graph is trivially free
-    n2_le_k2             n2 <= k2 (and n2 > 0): total size already small enough
-    k2_zero              k2 = 0, k1 >= 2, n2 >= 1: a single edge violates
-    k1_eq_2              k1 = 2: saturated pair graph is extremal, free
-                         iff n2 <= C(n1, 2) * k2
-    many_edges           n2 >= k2 + 1 and k1 >= 2k2 + 2: any k2 + 1 edges
-                         span at most k1 vertices and violate
-    t_bound              min-degree peeling bound exceeds k2: no free graph
-    forest_k2_lt_k1m1    k2 < k1 - 1: balanced forests are extremal
-    real_n1m1            n1 - k1 = 1: the almost-regular graph is free (d* only)
-    mantel               k1 = 3, k2 = 2: the bipartite Turan graph is free (d* only)
-    turan_sufficient     k2 = C(k1, 2) - 1: the balanced complete
-                         (k1-1)-partite graph is free (one-sided rule)
-    forest_n2_lt_n1      n2 < n1: the balanced forest is free (d* only)
-    cycle_n2_eq_n1       n2 = n1: the cycle is free (d* only)
-    girth_k2_eq_k1m1     k2 = k1 - 1: free graphs of this size exist iff
-                         simple graphs of girth > k1 reach size n2
-    oracle               exhaustive multigraph search
+at most k2 edges.  ``decide`` walks the ordered rule table ``RULES``, and
+the first rule whose precondition holds decides: its witness graph means
+d*, None means d* - 1.  The closed-form rules enumerate no subsets; the
+last rule is the exhaustive multigraph oracle inside the search envelope.
+A rule marked "d* only" never answers d* - 1, because earlier rules settle
+every such instance that reaches it, and a "one-sided" rule applies only
+when its witness exists.
 """
 
 from __future__ import annotations
@@ -100,63 +80,76 @@ def _girth_regime(p: CodeParams) -> bool:
     return p.k2 == p.k1 - 1 and p.k1 >= 3
 
 
-def _resolve(p: CodeParams, search_limit: int, use_rules: bool):
-    """Return (rule, witness): the witness of order n1 and size n2 when d* is
-    attained, None when the answer is d* - 1.  The rule "unresolved" means
-    neither could be shown; every other rule is exact.
-    """
-    n1, n2, k1, k2 = p.n1, p.n2, p.k1, p.k2
+def _turan_size(order: int, parts: int) -> int:
+    """Size of ``cons.turan_graph(order, parts)``: (order^2 - sum of squared part sizes) / 2."""
+    base, extra = divmod(order, parts)
+    return (order * order - extra * (base + 1) ** 2 - (parts - extra) * base * base) // 2
 
-    if use_rules:
-        if k1 == 1:
-            return "k1_eq_1", cons.almost_regular(n1, n2)
-        if n2 == 0:
-            return "divides", Multigraph.empty(n1)
-        if k2 >= n2:
-            return "n2_le_k2", cons.almost_regular(n1, n2)
-        if k2 == 0 and k1 >= 2:
-            return "k2_zero", None
-        if k1 == 2:
-            if n2 <= comb(n1, 2) * k2:
-                return "k1_eq_2", _take(n1, cons.saturated_pairs(n1, k2), n2)
-            return "k1_eq_2", None
-        if n2 >= k2 + 1 and k1 >= 2 * k2 + 2:
-            return "many_edges", None
-        if extremal.t_bound(n1, n2, k1, "floor") > k2:
-            return "t_bound", None
-        if k2 < k1 - 1:
-            c_min = forest_component_min(n1, k1, k2)
-            if n2 <= n1 - c_min:
-                return "forest_k2_lt_k1m1", cons.balanced_forest(n1, n1 - n2)
-            return "forest_k2_lt_k1m1", None
-        if n1 - k1 == 1:
-            # d* - 1 needs n2 - floor(2 n2 / n1) > k2, which is t_bound after one peel
-            return "real_n1m1", cons.almost_regular(n1, n2)
-        if k1 == 3 and k2 == 2:
-            # past floor(n1^2 / 4) edges t_bound already ends above 2 at order 3
-            return "mantel", _take(n1, cons.turan_pairs(n1, 2), n2)
-        if k2 == comb(k1, 2) - 1:
-            # forbidding k1-subsets of size C(k1,2) means forbidding k1-cliques;
-            # the balanced complete (k1-1)-partite graph is the densest such
-            # simple graph, so this rule is sufficient-only
-            witness = _take(n1, cons.turan_pairs(n1, k1 - 1), n2)
-            if witness.size == n2:
-                return "turan_sufficient", witness
-        # k1 - 1 <= k2 and k1 < n1 here, and k1 < n1 vertices of a forest or a
-        # cycle induce a forest, so at most k1 - 1 edges
-        if n2 < n1:
-            return "forest_n2_lt_n1", cons.balanced_forest(n1, n1 - n2)
-        if n2 == n1:
-            return "cycle_n2_eq_n1", cons.cycle_graph(n1)
-        if _girth_regime(p) and n1 <= search_limit:
-            girth = extremal.max_size_girth(n1, k1)
-            if n2 <= girth.value:
-                return "girth_k2_eq_k1m1", _take(n1, reversed(girth.witness.pair_multiplicities()), n2)
-            return "girth_k2_eq_k1m1", None
 
-    if n1 <= search_limit:
-        return "oracle", extremal.free_multigraph(n1, n2, ForbiddenFamily(k1, k2))
-    return "unresolved", None
+def _saturated_witness(p: CodeParams, search_limit: int) -> Multigraph | None:
+    if p.n2 <= comb(p.n1, 2) * p.k2:
+        return _take(p.n1, cons.saturated_pairs(p.n1, p.k2), p.n2)
+    return None
+
+
+def _forest_witness(p: CodeParams, search_limit: int) -> Multigraph | None:
+    if p.n2 <= p.n1 - forest_component_min(p.n1, p.k1, p.k2):
+        return cons.balanced_forest(p.n1, p.n1 - p.n2)
+    return None
+
+
+def _girth_witness(p: CodeParams, search_limit: int) -> Multigraph | None:
+    girth = extremal.max_size_girth(p.n1, p.k1)
+    if p.n2 <= girth.value:
+        return _take(p.n1, reversed(girth.witness.pair_multiplicities()), p.n2)
+    return None
+
+
+# (name, applies(p, search_limit), witness(p, search_limit)) in evaluation
+# order; each rule may assume that no earlier rule applied.  Constructions
+# and oracles are looked up on their modules at call time.
+RULES = (
+    # r = k: every 1-vertex subgraph is empty
+    ("k1_eq_1", lambda p, _: p.k1 == 1, lambda p, _: cons.almost_regular(p.n1, p.n2)),
+    # n2 = 0: the empty graph is trivially free
+    ("divides", lambda p, _: p.n2 == 0, lambda p, _: Multigraph.empty(p.n1)),
+    # 0 < n2 <= k2: the whole size is already small enough
+    ("n2_le_k2", lambda p, _: p.k2 >= p.n2, lambda p, _: cons.almost_regular(p.n1, p.n2)),
+    # k2 = 0, k1 >= 2, n2 >= 1: a single edge violates
+    ("k2_zero", lambda p, _: p.k2 == 0 and p.k1 >= 2, lambda p, _: None),
+    # k1 = 2: the saturated pair graph is extremal, free iff n2 <= C(n1, 2) * k2
+    ("k1_eq_2", lambda p, _: p.k1 == 2, _saturated_witness),
+    # any k2 + 1 edges span at most 2k2 + 2 <= k1 vertices and violate
+    ("many_edges", lambda p, _: p.n2 >= p.k2 + 1 and p.k1 >= 2 * p.k2 + 2, lambda p, _: None),
+    # the min-degree peeling bound exceeds k2: no free graph
+    ("t_bound", lambda p, _: extremal.t_bound(p.n1, p.n2, p.k1, "floor") > p.k2, lambda p, _: None),
+    # k2 < k1 - 1: balanced forests are extremal
+    ("forest_k2_lt_k1m1", lambda p, _: p.k2 < p.k1 - 1, _forest_witness),
+    # n1 - k1 = 1, d* only: the almost-regular graph is free; d* - 1 needs
+    # n2 - floor(2 n2 / n1) > k2, which is t_bound after one peel
+    ("real_n1m1", lambda p, _: p.n1 - p.k1 == 1, lambda p, _: cons.almost_regular(p.n1, p.n2)),
+    # k1 = 3, k2 = 2, d* only: the bipartite Turan graph is free; past
+    # floor(n1^2 / 4) edges t_bound already ends above 2 at order 3
+    ("mantel", lambda p, _: p.k1 == 3 and p.k2 == 2, lambda p, _: _take(p.n1, cons.turan_pairs(p.n1, 2), p.n2)),
+    # k2 = C(k1, 2) - 1, one-sided: forbidding k1-subsets of size C(k1, 2)
+    # means forbidding k1-cliques, and the balanced complete (k1-1)-partite
+    # graph is the densest such simple graph, so it applies when that graph
+    # has n2 edges
+    ("turan_sufficient",
+     lambda p, _: p.k2 == comb(p.k1, 2) - 1 and _turan_size(p.n1, p.k1 - 1) >= p.n2,
+     lambda p, _: _take(p.n1, cons.turan_pairs(p.n1, p.k1 - 1), p.n2)),
+    # n2 < n1, d* only: k1 - 1 <= k2 and k1 < n1 here, and k1 < n1 vertices
+    # of a forest or a cycle induce a forest, so at most k1 - 1 edges
+    ("forest_n2_lt_n1", lambda p, _: p.n2 < p.n1, lambda p, _: cons.balanced_forest(p.n1, p.n1 - p.n2)),
+    # n2 = n1, d* only: the cycle is free, as above
+    ("cycle_n2_eq_n1", lambda p, _: p.n2 == p.n1, lambda p, _: cons.cycle_graph(p.n1)),
+    # k2 = k1 - 1: free graphs of this size exist iff simple graphs of
+    # girth > k1 reach size n2
+    ("girth_k2_eq_k1m1", lambda p, limit: _girth_regime(p) and p.n1 <= limit, _girth_witness),
+    # exhaustive multigraph search
+    ("oracle", lambda p, limit: p.n1 <= limit,
+     lambda p, _: extremal.free_multigraph(p.n1, p.n2, ForbiddenFamily(p.k1, p.k2))),
+)
 
 
 def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules: bool = True) -> Decision:
@@ -164,30 +157,26 @@ def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules
 
     ``oracle_limit`` caps the order at which the exhaustive searches run
     (values above the module envelope are clamped).  With ``use_rules=False``
-    the closed-form catalogue is skipped and only the exhaustive oracle is
-    consulted, which is how the rule chain itself gets audited.
+    only the last rule, the exhaustive oracle, is consulted, which is how the
+    other rules get audited.
 
     A d* witness is checked to be family-free whenever C(n1, k1) is at
     most ``SELF_CHECK_LIMIT``; a failed check raises ``SelfCheckFailed``,
     and a skipped one is recorded in ``notes``.
     """
     search_limit = min(oracle_limit, extremal.SEARCH_ENVELOPE)
-    rule, witness = _resolve(p, search_limit, use_rules)
-    if rule == "unresolved":
+    for rule, applies, witness_of in RULES if use_rules else RULES[-1:]:
+        if applies(p, search_limit):
+            witness = witness_of(p, search_limit)
+            break
+    else:
         notes = [f"n1={p.n1} exceeds oracle limit {search_limit}"]
         if not use_rules:
             notes.append("closed-form rules disabled")
         elif _girth_regime(p) and p.n1 <= extremal.SEARCH_ENVELOPE:
             # limits are clamped to the envelope, so only orders inside it qualify
             notes.append("resolvable via the girth oracle at a higher limit")
-        return Decision(
-            params=p,
-            value=(p.d_star - 1, p.d_star),
-            status="unresolved",
-            rule=rule,
-            witness=None,
-            notes=tuple(notes),
-        )
+        return Decision(p, (p.d_star - 1, p.d_star), "unresolved", "unresolved", None, tuple(notes))
     if witness is None:
         return Decision(params=p, value=p.d_star - 1, status="exact", rule=rule, witness=None)
     if witness.order != p.n1 or witness.size != p.n2:

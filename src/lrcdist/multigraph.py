@@ -54,8 +54,8 @@ class Multigraph:
     __slots__ = ("order", "_pairs", "_size")
 
     def __init__(self, order: int, multiplicities: Mapping[tuple[int, int], int] | None = None):
-        if order < 0:
-            raise BadArgs(f"order must be >= 0, got {order}")
+        if not is_int(order) or order < 0:
+            raise BadArgs(f"order must be an integer >= 0, got {order!r}")
         folded: dict[tuple[int, int], int] = {}
         for (u, v), m in (multiplicities or {}).items():
             u, v = index(u), index(v)  # a non-integer vertex raises TypeError
@@ -63,8 +63,8 @@ class Multigraph:
                 raise UnknownVertex(f"vertex pair ({u}, {v}) outside 0..{order - 1}")
             if u == v:
                 raise BadArgs(f"self-loop on vertex {u} is not allowed")
-            if m < 0:
-                raise BadArgs(f"negative multiplicity {m} on ({u}, {v})")
+            if not is_int(m) or m < 0:
+                raise BadArgs(f"multiplicity on ({u}, {v}) must be an integer >= 0, got {m!r}")
             key = (u, v) if u < v else (v, u)
             folded[key] = folded.get(key, 0) + m
         self.order = order
@@ -241,12 +241,9 @@ def multigraph_to_json(g: Multigraph) -> dict:
 def multigraph_from_json(data: dict) -> Multigraph:
     if not isinstance(data, dict) or "order" not in data or "edges" not in data:
         raise BadArgs("graph JSON must have 'order' and 'edges' keys")
-    order = data["order"]
-    if not is_int(order) or order < 0:
-        raise BadArgs(f"bad order {order!r}")
     edges = []
     for item in data["edges"]:
         if not (isinstance(item, (list, tuple)) and len(item) == 2 and all(map(is_int, item))):
             raise BadArgs(f"bad edge entry {item!r}")
         edges.append(tuple(item))
-    return Multigraph.from_edges(order, edges)
+    return Multigraph.from_edges(data["order"], edges)

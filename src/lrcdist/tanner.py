@@ -64,6 +64,8 @@ class FullTannerGraph:
 
     def __post_init__(self):
         n, k, r = self.n, self.k, self.r
+        if not all(map(is_int, (n, k, r, self.global_count, *(v for c in self.local_checks for v in c)))):
+            raise InvalidTanner("n, k, r, global_count and variable indices must be integers")
         if not (1 <= r <= k < n):
             raise InvalidTanner(f"bad parameters (n={n}, k={k}, r={r})")
         n1 = -(-n // (r + 1))
@@ -100,6 +102,8 @@ class PrunedGraph:
 
     def __post_init__(self):
         n, k, r, m = self.n, self.k, self.r, self.m
+        if not all(map(is_int, (n, k, r, m, *(v for c in self.checks for v in c)))):
+            raise InvalidTanner("n, k, r, m and variable indices must be integers")
         if not (1 <= r <= k < n):
             raise InvalidTanner(f"bad parameters (n={n}, k={k}, r={r})")
         if not 0 <= m <= n:
@@ -323,8 +327,6 @@ def tanner_to_json(t: FullTannerGraph) -> dict:
 def tanner_from_json(data: dict) -> FullTannerGraph:
     try:
         n, k, r, checks, global_count = (data[key] for key in ("n", "k", "r", "local_checks", "global_count"))
-        if not all(map(is_int, (n, k, r, global_count, *(v for c in checks for v in c)))):
-            raise InvalidTanner("n, k, r, global_count and variable indices must be integers")
         return FullTannerGraph(n, k, r, tuple(frozenset(c) for c in checks), global_count)
     except (KeyError, TypeError) as exc:
         raise InvalidTanner(f"malformed Tanner graph JSON: {exc}") from exc

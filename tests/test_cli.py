@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrcdist
 from lrcdist.cli import main
@@ -198,6 +202,29 @@ def test_sweep_csv(capsys):
     # stable lexicographic order
     keys = [(int(t["n"]), int(t["k"]), int(t["r"])) for t in rows]
     assert keys == sorted(keys)
+
+
+def json_out(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, json.loads(out.getvalue())
+
+
+@lru_cache(maxsize=None)
+def sweep_rows():
+    code, rows = json_out("sweep", "--n-max", "60", "--r-max", "8", "--format", "json")
+    assert code == 0
+    return tuple(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decide_agrees_with_its_sweep_row(data):
+    row = data.draw(st.sampled_from(sweep_rows()))
+    code, decided = json_out("decide", "--n", str(row["n"]), "--k", str(row["k"]), "--r", str(row["r"]))
+    assert code == (0 if row["status"] == "exact" else 3)
+    assert {key: decided[key] for key in row} == row
 
 
 def test_decide_witness_feeds_density_tooling(capsys):

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -202,6 +203,38 @@ def test_encode_and_repair_round_trip():
             assert repair_symbol(code, erased) == int(word[j])
 
 
+def test_encode_row_reduces_once_per_code(monkeypatch):
+    code = construct_optimal_lrc(derive_params(16, 9, 4), seed=0)
+    calls = []
+    rref_mod = gf.rref_mod
+    monkeypatch.setattr(gf, "rref_mod", lambda *a: calls.append(a) or rref_mod(*a))
+    rng = np.random.default_rng(5)
+    for _ in range(16):
+        word = encode(code, rng.integers(0, code.field.q, size=code.params.k))
+        assert not (code.H @ word % code.field.q).any()
+    assert len(calls) <= 1
+
+
+def test_encode_follows_a_replaced_parity_check_matrix():
+    # the reduced form is keyed on H's contents: replacing H, or overwriting
+    # it in place, must never encode against the old matrix
+    code = construct_optimal_lrc(derive_params(16, 9, 4), seed=0)
+    q, shape = code.field.q, code.H.shape
+    rng = np.random.default_rng(8)
+    msg = rng.integers(0, q, size=code.params.k)
+    encode(code, msg)
+    for in_place in (False, True):
+        other = rng.integers(1, q, size=shape).astype(np.int64)
+        assert gf.rank_mod(other, q) == shape[0]
+        if in_place:
+            code.H[:] = other
+        else:
+            code.H = other
+        word = encode(code, msg)
+        assert not (other @ word % q).any()
+        assert (word[np.isin(np.arange(shape[1]), gf.rref_mod(other, q)[1], invert=True)] == msg).all()
+
+
 def test_repair_touches_at_most_r_other_symbols():
     p = derive_params(12, 7, 3)
     code = construct_optimal_lrc(p, seed=0)
@@ -382,6 +415,17 @@ def test_min_distance_matches_brute_weight_under_any_claim(code, offset):
     want = brute_min_weight(code)
     code.claimed_distance = None if offset is None else want + offset
     assert min_distance(code) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_codes(), st.sampled_from([None, 1, 2, 5]), st.booleans())
+def test_json_round_trip_keeps_every_field(code, claimed, verified):
+    code.claimed_distance, code.verified = claimed, verified
+    back = code_from_json(json.loads(json.dumps(code_to_json(code))))
+    assert (back.params, back.field, back.claimed_distance, back.verified, back.attempts) == (
+        code.params, code.field, code.claimed_distance, code.verified, code.attempts
+    )
+    assert back.H.dtype == np.int64 and (back.H == code.H).all()
 
 
 def test_min_distance_starts_at_the_claimed_level(monkeypatch):

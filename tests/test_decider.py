@@ -187,6 +187,40 @@ def test_rule_consistency_each_exact_rule_matches_oracle():
             "t_bound", "forest_k2_lt_k1m1", "real_n1m1"} <= seen_rules
 
 
+# one instance per RULES entry, in table order
+RULE_INSTANCES = (
+    ("k1_eq_1", (6, 3, 3)),
+    ("divides", (12, 7, 3)),
+    ("n2_le_k2", (5, 3, 2)),
+    ("k2_zero", (10, 4, 2)),
+    ("k1_eq_2", (14, 5, 3)),
+    ("many_edges", (13, 7, 2)),
+    ("t_bound", (13, 8, 3)),
+    ("forest_k2_lt_k1m1", (10, 5, 2)),
+    ("real_n1m1", (16, 9, 4)),
+    ("mantel", (17, 7, 3)),
+    ("turan_sufficient", (36, 19, 6)),
+    ("forest_n2_lt_n1", (21, 9, 4)),
+    ("cycle_n2_eq_n1", (25, 11, 5)),
+    ("girth_k2_eq_k1m1", (41, 25, 7)),
+    ("oracle", (34, 16, 7)),
+)
+
+
+def test_rule_table_order_and_one_instance_per_rule():
+    assert [name for name, _, _ in decider.RULES] == [name for name, _ in RULE_INSTANCES]
+    for name, nkr in RULE_INSTANCES:
+        assert decide(derive_params(*nkr)).rule == name, nkr
+    # without the rules only the last entry, the oracle, is consulted
+    assert decide(derive_params(16, 9, 4), use_rules=False).rule == "oracle"
+
+
+def test_turan_size_formula_matches_the_graph():
+    for order in range(1, 61):
+        for parts in range(1, order + 1):
+            assert decider._turan_size(order, parts) == turan_graph(order, parts).size, (order, parts)
+
+
 def test_forest_component_min_requires_strict_gap():
     with pytest.raises(ValueError):
         forest_component_min(5, 3, 2)

@@ -65,6 +65,22 @@ def test_non_integer_vertices_rejected():
             call()
 
 
+@pytest.mark.parametrize(
+    "order, multiplicities",
+    [
+        (3, {(0, 1): 1.5}),
+        (3, {(0, 1): 2.0}),
+        (3, {(0, 1): True}),
+        (True, {}),
+        (2.5, {(0, 1): 1}),
+        (3.0, {}),
+    ],
+)
+def test_non_integer_order_and_multiplicities_rejected(order, multiplicities):
+    with pytest.raises(BadArgs):
+        Multigraph(order, multiplicities)
+
+
 def test_k_density_examples():
     assert k_density(cycle_graph(5), 3) == 2
     assert k_density(complete_graph(4), 3) == 3

@@ -1,7 +1,10 @@
+import json
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrcdist.decider import decide
 from lrcdist.errors import (
@@ -326,6 +329,16 @@ def test_json_round_trip():
         tanner_from_json({"n": 4})
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(8, 4, 3), (10, 5, 4), (12, 7, 3), (9, 4, 2), (16, 9, 4)]), st.integers(0, 2**32))
+def test_json_round_trip_random(nkr, seed):
+    n, k, r = nkr
+    rng = random.Random(seed)
+    n1 = -(-n // (r + 1))
+    t = random_full_tanner(rng, n, k, r, rng.randint(n1, n - k))
+    assert tanner_from_json(json.loads(json.dumps(tanner_to_json(t)))) == t
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -343,6 +356,32 @@ def test_json_non_integers_rejected(change):
     assert tanner_min_distance(tanner_from_json(data)) == 3
     with pytest.raises(InvalidTanner):
         tanner_from_json({**data, **change})
+
+
+def test_constructors_reject_non_integers():
+    checks = (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+    full = dict(n=6, k=3, r=2, local_checks=checks, global_count=1)
+    assert tanner_min_distance(FullTannerGraph(**full)) == 3
+    for change in (
+        {"n": 6.0},
+        {"k": 3.0},
+        {"r": True},
+        {"global_count": 1.0},
+        {"local_checks": (frozenset({0, 1, 2.5}), frozenset({3, 4, 5}))},
+    ):
+        with pytest.raises(InvalidTanner):
+            FullTannerGraph(**{**full, **change})
+    pruned = dict(n=5, k=2, r=2, m=1, checks=(frozenset({0}), frozenset({0})))
+    assert PrunedGraph(**pruned).h == 2
+    for change in (
+        {"n": 5.0},
+        {"k": 2.0},
+        {"r": 2.0},
+        {"m": True},
+        {"checks": (frozenset({0.0}), frozenset({0.0}))},
+    ):
+        with pytest.raises(InvalidTanner):
+            PrunedGraph(**{**pruned, **change})
 
 
 def test_invalid_tanner_structures():
