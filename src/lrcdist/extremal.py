@@ -21,19 +21,28 @@ branches.
 Each search carries its state from node to node instead of recomputing
 it.  The family search keeps every pair's room, the multiplicity it can
 still take, and lowers it only for the pairs that share a forbidden
-subset with the pair just assigned; its bounds are a capacity average
-over the forbidden subsets and the sum of the rooms left, and the branch
-top is the pair's own room.  The girth search keeps distances only below
-k, the one threshold it tests, and carries the number of pairs still
-addable, lowered by the pairs each new edge pushes below k.  It bounds a
-node with its own answers at smaller orders (an induced subgraph of a
-girth > k graph has girth > k): the vertices after the current one hold
-at most the smaller-order maximum among themselves.  Its bounds hold for
-every completion of the partial graph, with or without sorted degrees,
-so they cut only subtrees with nothing above the best so far; the search
-improves its best at the same nodes as without them and returns the same
-witness.  Both greedy seeds try the same fixed pair orders, drawn once
-per number of pairs and cached.
+subset with the pair just assigned; the branch top is the pair's own
+room.  The girth search keeps distances only below k, the one threshold
+it tests, and carries the number of pairs still addable, lowered by the
+pairs each new edge pushes below k.
+
+Both searches bound a node by the edges that the vertices still to come
+can hold among themselves.  The girth search takes these caps from its
+own answers at smaller orders (an induced subgraph of a girth > k graph
+has girth > k).  The family search takes them in closed form: up to
+``family.order`` vertices lie in one forbidden subset, and above that
+the averaging argument (each edge on m vertices lies in m - 2 of their
+(m - 1)-subsets, so m vertices hold at most m / (m - 2) times the cap
+on m - 1) extends the cap one vertex at a time.  The same argument caps
+the whole graph: a decision query above that cap is answered without a
+search, and the girth search bounds its root with it.  Every bound
+holds for every completion of the partial graph, with or without sorted
+degrees, so it cuts only subtrees with nothing above the best so far
+(or nothing at the target); the search improves its best at the same
+nodes as without the bounds and returns the same witness.  Both greedy
+seeds try the same fixed pair orders, drawn once per number of pairs and
+cached, and the family search builds its pair and subset tables once per
+shape.
 
 ``free_multigraph`` answers the decision form directly: is there a
 family-free multigraph of the given order and exact size?  It stops at
@@ -89,6 +98,44 @@ def _seed_orders(npairs: int) -> tuple[tuple[int, ...], ...]:
     return tuple(orders)
 
 
+@lru_cache(maxsize=None)
+def _incidence(
+    order: int, f_order: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Pairs in lexicographic order, the f_order-subsets holding each, and the pairs of each."""
+    pairs = tuple(combinations(range(order), 2))
+    subsets = list(combinations(range(order), f_order)) if f_order >= 2 else []
+    sub_of_pair: list[list[int]] = [[] for _ in pairs]
+    pairs_of_sub: list[list[int]] = [[] for _ in subsets]
+    pair_index = {p: pi for pi, p in enumerate(pairs)}
+    for si, s in enumerate(subsets):
+        for p in combinations(s, 2):
+            sub_of_pair[pair_index[p]].append(si)
+            pairs_of_sub[si].append(pair_index[p])
+    return pairs, tuple(map(tuple, sub_of_pair)), tuple(map(tuple, pairs_of_sub))
+
+
+def _induced_caps(order: int, f_order: int, f_size: int, pair_cap: int) -> list[int]:
+    """``cap[m]``: most edges any m vertices of a family-free graph can span.
+
+    Up to f_order vertices lie inside one forbidden subset, which holds at
+    most f_size edges.  Above it the averaging argument applies: each edge
+    on m vertices lies in m - 2 of their m subsets of m - 1 vertices, so m
+    vertices span at most m * cap[m - 1] / (m - 2) edges.  No pair holds
+    more than pair_cap.  A family of order below 2 caps nothing.  Needs
+    f_order <= order.
+    """
+    cap = [0] * (order + 1)
+    for m in range(2, order + 1):
+        if f_order < 2:
+            cap[m] = _FAR
+        elif m <= f_order:
+            cap[m] = min(f_size, comb(m, 2) * pair_cap)
+        else:
+            cap[m] = min(cap[m - 1] * m // (m - 2), comb(m, 2) * pair_cap)
+    return cap
+
+
 def _family_search(
     order: int,
     f_order: int,
@@ -96,18 +143,27 @@ def _family_search(
     pair_cap: int,
     target: int | None,
 ) -> tuple[int, dict[tuple[int, int], int], bool]:
-    """Core maximizer.  Returns (best size, best assignment, target reached)."""
-    pairs = list(combinations(range(order), 2))
+    """Core maximizer.  Returns (best size, best assignment, target reached).
+
+    A node at pair (u, v) is cut unless some completion can beat the best
+    so far (max mode) or reach ``target`` (decision mode).  Its bounds:
+    the forbidden subsets' capacity averaged over the subsets each pair
+    lies in; u's remaining rooms plus the later pairs, which lie among the
+    order - u - 1 later vertices and so hold at most the smaller of their
+    rooms and ``cap[order - u - 1]``; and vertices u and later, which hold
+    at most ``cap[order - u]`` edges, of which u's block has already
+    taken some.  A target above ``cap[order]`` is not reached, with no
+    search at all.  Each bound holds for every completion of the partial
+    graph, so a cut subtree has nothing above the best (or at the target)
+    and the search improves its best, or reaches the target, at the same
+    nodes and with the same assignment as a search without the cuts.
+    """
+    pairs, sub_of_pair, pairs_of_sub = _incidence(order, f_order)
     npairs = len(pairs)
-    subsets = list(combinations(range(order), f_order)) if f_order >= 2 else []
-    nsub = len(subsets)
-    sub_of_pair: list[list[int]] = [[] for _ in range(npairs)]
-    pairs_of_sub: list[list[int]] = [[] for _ in range(nsub)]
-    pair_index = {p: pi for pi, p in enumerate(pairs)}
-    for si, s in enumerate(subsets):
-        for p in combinations(s, 2):
-            sub_of_pair[pair_index[p]].append(si)
-            pairs_of_sub[si].append(pair_index[p])
+    nsub = len(pairs_of_sub)
+    cap = _induced_caps(order, f_order, f_size, pair_cap)
+    if target is not None and cap[order] < target:
+        return 0, {}, False
     per_pair_subs = comb(order - 2, f_order - 2) if f_order >= 2 and order >= 2 else 0
     # room[j]: the multiplicity pair j can still take, min(pair_cap, spare
     # capacity of each subset holding it); it only falls as edges are added,
@@ -152,7 +208,8 @@ def _family_search(
     state = {"best": best, "assign": best_assign, "done": False}
     residual_start = nsub * f_size
 
-    def dfs(i: int, size: int, residual: int):
+    def dfs(i: int, size: int, residual: int, in_block: int):
+        # in_block: the multiplicity already placed in the block of pair i
         if size > state["best"]:
             state["best"] = size
             state["assign"] = {
@@ -166,15 +223,20 @@ def _family_search(
         u, v = pairs[i]
         # entering vertex block u at (u, u + 1): degree of u-2 is final,
         # enforce sorted order
-        if v == u + 1 and u >= 2 and deg[u - 2] < deg[u - 1]:
-            return
+        if v == u + 1:
+            if u >= 2 and deg[u - 2] < deg[u - 1]:
+                return
+            in_block = 0
         # a branch is useless unless it can beat `best` (max mode) or reach
         # `target` (decision mode)
         floor_needed = state["best"] if target is None else target - 1
         if per_pair_subs:
             if size + residual // per_pair_subs <= floor_needed:
                 return
-        if size + sum(room[i:]) <= floor_needed:
+        if size - in_block + cap[order - u] <= floor_needed:
+            return
+        e = i + order - v  # the first pair of block u + 1
+        if size + sum(room[i:e]) + min(sum(room[e:]), cap[order - u - 1]) <= floor_needed:
             return
         top = room[i]
         if target is not None:
@@ -186,7 +248,7 @@ def _family_search(
                 deg[u] += m
                 deg[v] += m
             assign_vec[i] = m
-            dfs(i + 1, size + m, residual - m * len(sub_of_pair[i]))
+            dfs(i + 1, size + m, residual - m * len(sub_of_pair[i]), in_block + m)
             assign_vec[i] = 0
             if m:
                 for s in sub_of_pair[i]:
@@ -197,7 +259,7 @@ def _family_search(
             if state["done"]:
                 return
 
-    dfs(0, 0, residual_start)
+    dfs(0, 0, residual_start, 0)
     reached = target is not None and state["best"] >= target
     return state["best"], state["assign"], reached
 
@@ -322,9 +384,12 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
     subgraph of a girth > k graph has girth > k.  At pair (u, v), vertex u
     can still gain the ``in_row`` addable pairs (u, b), b >= v, and the
     order - u - 1 later vertices at most ``smaller[order - u - 1]`` edges
-    among themselves (and no more than their addable pairs); for u >= 1,
-    vertices u and later hold at most ``smaller[order - u]`` edges in all,
-    of which u's block has already taken some.
+    among themselves (and no more than their addable pairs); vertices u
+    and later hold at most ``smaller[order - u]`` edges in all, of which
+    u's block has already taken some.  At u = 0 that set is the whole
+    graph, whose cap comes from averaging: each edge lies in order - 2 of
+    the order subgraphs on order - 1 vertices, so the graph has at most
+    ``order * smaller[order - 1] // (order - 2)`` edges.
 
     The search improves its best at the same nodes, in the same order, as
     a search that makes neither cut, so it returns the same witness.  Both
@@ -363,6 +428,9 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
         return ExtremalResult(value=best, witness=Multigraph.from_edges(order, best_edges), exhaustive=True)
 
     smaller = [max_size_girth(m, k).value for m in range(order)]
+    # the whole graph, by averaging over its (order - 1)-vertex subgraphs:
+    # each edge lies in order - 2 of them
+    whole = order * smaller[order - 1] // (order - 2) if order >= 3 else _FAR
     state = {"best": best, "edges": best_edges}
     edges: list[tuple[int, int]] = []
     deg = [0] * order
@@ -382,9 +450,9 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
             # the later vertices' share nor the block's total moves
             later = min(addable - in_row, smaller[order - u - 1])
             # vertices u and later hold at most smaller[order - u] edges (at
-            # u = 0 that is the query itself); a 1 in row[u + 1 : v] is one
-            # of them already chosen
-            within = size - row[u + 1 : v].count(1) + smaller[order - u] if u else _FAR
+            # u = 0, all of them: whole); a 1 in row[u + 1 : v] is one of
+            # them already chosen
+            within = size - row[u + 1 : v].count(1) + (smaller[order - u] if u else whole)
             b = v
             while True:
                 if min(size + in_row + later, within) <= state["best"]:

@@ -58,7 +58,8 @@ class Multigraph:
             raise BadArgs(f"order must be an integer >= 0, got {order!r}")
         folded: dict[tuple[int, int], int] = {}
         for (u, v), m in (multiplicities or {}).items():
-            u, v = index(u), index(v)  # a non-integer vertex raises TypeError
+            if not (is_int(u) and is_int(v)):
+                raise BadArgs(f"vertices must be integers, got ({u!r}, {v!r})")
             if not (0 <= u < order and 0 <= v < order):
                 raise UnknownVertex(f"vertex pair ({u}, {v}) outside 0..{order - 1}")
             if u == v:

@@ -68,6 +68,8 @@ class FullTannerGraph:
             raise InvalidTanner("n, k, r, global_count and variable indices must be integers")
         if not (1 <= r <= k < n):
             raise InvalidTanner(f"bad parameters (n={n}, k={k}, r={r})")
+        if self.global_count < 0:
+            raise InvalidTanner(f"global_count must be >= 0, got {self.global_count}")
         n1 = -(-n // (r + 1))
         if len(self.local_checks) < n1:
             raise InvalidTanner(

@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from lrcdist.errors import BadArgs, EnvelopeExceeded, UnboundedFamily
 from lrcdist.extremal import (
     _FAR,
     _add_edge_distances,
+    _induced_caps,
     _seed_orders,
     free_multigraph,
     max_size_girth,
@@ -404,6 +406,166 @@ def test_unseeded_girth_search_matches_the_rescan_reference(monkeypatch):
                 assert (res.value, res.witness) == (value, witness), (order, k)
     finally:
         max_size_girth.cache_clear()
+
+
+def reference_family_search(order, f_order, f_size, pair_cap, target, seed_orders):
+    """Reference family search with no induced-size caps and no root cut.
+
+    It builds its incidence tables on every call and bounds a node only
+    with the capacity average and the sum of the rooms left, as the search
+    did before the caps.  Its greedy seed tries the pair orders
+    ``seed_orders(npairs)``.  Returns (best size, best assignment, target
+    reached).
+    """
+    pairs = list(combinations(range(order), 2))
+    npairs = len(pairs)
+    subsets = list(combinations(range(order), f_order)) if f_order >= 2 else []
+    nsub = len(subsets)
+    sub_of_pair = [[] for _ in range(npairs)]
+    pairs_of_sub = [[] for _ in range(nsub)]
+    pair_index = {p: pi for pi, p in enumerate(pairs)}
+    for si, s in enumerate(subsets):
+        for p in combinations(s, 2):
+            sub_of_pair[pair_index[p]].append(si)
+            pairs_of_sub[si].append(pair_index[p])
+    per_pair_subs = comb(order - 2, f_order - 2) if f_order >= 2 and order >= 2 else 0
+    empty_room = [pair_cap] * npairs
+
+    def add(cur, room, i, m):
+        for s in sub_of_pair[i]:
+            cur[s] += m
+            spare = f_size - cur[s]
+            for j in pairs_of_sub[s]:
+                if room[j] > spare:
+                    room[j] = spare
+
+    best, best_assign = 0, {}
+    for perm in seed_orders(npairs):
+        cur = [0] * nsub
+        room = empty_room.copy()
+        tot = 0
+        assign = {}
+        for pi in perm:
+            m = room[pi]
+            if target is not None:
+                m = min(m, target - tot)
+            if m > 0:
+                assign[pairs[pi]] = m
+                tot += m
+                add(cur, room, pi, m)
+        if target is not None and tot >= target:
+            return tot, assign, True
+        if tot > best:
+            best, best_assign = tot, assign
+
+    cur = [0] * nsub
+    room = empty_room.copy()
+    deg = [0] * order
+    assign_vec = [0] * npairs
+    state = {"best": best, "assign": best_assign, "done": False}
+
+    def dfs(i, size, residual):
+        if size > state["best"]:
+            state["best"] = size
+            state["assign"] = {pairs[j]: assign_vec[j] for j in range(npairs) if assign_vec[j]}
+            if target is not None and size >= target:
+                state["done"] = True
+                return
+        if i == npairs:
+            return
+        u, v = pairs[i]
+        if v == u + 1 and u >= 2 and deg[u - 2] < deg[u - 1]:
+            return
+        floor_needed = state["best"] if target is None else target - 1
+        if per_pair_subs and size + residual // per_pair_subs <= floor_needed:
+            return
+        if size + sum(room[i:]) <= floor_needed:
+            return
+        top = room[i]
+        if target is not None:
+            top = min(top, target - size)
+        saved = room.copy()
+        for m in range(max(top, 0), -1, -1):
+            if m:
+                add(cur, room, i, m)
+                deg[u] += m
+                deg[v] += m
+            assign_vec[i] = m
+            dfs(i + 1, size + m, residual - m * len(sub_of_pair[i]))
+            assign_vec[i] = 0
+            if m:
+                for s in sub_of_pair[i]:
+                    cur[s] -= m
+                room[:] = saved
+                deg[u] -= m
+                deg[v] -= m
+            if state["done"]:
+                return
+
+    dfs(0, 0, nsub * f_size)
+    reached = target is not None and state["best"] >= target
+    return state["best"], state["assign"], reached
+
+
+def small_families(max_size_above_simple):
+    """Every family on 2 to 6 vertices with max_size up to C(family order, 2) + the excess."""
+    for order in range(2, 7):
+        for f_order in range(2, order + 1):
+            for f_size in range(comb(f_order, 2) + max_size_above_simple + 1):
+                yield order, ForbiddenFamily(f_order, f_size)
+
+
+def assert_family_oracles_match_reference(seed_orders):
+    # a max_size above C(family order, 2) binds only multigraphs and makes
+    # the reference's exhaustive proofs slow; the caps test covers it
+    for order, fam in small_families(0):
+        fk, fs = fam.order, fam.max_size
+        for oracle, pair_cap in ((max_size_multigraph, fs), (max_size_simple, min(fs, 1))):
+            value, assign, _ = reference_family_search(order, fk, fs, pair_cap, None, seed_orders)
+            res = oracle(order, fam)
+            assert (res.value, res.witness) == (value, Multigraph(order, assign)), (order, fam)
+        for size in range(max_size_multigraph(order, fam).value + 2):
+            _, assign, reached = reference_family_search(order, fk, fs, min(fs, size), size, seed_orders)
+            expected = Multigraph(order, assign) if reached else None
+            assert free_multigraph(order, size, fam) == expected, (order, fam, size)
+
+
+def test_family_search_matches_the_reference():
+    # the caps cut only subtrees with nothing above the best so far (or at
+    # the target), so values and witnesses are those of the plain search
+    assert_family_oracles_match_reference(_seed_orders)
+
+
+def test_unseeded_family_search_matches_the_reference(monkeypatch):
+    # Without the greedy seed the search starts from the empty graph and
+    # replaces its best many times; a cap that cut a subtree holding a
+    # larger graph would change the witness here.
+    monkeypatch.setattr(extremal, "_seed_orders", lambda npairs: ())
+    extremal._max_size_family.cache_clear()
+    extremal._free_multigraph.cache_clear()
+    try:
+        assert_family_oracles_match_reference(extremal._seed_orders)
+    finally:
+        extremal._max_size_family.cache_clear()
+        extremal._free_multigraph.cache_clear()
+
+
+def test_induced_caps_hold():
+    # cap[m] bounds the edges on any m vertices, so it is at least the
+    # maximum of the order-m problem itself
+    for order, fam in small_families(1):
+        caps = _induced_caps(order, fam.order, fam.max_size, fam.max_size)
+        for m in range(fam.order, order + 1):
+            assert caps[m] >= max_size_multigraph(m, fam).value, (order, fam, m)
+
+
+def test_girth_averaging_bound_holds():
+    # a girth > k graph on n vertices has at most n * ex(n - 1) / (n - 2)
+    # edges: each edge lies in n - 2 of its (n - 1)-vertex subgraphs
+    for order in range(3, 10):
+        for k in range(3, order + 2):
+            bound = order * max_size_girth(order - 1, k).value // (order - 2)
+            assert bound >= max_size_girth(order, k).value, (order, k)
 
 
 def test_forest_girth_queries_skip_the_search():

@@ -55,9 +55,13 @@ def test_induced_size_unknown_vertex():
 
 
 def test_non_integer_vertices_rejected():
+    # the constructor holds vertices to the rule the JSON reader applies:
+    # True is not the vertex 1
+    for multiplicities in ({(0.5, 1): 1}, {(True, 2): 1}, {(0, 2.0): 1}):
+        with pytest.raises(BadArgs):
+            Multigraph(3, multiplicities)
     g = cycle_graph(4)
     for call in (
-        lambda: Multigraph(3, {(0.5, 1): 1}),
         lambda: g.multiplicity(0.5, 1),
         lambda: g.induced_size({0.5, 1}),
     ):

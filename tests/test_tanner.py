@@ -384,6 +384,15 @@ def test_constructors_reject_non_integers():
             PrunedGraph(**{**pruned, **change})
 
 
+def test_negative_global_count_rejected():
+    # four local checks and -1 global ones add up to n - k = 3
+    checks = [[0, 1, 2], [3, 4, 5], [0, 1, 3], [2, 4, 5]]
+    with pytest.raises(InvalidTanner):
+        FullTannerGraph(6, 3, 2, tuple(frozenset(c) for c in checks), -1)
+    with pytest.raises(InvalidTanner):
+        tanner_from_json({"n": 6, "k": 3, "r": 2, "local_checks": checks, "global_count": -1})
+
+
 def test_invalid_tanner_structures():
     with pytest.raises(InvalidTanner):
         FullTannerGraph(n=6, k=3, r=3, local_checks=(), global_count=3)
