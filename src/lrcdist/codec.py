@@ -17,10 +17,14 @@ claimed distance g (``construct_optimal_lrc`` always claims d*).  If none
 is, no smaller subset is dependent either, because independence is
 hereditary, and the scan starts at w = g; otherwise it starts at w = 1.
 Either way the result is the exact distance; a wrong claim costs one extra
-level.  Each level groups its w-subsets by their w - 1 smallest columns and
-eliminates each such prefix once for all its extensions
+level.  Level 1 is the zero-column test.  From w = 2 on, each level groups
+its w-subsets by their w - 2 smallest columns and eliminates each such
+prefix P once for all pairs {u, v} of later columns
 (``gf.batch_columns_independent``), in batches of at most ``_ENTRY_BUDGET``
-int64 entries, so memory stays flat however many subsets a level has.
+int64 entries, so memory stays flat however many subsets a level has.  The
+pairs are settled without further elimination, and exactly: P with u and v
+is dependent iff P is, or the images of u and v modulo span(P) are
+dependent, which means one image is zero or the two are parallel.
 """
 
 from __future__ import annotations
@@ -105,16 +109,20 @@ def _check_distance_envelope(p: CodeParams, claimed: int | None) -> None:
 def _has_dependent_columns(h: np.ndarray, q: int, w: int) -> bool:
     """Whether some w columns of h, 1 <= w <= rows, are linearly dependent over GF(q).
 
-    The w-subsets are grouped by their w - 1 smallest columns (the prefix);
-    the prefixes that end at the same column go to the kernel in batches
-    sized by ``_ENTRY_BUDGET``, and the scan stops at the first dependent one.
+    Level 1 is the zero-column test.  From w = 2 on, the w-subsets are
+    grouped by their w - 2 smallest columns (the prefix), each settled with
+    every pair of later columns; the prefixes that end at the same column go
+    to the kernel in batches sized by ``_ENTRY_BUDGET``, and the scan stops
+    at the first dependent one.
     """
     m, n = h.shape
     if w == 1:
         return not (h % q).any(axis=0).all()
-    for last in range(w - 2, n - 1):
-        prefixes = np.array([(*head, last) for head in combinations(range(last), w - 2)], dtype=np.int64)
-        batch = max(1, _ENTRY_BUDGET // (m * (w - 1 + n - 1 - last)))
+    s = w - 2
+    for last in range(s - 1, n - 2) if s else [-1]:
+        rows = [(*head, last) for head in combinations(range(last), s - 1)] if s else [()]
+        prefixes = np.array(rows, dtype=np.int64)
+        batch = max(1, _ENTRY_BUDGET // (m * (s + n - 1 - last)))
         for i in range(0, len(prefixes), batch):
             if not gf.batch_columns_independent(h, q, prefixes[i:i + batch]).all():
                 return True

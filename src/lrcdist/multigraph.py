@@ -34,6 +34,13 @@ from .params import is_int
 DENSITY_ENVELOPE = 16
 
 
+def _vertex(v) -> int:
+    """``operator.index`` that refuses a bool: True is not the vertex 1."""
+    if isinstance(v, bool):
+        raise TypeError(f"vertex must be an integer, got {v!r}")
+    return index(v)
+
+
 @dataclass(frozen=True)
 class ForbiddenFamily:
     """All multigraphs of a fixed order with size strictly above ``max_size``."""
@@ -87,7 +94,7 @@ class Multigraph:
         return self._size
 
     def multiplicity(self, u: int, v: int) -> int:
-        u, v = index(u), index(v)
+        u, v = _vertex(u), _vertex(v)
         if not (0 <= u < self.order and 0 <= v < self.order):
             raise UnknownVertex(f"vertex pair ({u}, {v}) outside 0..{self.order - 1}")
         return self._pairs.get((u, v) if u < v else (v, u), 0)
@@ -112,7 +119,7 @@ class Multigraph:
 
     def induced_size(self, vertices: Iterable[int]) -> int:
         """Sum of edge multiplicities over pairs inside ``vertices``."""
-        vs = {index(v) for v in vertices}
+        vs = {_vertex(v) for v in vertices}
         for v in vs:
             if not 0 <= v < self.order:
                 raise UnknownVertex(f"vertex {v} outside 0..{self.order - 1}")

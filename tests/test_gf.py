@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -35,10 +36,24 @@ def test_rref_properties():
         assert gf.rank_mod(stacked, q) == len(pivots)
 
 
+def prefix_groups(n, s):
+    """Every s-column prefix with at least two later columns, grouped by its
+    last column (-1 for the empty prefix), as the distance scan batches them."""
+    for last in range(s - 1, n - 2) if s else [-1]:
+        heads = [c + (last,) for c in combinations(range(last), s - 1)] if s else [()]
+        yield last, np.array(heads, dtype=np.int64).reshape(len(heads), s)
+
+
+def independent_with_every_pair(mat, q, prefix, last):
+    """rank_mod of the prefix plus each pair of later columns, one subset at a time."""
+    pairs = combinations(range(last + 1, mat.shape[1]), 2)
+    return all(gf.rank_mod(mat[:, [*prefix, u, v]], q) == len(prefix) + 2 for u, v in pairs)
+
+
 def test_prefix_extensions_match_per_subset_rank():
-    # every prefix and every later column, against rank_mod of the prefix and
-    # of the prefix plus that column; s = m and s = m + 1 leave no row below
-    # the pivots, and the largest accepted field checks the int64 headroom
+    # every prefix, against rank_mod of the prefix plus each pair of later
+    # columns; s = m and s = m + 1 (and s = m - 1) leave fewer than two rows
+    # below the pivots, and the largest accepted field checks the int64 headroom
     rng = np.random.default_rng(2)
     compared = 0
     for _ in range(30):
@@ -47,22 +62,45 @@ def test_prefix_extensions_match_per_subset_rank():
         n = int(rng.integers(m, 8))
         mat = rng.integers(0, q, size=(m, n)).astype(np.int64)
         for s in range(m + 2):
-            for last in range(s - 1, n - 1) if s else [-1]:
-                heads = [c + (last,) for c in combinations(range(last), s - 1)] if s else [()]
-                prefixes = np.array(heads, dtype=np.int64).reshape(len(heads), s)
+            for last, prefixes in prefix_groups(n, s):
                 fast = gf.batch_columns_independent(mat, q, prefixes)
-                assert fast.shape == (len(heads), n - 1 - last)
-                for row, prefix in zip(fast, heads):
-                    prefix_ok = gf.rank_mod(mat[:, list(prefix)], q) == s
-                    for c, got in zip(range(last + 1, n), row):
-                        extended_ok = gf.rank_mod(mat[:, list(prefix) + [c]], q) == s + 1
-                        assert got == (prefix_ok and extended_ok)
-                        compared += 1
+                assert fast.shape == (len(prefixes),)
+                for got, prefix in zip(fast, prefixes.tolist()):
+                    assert got == independent_with_every_pair(mat, q, prefix, last)
+                    compared += comb(n - 1 - last, 2)
     assert compared > 500
 
 
 def test_batched_wide_subsets_always_dependent():
-    mat = np.array([[1, 2, 3, 4], [0, 1, 4, 1]], dtype=np.int64)
-    for prefix in ([0, 1], [0, 1, 2]):
+    # s + 2 > m columns in m rows: every prefix reads dependent
+    mat = np.array([[1, 2, 3, 4, 1], [0, 1, 4, 1, 3]], dtype=np.int64)
+    for prefix in ([0], [0, 1], [0, 1, 2]):
         ok = gf.batch_columns_independent(mat, 5, np.array([prefix], dtype=np.int64))
-        assert ok.shape == (1, 4 - len(prefix)) and not ok.any()
+        assert ok.shape == (1,) and not ok.any()
+        assert not independent_with_every_pair(mat, 5, prefix, prefix[-1])
+
+
+def test_planted_dependencies_are_found():
+    # over the largest accepted field, random columns are independent; a zero
+    # column, a multiple of an earlier column and a combination of two
+    # columns each plant one dependency that the kernel must find at its level
+    q = 3037000493
+    rng = np.random.default_rng(3)
+    base = rng.integers(1, q, size=(4, 9)).astype(np.int64)
+    zero, parallel, triple = base.copy(), base.copy(), base.copy()
+    zero[:, 5] = 0
+    parallel[:, 6] = base[:, 2].astype(object) * int(rng.integers(2, q)) % q
+    a, b = (int(x) for x in rng.integers(1, q, size=2))
+    triple[:, 7] = (base[:, 1].astype(object) * a + base[:, 4].astype(object) * b) % q
+    # the smallest prefix length at which some prefix reads dependent; with
+    # s = m - 1 = 3 every prefix is dependent
+    for mat, first in ((base, 3), (zero, 0), (parallel, 0), (triple, 1)):
+        found = []
+        for s in range(4):
+            for last, prefixes in prefix_groups(9, s):
+                fast = gf.batch_columns_independent(mat, q, prefixes)
+                for got, prefix in zip(fast, prefixes.tolist()):
+                    assert got == independent_with_every_pair(mat, q, prefix, last)
+                    if not got:
+                        found.append(s)
+        assert min(found) == first

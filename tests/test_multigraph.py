@@ -61,9 +61,13 @@ def test_non_integer_vertices_rejected():
         with pytest.raises(BadArgs):
             Multigraph(3, multiplicities)
     g = cycle_graph(4)
+    h = Multigraph(3, {(1, 2): 1})
     for call in (
         lambda: g.multiplicity(0.5, 1),
         lambda: g.induced_size({0.5, 1}),
+        lambda: h.multiplicity(True, 2),
+        lambda: h.multiplicity(2, False),
+        lambda: h.induced_size({True, 2}),
     ):
         with pytest.raises(TypeError):
             call()
