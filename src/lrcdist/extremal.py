@@ -29,20 +29,23 @@ pairs each new edge pushes below k.
 Both searches bound a node by the edges that the vertices still to come
 can hold among themselves.  The girth search takes these caps from its
 own answers at smaller orders (an induced subgraph of a girth > k graph
-has girth > k).  The family search takes them in closed form: up to
-``family.order`` vertices lie in one forbidden subset, and above that
-the averaging argument (each edge on m vertices lies in m - 2 of their
-(m - 1)-subsets, so m vertices hold at most m / (m - 2) times the cap
-on m - 1) extends the cap one vertex at a time.  The same argument caps
-the whole graph: a decision query above that cap is answered without a
-search, and the girth search bounds its root with it.  Every bound
-holds for every completion of the partial graph, with or without sorted
-degrees, so it cuts only subtrees with nothing above the best so far
-(or nothing at the target); the search improves its best at the same
-nodes as without the bounds and returns the same witness.  Both greedy
-seeds try the same fixed pair orders, drawn once per number of pairs and
-cached, and the family search builds its pair and subset tables once per
-shape.
+has girth > k), and caps the whole graph with the irregular Moore bound
+(k >= order, a forest, is its d = 2 end).  A seed that meets the cap is
+a graph at a proven upper bound, so it is the answer; the seed meets it
+at every order <= 10, and no search runs there.  The family search takes
+its caps in closed form: up to ``family.order`` vertices lie in one
+forbidden subset, and above that the averaging argument (each edge on m
+vertices lies in m - 2 of their (m - 1)-subsets, so m vertices hold at
+most m / (m - 2) times the cap on m - 1) extends the cap one vertex at a
+time.  The same argument caps the whole graph: a decision query above
+that cap is answered without a search, and the girth search bounds its
+root with it.  Every bound holds for every completion of the partial
+graph, with or without sorted degrees, so it cuts only subtrees with
+nothing above the best so far (or nothing at the target); the search
+improves its best at the same nodes as without the bounds and returns
+the same witness.  Both greedy seeds try the same fixed pair orders,
+drawn once per number of pairs and cached, and the family search builds
+its pair and subset tables once per shape.
 
 ``free_multigraph`` answers the decision form directly: is there a
 family-free multigraph of the given order and exact size?  It stops at
@@ -366,6 +369,34 @@ def _add_edge_distances(
     return nd, fell
 
 
+def _moore_cap(order: int, k: int) -> int:
+    """Most edges the irregular Moore bound allows on ``order`` vertices with girth > k.
+
+    Alon, Hoory and Linial ("The Moore bound for irregular graphs", 2002):
+    a graph of average degree d >= 2 and girth g has at least n0(d, g)
+    vertices, where n0(d, 2r + 1) = 1 + d * sum_{i<r} (d - 1)^i and
+    n0(d, 2r) = 2 * sum_{i<r} (d - 1)^i.  With d = 2e / order the test
+    n0 <= order is multiplied through by order^r and checked in integers.
+    n0 grows with d, so the cap is the last e from order on that passes.
+    At e = order (d = 2) n0 is g itself, so for k >= order no e passes and
+    the cap is order - 1: the graph is a forest.
+    """
+    g = k + 1
+    r = g // 2
+
+    def fits(e: int) -> bool:
+        x = 2 * e - order  # order * (d - 1)
+        walk = sum(x**i * order ** (r - 1 - i) for i in range(r))  # order^(r-1) * sum (d-1)^i
+        if g % 2:
+            return order**r + 2 * e * walk <= order ** (r + 1)
+        return 2 * order * walk <= order ** (r + 1)
+
+    e = max(order - 1, 0)
+    while order and fits(e + 1):
+        e += 1
+    return e
+
+
 @lru_cache(maxsize=None)
 def max_size_girth(order: int, k: int) -> ExtremalResult:
     """Exact maximum edges of a simple graph on ``order`` vertices with girth > k.
@@ -387,9 +418,16 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
     among themselves (and no more than their addable pairs); vertices u
     and later hold at most ``smaller[order - u]`` edges in all, of which
     u's block has already taken some.  At u = 0 that set is the whole
-    graph, whose cap comes from averaging: each edge lies in order - 2 of
-    the order subgraphs on order - 1 vertices, so the graph has at most
-    ``order * smaller[order - 1] // (order - 2)`` edges.
+    graph, which holds at most the smaller of two caps: averaging (each
+    edge lies in order - 2 of the order subgraphs on order - 1 vertices,
+    so ``order * smaller[order - 1] // (order - 2)`` edges) and the
+    irregular Moore bound, ``_moore_cap``.
+
+    A greedy seed above the Moore cap is a failed self-check, and a seed
+    that meets it is the answer, with no search and no smaller order
+    asked.  Up to order 10 the cap is exact for every k and the seed
+    meets it.  For k >= order (d = 2, no cycle fits) the cap is a
+    spanning tree's order - 1.
 
     The search improves its best at the same nodes, in the same order, as
     a search that makes neither cut, so it returns the same witness.  Both
@@ -422,15 +460,19 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
         if len(chosen) > best:
             best = len(chosen)
             best_edges = chosen
-    if k >= order and best == max(order - 1, 0):
-        # every cycle is at most order <= k long, so the graph is a forest
-        # and a spanning tree is the maximum: the search cannot beat the seed
+    cap = _moore_cap(order, k)
+    if best > cap:
+        raise SelfCheckFailed(
+            f"girth > {k} seed on {order} vertices has {best} edges, above the Moore cap {cap}"
+        )
+    if best == cap:
+        # nothing can beat a seed at a proven upper bound
         return ExtremalResult(value=best, witness=Multigraph.from_edges(order, best_edges), exhaustive=True)
 
     smaller = [max_size_girth(m, k).value for m in range(order)]
-    # the whole graph, by averaging over its (order - 1)-vertex subgraphs:
-    # each edge lies in order - 2 of them
-    whole = order * smaller[order - 1] // (order - 2) if order >= 3 else _FAR
+    # the whole graph, by the Moore cap and by averaging over its
+    # (order - 1)-vertex subgraphs: each edge lies in order - 2 of them
+    whole = min(order * smaller[order - 1] // (order - 2), cap) if order >= 3 else cap
     state = {"best": best, "edges": best_edges}
     edges: list[tuple[int, int]] = []
     deg = [0] * order

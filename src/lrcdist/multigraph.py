@@ -28,10 +28,8 @@ from dataclasses import dataclass
 from operator import index
 from typing import ItemsView, Iterable, Mapping
 
-from .errors import BadArgs, BadK, EnvelopeExceeded, UnknownVertex
+from .errors import BadArgs, BadK, UnknownVertex
 from .params import is_int
-
-DENSITY_ENVELOPE = 16
 
 
 def _vertex(v) -> int:
@@ -199,34 +197,6 @@ def k_density(g: Multigraph, k: int) -> int:
     if not 1 <= k <= g.order:
         raise BadK(f"k must be in [1, {g.order}], got {k}")
     return _densest(g, k)
-
-
-def density_profile(g: Multigraph) -> list[int]:
-    """k_density(g, k) for every k in 0..order, via one pass over all subsets.
-
-    Cheaper than repeated k_density calls when several k values are needed.
-    """
-    n = g.order
-    if n > DENSITY_ENVELOPE:
-        raise EnvelopeExceeded(f"density profile limited to order <= {DENSITY_ENVELOPE}")
-    rows = _matrix(g)
-    size_of = [0] * (1 << n)
-    best = [0] * (n + 1)
-    for mask in range(1, 1 << n):
-        v = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << v)
-        row = rows[v]
-        s = size_of[rest]
-        w = rest
-        while w:
-            u = (w & -w).bit_length() - 1
-            s += row[u]
-            w &= w - 1
-        size_of[mask] = s
-        c = mask.bit_count()
-        if s > best[c]:
-            best[c] = s
-    return best
 
 
 def is_family_free(g: Multigraph, family: ForbiddenFamily) -> bool:

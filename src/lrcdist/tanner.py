@@ -36,7 +36,6 @@ from .errors import (
     NothingToReduce,
     SelfCheckFailed,
     ShapeMismatch,
-    UnknownCheck,
 )
 from .multigraph import Multigraph
 from .params import CodeParams, is_int
@@ -183,20 +182,6 @@ def p2f(p: PrunedGraph, strategy: str | AttachStrategy = "first") -> FullTannerG
         local_checks=tuple(frozenset(c) for c in checks),
         global_count=(p.n - p.k) - p.h,
     )
-
-
-def neighborhood_size(t: FullTannerGraph, checks: Sequence[int]) -> int:
-    """|N(S)| for a set of check indices (locals first, then globals)."""
-    total = t.check_count
-    local_count = len(t.local_checks)
-    seen: set[int] = set()
-    for c in checks:
-        if not 0 <= c < total:
-            raise UnknownCheck(f"check index {c} outside 0..{total - 1}")
-        if c >= local_count:
-            return t.n
-        seen |= t.local_checks[c]
-    return len(seen)
 
 
 def _local_min_neighborhoods(masks: list[int]) -> list[int]:

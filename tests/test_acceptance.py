@@ -27,7 +27,7 @@ from lrcdist.extremal import (
     max_size_simple,
     t_bound,
 )
-from lrcdist.multigraph import ForbiddenFamily, Multigraph, density_profile
+from lrcdist.multigraph import ForbiddenFamily, Multigraph
 from lrcdist.params import derive_params
 from lrcdist.tanner import (
     FullTannerGraph,
@@ -37,6 +37,8 @@ from lrcdist.tanner import (
     refine,
     tanner_min_distance,
 )
+
+from test_multigraph import density_profile
 
 
 def _report(num, name, t0, detail=""):
@@ -148,6 +150,24 @@ def test_criterion_4b_girth_matches_published_extremal_numbers():
     assert max_size_girth(10, 4).witness.degrees() == (3,) * 10
     assert time.time() - t0 < 300
     _report("4b", "published girth extremal numbers", t0)
+
+
+def test_criterion_4c_girth_oracle_answers_orders_9_and_10_within_a_second():
+    # values from the exhaustive search without the Moore cap; each query
+    # starts from cold caches
+    table = {
+        9: [20, 12, 10, 9, 9, 9, 8, 8],
+        10: [25, 15, 12, 11, 10, 10, 10, 9, 9],
+    }
+    t0 = time.time()
+    for order, values in table.items():
+        for k, value in enumerate(values, 3):
+            max_size_girth.cache_clear()
+            start = time.process_time()
+            res = max_size_girth(order, k)
+            assert time.process_time() - start < 1.0, (order, k)
+            assert res.value == value and res.witness.size == value, (order, k)
+    _report("4c", "girth oracle at orders 9 and 10", t0)
 
 
 def test_criterion_5_forest_rule_matches_oracle():

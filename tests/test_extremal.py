@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrcdist import extremal
-from lrcdist.errors import BadArgs, EnvelopeExceeded, UnboundedFamily
+from lrcdist.errors import BadArgs, EnvelopeExceeded, SelfCheckFailed, UnboundedFamily
 from lrcdist.extremal import (
     _FAR,
     _add_edge_distances,
     _induced_caps,
+    _moore_cap,
     _seed_orders,
     free_multigraph,
     max_size_girth,
@@ -577,6 +579,83 @@ def test_forest_girth_queries_skip_the_search():
         res = max_size_girth(9, k)
         assert time.process_time() - start < 1.0, k
         assert (res.value, res.witness.size) == (8, 8)
+
+
+def fraction_moore_cap(order, k):
+    """Most edges with girth > k on ``order`` vertices that the irregular Moore
+    bound allows, with n0(d, g) evaluated in Fractions at d = 2e / order."""
+    g = k + 1
+    r = g // 2
+
+    def n0(d):
+        walk = sum((d - 1) ** i for i in range(r))
+        return 1 + d * walk if g % 2 else 2 * walk
+
+    e = order - 1
+    while n0(Fraction(2 * (e + 1), order)) <= order:
+        e += 1
+    return e
+
+
+def test_moore_cap_matches_a_fraction_evaluation():
+    for order in range(1, 41):
+        for k in range(3, 41):
+            assert _moore_cap(order, k) == fraction_moore_cap(order, k), (order, k)
+
+
+def test_moore_cap_counts_a_tie_as_fitting():
+    # n0(d, g) equals the order exactly at an integer degree d, where the
+    # cap is d * order / 2; the larger of these orders take the integer
+    # sides of the test past 2^53
+    for d in range(3, 7):
+        for r in range(2, 12):
+            walk = sum((d - 1) ** i for i in range(r))
+            for order, k in ((1 + d * walk, 2 * r), (2 * walk, 2 * r - 1)):
+                if order <= 5000:
+                    assert _moore_cap(order, k) == d * order // 2, (d, order, k)
+
+
+def test_moore_cap_is_a_forest_when_no_cycle_fits():
+    # at d = 2 the bound asks for g = k + 1 vertices, more than the order
+    assert _moore_cap(0, 3) == 0
+    for order in range(1, 41):
+        for k in range(max(order, 3), order + 6):
+            assert _moore_cap(order, k) == order - 1, (order, k)
+
+
+def test_moore_cap_holds_and_meets_the_girth_oracle():
+    for order in range(0, 10):
+        for k in range(3, order + 3):
+            assert _moore_cap(order, k) == max_size_girth(order, k).value, (order, k)
+
+
+def test_unseeded_girth_search_reaches_the_table_at_orders_8_and_9(monkeypatch):
+    # Without the seed the search starts from the empty graph, so the Moore
+    # cap only bounds the root; the values are the seeded search's
+    table = {
+        8: [16, 10, 9, 8, 8, 7, 7],
+        9: [20, 12, 10, 9, 9, 9, 8, 8],
+    }
+    monkeypatch.setattr(extremal, "_seed_orders", lambda npairs: ())
+    max_size_girth.cache_clear()
+    try:
+        for order, values in table.items():
+            for k, value in enumerate(values, 3):
+                res = max_size_girth(order, k)
+                assert res.value == value, (order, k)
+                assert res.witness.size == value and not has_short_cycle(res.witness, k)
+    finally:
+        max_size_girth.cache_clear()
+
+
+def test_a_seed_above_the_moore_cap_fails_the_self_check(monkeypatch):
+    monkeypatch.setattr(extremal, "_moore_cap", lambda order, k: order - 2)
+    max_size_girth.cache_clear()
+    try:
+        with pytest.raises(SelfCheckFailed):
+            max_size_girth(5, 3)
+    finally:
+        max_size_girth.cache_clear()
 
 
 @st.composite

@@ -10,7 +10,6 @@ from lrcdist.errors import BadArgs, BadK, UnknownVertex
 from lrcdist.multigraph import (
     ForbiddenFamily,
     Multigraph,
-    density_profile,
     is_family_free,
     k_density,
     multigraph_from_json,
@@ -20,6 +19,31 @@ from lrcdist.multigraph import (
 
 def complete_graph(n):
     return saturated_pair_graph(n, 1)
+
+
+def density_profile(g):
+    """Largest induced size for every k in 0..order, by one pass over all vertex subsets."""
+    n = g.order
+    rows = [[0] * n for _ in range(n)]
+    for (u, v), m in g.pair_multiplicities():
+        rows[u][v] = rows[v][u] = m
+    size_of = [0] * (1 << n)
+    best = [0] * (n + 1)
+    for mask in range(1, 1 << n):
+        v = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << v)
+        row = rows[v]
+        s = size_of[rest]
+        w = rest
+        while w:
+            u = (w & -w).bit_length() - 1
+            s += row[u]
+            w &= w - 1
+        size_of[mask] = s
+        c = mask.bit_count()
+        if s > best[c]:
+            best[c] = s
+    return best
 
 
 def brute_density(g, k):

@@ -20,7 +20,6 @@ from lrcdist.tanner import (
     PrunedGraph,
     f2p,
     graph_to_pruned,
-    neighborhood_size,
     p2f,
     reduce_check_nodes,
     refine,
@@ -28,6 +27,20 @@ from lrcdist.tanner import (
     tanner_min_distance,
     tanner_to_json,
 )
+
+
+def neighborhood_size(t, checks):
+    """|N(S)| for a set of check indices of a full Tanner graph (locals first, then globals)."""
+    total = t.check_count
+    local_count = len(t.local_checks)
+    seen = set()
+    for c in checks:
+        if not 0 <= c < total:
+            raise UnknownCheck(f"check index {c} outside 0..{total - 1}")
+        if c >= local_count:
+            return t.n
+        seen |= t.local_checks[c]
+    return len(seen)
 
 
 def witness_tanner(n, k, r):
