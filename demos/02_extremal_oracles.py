@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Exercise the exact extremal-graph oracles behind the distance decisions.
 
-Three exhaustive searches answer: how many edges can a graph on n vertices
-carry before some k-subset gets denser than allowed?  The demo reproduces
-the classic triangle-free numbers, shows that multiple edges buy nothing
-when the density cap is k - 1, and cross-checks that regime against an
-independent girth computation.
+Three exact oracles answer: how many edges can a graph on n vertices
+carry before some k-subset gets denser than allowed?  Two are exhaustive
+searches, over multigraphs and over simple graphs; the third, for graphs
+with no short cycle, is a greedy construction certified by the irregular
+Moore bound.  The demo reproduces the classic triangle-free numbers,
+shows that multiple edges buy nothing when the density cap is k - 1, and
+cross-checks that regime against the independent girth oracle.
 """
 
 from lrcdist import (

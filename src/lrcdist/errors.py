@@ -45,10 +45,6 @@ class InvalidTanner(LrcError, ValueError):
     """Structure violating the full-Tanner-graph or pruned-graph invariants."""
 
 
-class UnknownCheck(LrcError, ValueError):
-    """A check-node index outside the graph's check range."""
-
-
 class NothingToReduce(LrcError, ValueError):
     """Check-node reduction requested on a graph already at the minimum check count."""
 

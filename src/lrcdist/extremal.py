@@ -1,6 +1,6 @@
-"""Exact brute-force extremal-graph oracles.
+"""Exact extremal-graph oracles.
 
-Three maximum-size questions are answered exhaustively at desk scale
+Three maximum-size questions are answered exactly at desk scale
 (order <= 10):
 
 * ``max_size_multigraph``: most edges a loopless multigraph can carry
@@ -11,41 +11,34 @@ Three maximum-size questions are answered exhaustively at desk scale
   length in [3, k], computed independently of the family machinery so
   the two routes can cross-check each other.
 
-All searches are depth-first branch and bound over vertex pairs in
-lexicographic order.  Three devices keep them exact but fast: a greedy
-randomized seed supplies a strong initial lower bound, completed-vertex
-degrees are forced non-increasing (every graph has a degree-sorted
-relabeling, so the restriction is lossless), and upper bounds prune
-branches.
+The family questions are answered by depth-first branch and bound over
+vertex pairs in lexicographic order.  Three devices keep the search
+exact but fast: a greedy randomized seed supplies a strong initial lower
+bound, completed-vertex degrees are forced non-increasing (every graph
+has a degree-sorted relabeling, so the restriction is lossless), and
+upper bounds prune branches.  The search carries each pair's room, the
+multiplicity it can still take, from node to node, and lowers it only
+for the pairs that share a forbidden subset with the pair just
+assigned; the branch top is the pair's own room.
 
-Each search carries its state from node to node instead of recomputing
-it.  The family search keeps every pair's room, the multiplicity it can
-still take, and lowers it only for the pairs that share a forbidden
-subset with the pair just assigned; the branch top is the pair's own
-room.  The girth search keeps distances only below k, the one threshold
-it tests, and carries the number of pairs still addable, lowered by the
-pairs each new edge pushes below k.
+The search bounds a node by the edges that the vertices still to come
+can hold among themselves, with caps in closed form: up to
+``family.order`` vertices lie in one forbidden subset, and above that
+the averaging argument (each edge on m vertices lies in m - 2 of their
+(m - 1)-subsets, so m vertices hold at most m / (m - 2) times the cap on
+m - 1) extends the cap one vertex at a time.  The same argument caps the
+whole graph: a decision query above that cap is answered without a
+search.  Every bound holds for every completion of the partial graph,
+with or without sorted degrees, so it cuts only subtrees with nothing
+above the best so far (or nothing at the target); the search improves
+its best at the same nodes as without the bounds and returns the same
+witness.  The pair and subset tables are built once per shape.
 
-Both searches bound a node by the edges that the vertices still to come
-can hold among themselves.  The girth search takes these caps from its
-own answers at smaller orders (an induced subgraph of a girth > k graph
-has girth > k), and caps the whole graph with the irregular Moore bound
-(k >= order, a forest, is its d = 2 end).  A seed that meets the cap is
-a graph at a proven upper bound, so it is the answer; the seed meets it
-at every order <= 10, and no search runs there.  The family search takes
-its caps in closed form: up to ``family.order`` vertices lie in one
-forbidden subset, and above that the averaging argument (each edge on m
-vertices lies in m - 2 of their (m - 1)-subsets, so m vertices hold at
-most m / (m - 2) times the cap on m - 1) extends the cap one vertex at a
-time.  The same argument caps the whole graph: a decision query above
-that cap is answered without a search, and the girth search bounds its
-root with it.  Every bound holds for every completion of the partial
-graph, with or without sorted degrees, so it cuts only subtrees with
-nothing above the best so far (or nothing at the target); the search
-improves its best at the same nodes as without the bounds and returns
-the same witness.  Both greedy seeds try the same fixed pair orders,
-drawn once per number of pairs and cached, and the family search builds
-its pair and subset tables once per shape.
+The girth question needs no search.  The irregular Moore bound caps it
+(k >= order, a forest, is its d = 2 end), and the best greedy seed meets
+the cap at every order <= 10 and every k, so that seed is the answer; a
+seed off the cap fails the self-check.  Both greedy seeds try the same
+fixed pair orders, drawn once per number of pairs and cached.
 
 ``free_multigraph`` answers the decision form directly: is there a
 family-free multigraph of the given order and exact size?  It stops at
@@ -332,41 +325,24 @@ def free_multigraph(order: int, size: int, family: ForbiddenFamily) -> Multigrap
     return _free_multigraph(order, size, family.order, family.max_size)
 
 
-def _add_edge_distances(
-    dist: list[list[int]], u: int, v: int, k: int, index: list[list[int]], after: int
-) -> tuple[list[list[int]], int]:
-    """``dist`` with edge (u, v) added, and the number of pairs it pushed below k.
+def _add_edge(dist: list[list[int]], u: int, v: int, k: int):
+    """Add edge (u, v) to ``dist`` in place.
 
     ``dist`` must hold the exact distance wherever that is below k and
-    ``_FAR`` elsewhere; the result keeps that invariant.  A shortest path
-    that uses the new edge runs a..u, v..b (or the reverse) over old
-    shortest paths, and it is shorter than k only if both of those are
-    shorter than k - 1, so only such pairs (a, b) are relaxed, and only to
-    values below k.  ``dist`` itself is left as it is: the rows that may
-    change are copied, the others are shared.
-
-    Only pairs whose ``index`` is above ``after`` are counted;
-    ``index[a][b]`` is the position of the pair {a, b} in the caller's
-    pair order.  (a, b) and (b, a) are written together, so a pair leaves
-    ``_FAR`` once and is counted once.
+    ``_FAR`` elsewhere; it keeps that invariant.  A shortest path that
+    uses the new edge runs a..u, v..b (or the reverse) over old shortest
+    paths, and it is shorter than k only if both of those are shorter
+    than k - 1, so only such pairs (a, b) are relaxed, and only to values
+    below k.
     """
     near_u = [(a, d + 1) for a, d in enumerate(dist[u]) if d < k - 1]
     near_v = [(b, d) for b, d in enumerate(dist[v]) if d < k - 1]
-    nd = dist.copy()
-    for a, _ in near_u:
-        nd[a] = dist[a].copy()
-    for b, _ in near_v:
-        nd[b] = dist[b].copy()
-    fell = 0
     for a, da1 in near_u:
-        row_a = nd[a]
+        row_a = dist[a]
         for b, db in near_v:
             t = da1 + db
             if t < k and t < row_a[b]:
-                if row_a[b] == _FAR and index[a][b] > after:
-                    fell += 1
-                row_a[b] = nd[b][a] = t
-    return nd, fell
+                row_a[b] = dist[b][a] = t
 
 
 def _moore_cap(order: int, k: int) -> int:
@@ -401,130 +377,37 @@ def _moore_cap(order: int, k: int) -> int:
 def max_size_girth(order: int, k: int) -> ExtremalResult:
     """Exact maximum edges of a simple graph on ``order`` vertices with girth > k.
 
-    Independent of the family oracles: feasibility is tracked with an
-    incrementally maintained distance matrix (adding edge (u, v) closes a
-    cycle of length dist(u, v) + 1, so the edge is addable iff
-    dist(u, v) >= k).  Only distances below k are kept; every other entry
-    is ``_FAR``, and a new edge relaxes just the pairs (a, b) with
-    dist(a, u) + 1 + dist(v, b) below k.
-
-    Each node carries ``addable``, the number of addable pairs from its own
-    on; an added edge lowers it by one and by the later pairs it pushes
-    below k, so no node recounts them.  The node bounds come from this
-    function's own answers at smaller orders, ``smaller[m]``: an induced
-    subgraph of a girth > k graph has girth > k.  At pair (u, v), vertex u
-    can still gain the ``in_row`` addable pairs (u, b), b >= v, and the
-    order - u - 1 later vertices at most ``smaller[order - u - 1]`` edges
-    among themselves (and no more than their addable pairs); vertices u
-    and later hold at most ``smaller[order - u]`` edges in all, of which
-    u's block has already taken some.  At u = 0 that set is the whole
-    graph, which holds at most the smaller of two caps: averaging (each
-    edge lies in order - 2 of the order subgraphs on order - 1 vertices,
-    so ``order * smaller[order - 1] // (order - 2)`` edges) and the
-    irregular Moore bound, ``_moore_cap``.
-
-    A greedy seed above the Moore cap is a failed self-check, and a seed
-    that meets it is the answer, with no search and no smaller order
-    asked.  Up to order 10 the cap is exact for every k and the seed
-    meets it.  For k >= order (d = 2, no cycle fits) the cap is a
-    spanning tree's order - 1.
-
-    The search improves its best at the same nodes, in the same order, as
-    a search that makes neither cut, so it returns the same witness.  Both
-    bounds hold for every completion of the partial graph, sorted degrees
-    or not, so they cut only subtrees with nothing above the best so far.
-    The pairs a node walks past without a branch (those no longer
-    addable, and a child that would stop at the degree-order cut at once)
-    are the ones whose outcome is already known.
+    Independent of the family oracles.  Each greedy seed walks one of the
+    ``_seed_orders`` pair orders and adds every pair that closes no cycle
+    of length <= k: adding edge (u, v) closes a cycle of length
+    dist(u, v) + 1, so the edge is addable iff dist(u, v) >= k, read from
+    a distance matrix that keeps only distances below k.  The best seed is
+    the answer when it meets ``_moore_cap``, a proven upper bound; it does
+    at every order <= 10 and every k.  A seed above or below the cap fails
+    the self-check.
     """
     _check_envelope(order)
     if k < 3:
         raise BadArgs(f"need k >= 3, got {k}")
     pairs = list(combinations(range(order), 2))
-    npairs = len(pairs)
-    index = [[-1] * order for _ in range(order)]
-    for pi, (a, b) in enumerate(pairs):
-        index[a][b] = index[b][a] = pi
-    no_edges = [[0 if a == b else _FAR for b in range(order)] for a in range(order)]
-
-    best = 0
-    best_edges: list[tuple[int, int]] = []
-    for perm in _seed_orders(npairs):
-        dist = no_edges
+    best: list[tuple[int, int]] = []
+    for perm in _seed_orders(len(pairs)):
+        dist = [[0 if a == b else _FAR for b in range(order)] for a in range(order)]
         chosen = []
         for pi in perm:
             u, v = pairs[pi]
             if dist[u][v] == _FAR:
                 chosen.append((u, v))
-                dist, _ = _add_edge_distances(dist, u, v, k, index, npairs)
-        if len(chosen) > best:
-            best = len(chosen)
-            best_edges = chosen
+                _add_edge(dist, u, v, k)
+        if len(chosen) > len(best):
+            best = chosen
     cap = _moore_cap(order, k)
-    if best > cap:
+    if len(best) != cap:
+        side = "above" if len(best) > cap else "below"
         raise SelfCheckFailed(
-            f"girth > {k} seed on {order} vertices has {best} edges, above the Moore cap {cap}"
+            f"girth > {k} seed on {order} vertices has {len(best)} edges, {side} the Moore cap {cap}"
         )
-    if best == cap:
-        # nothing can beat a seed at a proven upper bound
-        return ExtremalResult(value=best, witness=Multigraph.from_edges(order, best_edges), exhaustive=True)
-
-    smaller = [max_size_girth(m, k).value for m in range(order)]
-    # the whole graph, by the Moore cap and by averaging over its
-    # (order - 1)-vertex subgraphs: each edge lies in order - 2 of them
-    whole = min(order * smaller[order - 1] // (order - 2), cap) if order >= 3 else cap
-    state = {"best": best, "edges": best_edges}
-    edges: list[tuple[int, int]] = []
-    deg = [0] * order
-
-    def dfs(i: int, size: int, dist: list[list[int]], addable: int):
-        # addable: pairs j >= i at _FAR
-        if size > state["best"]:
-            state["best"] = size
-            state["edges"] = edges.copy()
-        while i < npairs:
-            u, v = pairs[i]
-            if v == u + 1 and u >= 2 and deg[u - 2] < deg[u - 1]:
-                return
-            row = dist[u]
-            in_row = row[v:].count(_FAR)
-            # leaving a pair out lowers in_row and addable alike, so neither
-            # the later vertices' share nor the block's total moves
-            later = min(addable - in_row, smaller[order - u - 1])
-            # vertices u and later hold at most smaller[order - u] edges (at
-            # u = 0, all of them: whole); a 1 in row[u + 1 : v] is one of
-            # them already chosen
-            within = size - row[u + 1 : v].count(1) + (smaller[order - u] if u else whole)
-            b = v
-            while True:
-                if min(size + in_row + later, within) <= state["best"]:
-                    return
-                if not in_row:
-                    break
-                # the pairs before the next addable one are walked past
-                b = row.index(_FAR, b)
-                j = i + b - v
-                edges.append((u, b))
-                deg[u] += 1
-                deg[b] += 1
-                # a child that opens block u + 1 out of degree order, and
-                # cannot beat the best on entry, stops at once: skip its
-                # distances
-                if b < order - 1 or size >= state["best"] or not (u and deg[u - 1] < deg[u]):
-                    nd, fell = _add_edge_distances(dist, u, b, k, index, j)
-                    dfs(j + 1, size + 1, nd, addable - 1 - fell)
-                deg[u] -= 1
-                deg[b] -= 1
-                edges.pop()
-                # leave (u, b) out and go on in block u
-                b += 1
-                in_row -= 1
-                addable -= 1
-            i += order - v  # on to block u + 1
-
-    dfs(0, 0, no_edges, npairs)
-    witness = Multigraph.from_edges(order, state["edges"])
-    return ExtremalResult(value=state["best"], witness=witness, exhaustive=True)
+    return ExtremalResult(value=cap, witness=Multigraph.from_edges(order, best), exhaustive=True)
 
 
 def t_bound(n1: int, n2: int, k1: int, variant: str = "ceil") -> int:

@@ -12,7 +12,7 @@ from lrcdist import extremal
 from lrcdist.errors import BadArgs, EnvelopeExceeded, SelfCheckFailed, UnboundedFamily
 from lrcdist.extremal import (
     _FAR,
-    _add_edge_distances,
+    _add_edge,
     _induced_caps,
     _moore_cap,
     _seed_orders,
@@ -92,10 +92,13 @@ def test_witnesses_satisfy_their_own_predicate():
             res = max_size_simple(order, fam)
             assert is_family_free(res.witness, fam)
             assert all(m <= 1 for _, m in res.witness.pair_multiplicities())
-    for order in range(3, 8):
-        for k in (3, 4, 5):
+    # the girth answer rests on its witness alone, so check every one in
+    # the envelope with the independent BFS
+    for order in range(0, 11):
+        for k in range(3, order + 3):
             res = max_size_girth(order, k)
-            assert not has_short_cycle(res.witness, k)
+            assert (res.witness.order, res.witness.size) == (order, res.value), (order, k)
+            assert not has_short_cycle(res.witness, k), (order, k)
 
 
 def test_multigraph_at_least_simple():
@@ -279,38 +282,18 @@ def edge_sequences(draw):
     k = draw(st.integers(3, 7))
     pairs = [(u, v) for u in range(order) for v in range(order) if u != v]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=24))
-    # the pair position after which pushed-below-k pairs are counted
-    afters = draw(
-        st.lists(
-            st.integers(-1, order * (order - 1) // 2),
-            min_size=len(edges),
-            max_size=len(edges),
-        )
-    )
-    return order, k, edges, afters
+    return order, k, edges
 
 
 @settings(max_examples=300, deadline=None)
 @given(edge_sequences())
 def test_bounded_distance_update_matches_bfs(case):
     # below k every entry is the BFS distance; elsewhere it is _FAR, which
-    # the girth search counts as addable
-    order, k, edges, afters = case
-    index = [[-1] * order for _ in range(order)]
-    for pi, (a, b) in enumerate(combinations(range(order), 2)):
-        index[a][b] = index[b][a] = pi
+    # the greedy seed counts as addable
+    order, k, edges = case
     dist = [[0 if a == b else _FAR for b in range(order)] for a in range(order)]
-    for step, ((u, v), after) in enumerate(zip(edges, afters), 1):
-        before = [row.copy() for row in dist]
-        new, fell = _add_edge_distances(dist, u, v, k, index, after)
-        # the search keeps the parent matrix for the branch without the edge
-        assert dist == before
-        assert fell == sum(
-            1
-            for a, b in combinations(range(order), 2)
-            if index[a][b] > after and dist[a][b] >= k > new[a][b]
-        )
-        dist = new
+    for step, (u, v) in enumerate(edges, 1):
+        _add_edge(dist, u, v, k)
         for a in range(order):
             reach = bfs_distances(order, edges[:step], a)
             for b in range(order):
@@ -390,24 +373,6 @@ def test_girth_search_matches_the_rescan_reference():
             value, witness = rescan_girth_search(order, k, _seed_orders)
             res = max_size_girth(order, k)
             assert (res.value, res.witness) == (value, witness), (order, k)
-
-
-def test_unseeded_girth_search_matches_the_rescan_reference(monkeypatch):
-    # The greedy seed already reaches the maximum at every order up to 9, so
-    # the depth-first search never replaces its witness.  Without the seed
-    # the search starts from the empty graph and replaces its best many
-    # times; a bound that cut a subtree holding a larger graph would change
-    # the witness here.
-    monkeypatch.setattr(extremal, "_seed_orders", lambda npairs: ())
-    max_size_girth.cache_clear()
-    try:
-        for order in range(0, 8):
-            for k in range(3, order + 2):
-                value, witness = rescan_girth_search(order, k, extremal._seed_orders)
-                res = max_size_girth(order, k)
-                assert (res.value, res.witness) == (value, witness), (order, k)
-    finally:
-        max_size_girth.cache_clear()
 
 
 def reference_family_search(order, f_order, f_size, pair_cap, target, seed_orders):
@@ -629,29 +594,17 @@ def test_moore_cap_holds_and_meets_the_girth_oracle():
             assert _moore_cap(order, k) == max_size_girth(order, k).value, (order, k)
 
 
-def test_unseeded_girth_search_reaches_the_table_at_orders_8_and_9(monkeypatch):
-    # Without the seed the search starts from the empty graph, so the Moore
-    # cap only bounds the root; the values are the seeded search's
-    table = {
-        8: [16, 10, 9, 8, 8, 7, 7],
-        9: [20, 12, 10, 9, 9, 9, 8, 8],
-    }
-    monkeypatch.setattr(extremal, "_seed_orders", lambda npairs: ())
-    max_size_girth.cache_clear()
-    try:
-        for order, values in table.items():
-            for k, value in enumerate(values, 3):
-                res = max_size_girth(order, k)
-                assert res.value == value, (order, k)
-                assert res.witness.size == value and not has_short_cycle(res.witness, k)
-    finally:
-        max_size_girth.cache_clear()
-
-
 def test_a_seed_above_the_moore_cap_fails_the_self_check(monkeypatch):
     monkeypatch.setattr(extremal, "_moore_cap", lambda order, k: order - 2)
     max_size_girth.cache_clear()
     try:
+        with pytest.raises(SelfCheckFailed):
+            max_size_girth(5, 3)
+        # a seed below the cap is not certified either: with no pair orders
+        # the seed is the empty graph, six edges below the cap
+        monkeypatch.undo()
+        monkeypatch.setattr(extremal, "_seed_orders", lambda npairs: ())
+        max_size_girth.cache_clear()
         with pytest.raises(SelfCheckFailed):
             max_size_girth(5, 3)
     finally:

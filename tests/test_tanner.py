@@ -11,7 +11,6 @@ from lrcdist.errors import (
     InvalidTanner,
     NothingToReduce,
     ShapeMismatch,
-    UnknownCheck,
 )
 from lrcdist.multigraph import Multigraph
 from lrcdist.params import derive_params
@@ -36,7 +35,7 @@ def neighborhood_size(t, checks):
     seen = set()
     for c in checks:
         if not 0 <= c < total:
-            raise UnknownCheck(f"check index {c} outside 0..{total - 1}")
+            raise ValueError(f"check index {c} outside 0..{total - 1}")
         if c >= local_count:
             return t.n
         seen |= t.local_checks[c]
@@ -178,7 +177,7 @@ def test_neighborhood_size_examples():
         global_count=2,
     )
     assert neighborhood_size(sharing, [0, 1]) == 6
-    with pytest.raises(UnknownCheck):
+    with pytest.raises(ValueError):
         neighborhood_size(sharing, [9])
 
 
