@@ -86,69 +86,69 @@ def _turan_size(order: int, parts: int) -> int:
     return (order * order - extra * (base + 1) ** 2 - (parts - extra) * base * base) // 2
 
 
-def _saturated_witness(p: CodeParams, search_limit: int) -> Multigraph | None:
+def _saturated_witness(p: CodeParams) -> Multigraph | None:
     if p.n2 <= comb(p.n1, 2) * p.k2:
         return _take(p.n1, cons.saturated_pairs(p.n1, p.k2), p.n2)
     return None
 
 
-def _forest_witness(p: CodeParams, search_limit: int) -> Multigraph | None:
+def _forest_witness(p: CodeParams) -> Multigraph | None:
     if p.n2 <= p.n1 - forest_component_min(p.n1, p.k1, p.k2):
         return cons.balanced_forest(p.n1, p.n1 - p.n2)
     return None
 
 
-def _girth_witness(p: CodeParams, search_limit: int) -> Multigraph | None:
+def _girth_witness(p: CodeParams) -> Multigraph | None:
     girth = extremal.max_size_girth(p.n1, p.k1)
     if p.n2 <= girth.value:
         return _take(p.n1, reversed(girth.witness.pair_multiplicities()), p.n2)
     return None
 
 
-# (name, applies(p, search_limit), witness(p, search_limit)) in evaluation
-# order; each rule may assume that no earlier rule applied.  Constructions
-# and oracles are looked up on their modules at call time.
+# (name, applies(p, search_limit), witness(p)) in evaluation order; each
+# rule may assume that no earlier rule applied.  Constructions and oracles
+# are looked up on their modules at call time.
 RULES = (
     # r = k: every 1-vertex subgraph is empty
-    ("k1_eq_1", lambda p, _: p.k1 == 1, lambda p, _: cons.almost_regular(p.n1, p.n2)),
+    ("k1_eq_1", lambda p, _: p.k1 == 1, lambda p: cons.almost_regular(p.n1, p.n2)),
     # n2 = 0: the empty graph is trivially free
-    ("divides", lambda p, _: p.n2 == 0, lambda p, _: Multigraph.empty(p.n1)),
+    ("divides", lambda p, _: p.n2 == 0, lambda p: Multigraph.empty(p.n1)),
     # 0 < n2 <= k2: the whole size is already small enough
-    ("n2_le_k2", lambda p, _: p.k2 >= p.n2, lambda p, _: cons.almost_regular(p.n1, p.n2)),
+    ("n2_le_k2", lambda p, _: p.k2 >= p.n2, lambda p: cons.almost_regular(p.n1, p.n2)),
     # k2 = 0, k1 >= 2, n2 >= 1: a single edge violates
-    ("k2_zero", lambda p, _: p.k2 == 0 and p.k1 >= 2, lambda p, _: None),
+    ("k2_zero", lambda p, _: p.k2 == 0 and p.k1 >= 2, lambda p: None),
     # k1 = 2: the saturated pair graph is extremal, free iff n2 <= C(n1, 2) * k2
     ("k1_eq_2", lambda p, _: p.k1 == 2, _saturated_witness),
     # any k2 + 1 edges span at most 2k2 + 2 <= k1 vertices and violate
-    ("many_edges", lambda p, _: p.n2 >= p.k2 + 1 and p.k1 >= 2 * p.k2 + 2, lambda p, _: None),
+    ("many_edges", lambda p, _: p.n2 >= p.k2 + 1 and p.k1 >= 2 * p.k2 + 2, lambda p: None),
     # the min-degree peeling bound exceeds k2: no free graph
-    ("t_bound", lambda p, _: extremal.t_bound(p.n1, p.n2, p.k1, "floor") > p.k2, lambda p, _: None),
+    ("t_bound", lambda p, _: extremal.t_bound(p.n1, p.n2, p.k1, "floor") > p.k2, lambda p: None),
     # k2 < k1 - 1: balanced forests are extremal
     ("forest_k2_lt_k1m1", lambda p, _: p.k2 < p.k1 - 1, _forest_witness),
     # n1 - k1 = 1, d* only: the almost-regular graph is free; d* - 1 needs
     # n2 - floor(2 n2 / n1) > k2, which is t_bound after one peel
-    ("real_n1m1", lambda p, _: p.n1 - p.k1 == 1, lambda p, _: cons.almost_regular(p.n1, p.n2)),
+    ("real_n1m1", lambda p, _: p.n1 - p.k1 == 1, lambda p: cons.almost_regular(p.n1, p.n2)),
     # k1 = 3, k2 = 2, d* only: the bipartite Turan graph is free; past
     # floor(n1^2 / 4) edges t_bound already ends above 2 at order 3
-    ("mantel", lambda p, _: p.k1 == 3 and p.k2 == 2, lambda p, _: _take(p.n1, cons.turan_pairs(p.n1, 2), p.n2)),
+    ("mantel", lambda p, _: p.k1 == 3 and p.k2 == 2, lambda p: _take(p.n1, cons.turan_pairs(p.n1, 2), p.n2)),
     # k2 = C(k1, 2) - 1, one-sided: forbidding k1-subsets of size C(k1, 2)
     # means forbidding k1-cliques, and the balanced complete (k1-1)-partite
     # graph is the densest such simple graph, so it applies when that graph
     # has n2 edges
     ("turan_sufficient",
      lambda p, _: p.k2 == comb(p.k1, 2) - 1 and _turan_size(p.n1, p.k1 - 1) >= p.n2,
-     lambda p, _: _take(p.n1, cons.turan_pairs(p.n1, p.k1 - 1), p.n2)),
+     lambda p: _take(p.n1, cons.turan_pairs(p.n1, p.k1 - 1), p.n2)),
     # n2 < n1, d* only: k1 - 1 <= k2 and k1 < n1 here, and k1 < n1 vertices
     # of a forest or a cycle induce a forest, so at most k1 - 1 edges
-    ("forest_n2_lt_n1", lambda p, _: p.n2 < p.n1, lambda p, _: cons.balanced_forest(p.n1, p.n1 - p.n2)),
+    ("forest_n2_lt_n1", lambda p, _: p.n2 < p.n1, lambda p: cons.balanced_forest(p.n1, p.n1 - p.n2)),
     # n2 = n1, d* only: the cycle is free, as above
-    ("cycle_n2_eq_n1", lambda p, _: p.n2 == p.n1, lambda p, _: cons.cycle_graph(p.n1)),
+    ("cycle_n2_eq_n1", lambda p, _: p.n2 == p.n1, lambda p: cons.cycle_graph(p.n1)),
     # k2 = k1 - 1: free graphs of this size exist iff simple graphs of
     # girth > k1 reach size n2
     ("girth_k2_eq_k1m1", lambda p, limit: _girth_regime(p) and p.n1 <= limit, _girth_witness),
     # exhaustive multigraph search
     ("oracle", lambda p, limit: p.n1 <= limit,
-     lambda p, _: extremal.free_multigraph(p.n1, p.n2, ForbiddenFamily(p.k1, p.k2))),
+     lambda p: extremal.free_multigraph(p.n1, p.n2, ForbiddenFamily(p.k1, p.k2))),
 )
 
 
@@ -167,7 +167,7 @@ def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules
     search_limit = min(oracle_limit, extremal.SEARCH_ENVELOPE)
     for rule, applies, witness_of in RULES if use_rules else RULES[-1:]:
         if applies(p, search_limit):
-            witness = witness_of(p, search_limit)
+            witness = witness_of(p)
             break
     else:
         notes = [f"n1={p.n1} exceeds oracle limit {search_limit}"]

@@ -11,15 +11,18 @@ Three maximum-size questions are answered exactly at desk scale
   length in [3, k], computed independently of the family machinery so
   the two routes can cross-check each other.
 
-The family questions are answered by depth-first branch and bound over
-vertex pairs in lexicographic order.  Three devices keep the search
-exact but fast: a greedy randomized seed supplies a strong initial lower
-bound, completed-vertex degrees are forced non-increasing (every graph
-has a degree-sorted relabeling, so the restriction is lossless), and
-upper bounds prune branches.  The search carries each pair's room, the
-multiplicity it can still take, from node to node, and lowers it only
-for the pairs that share a forbidden subset with the pair just
-assigned; the branch top is the pair's own room.
+The family questions rest on one decision search: depth-first branch
+and bound over vertex pairs in lexicographic order for a family-free
+graph of a given size.  Greedy randomized seeds are tried first and
+often reach the size with no search at all, completed-vertex degrees
+are forced non-increasing (every graph has a degree-sorted relabeling,
+so the restriction is lossless), and upper bounds prune branches.  The
+search carries each pair's room, the multiplicity it can still take,
+from node to node, and lowers it only for the pairs that share a
+forbidden subset with the pair just assigned; the branch top is the
+pair's own room, or the edges still missing if fewer.  A maximum size
+is the last size the search reaches when asked for one more edge at a
+time.
 
 The search bounds a node by the edges that the vertices still to come
 can hold among themselves, with caps in closed form: up to
@@ -27,12 +30,11 @@ can hold among themselves, with caps in closed form: up to
 the averaging argument (each edge on m vertices lies in m - 2 of their
 (m - 1)-subsets, so m vertices hold at most m / (m - 2) times the cap on
 m - 1) extends the cap one vertex at a time.  The same argument caps the
-whole graph: a decision query above that cap is answered without a
-search.  Every bound holds for every completion of the partial graph,
-with or without sorted degrees, so it cuts only subtrees with nothing
-above the best so far (or nothing at the target); the search improves
-its best at the same nodes as without the bounds and returns the same
-witness.  The pair and subset tables are built once per shape.
+whole graph: a size above that cap is answered without a search.  Every
+bound holds for every completion of the partial graph, with or without
+sorted degrees, so it cuts only subtrees with nothing at the target,
+and the search returns the same first witness as without the bounds.
+The pair and subset tables are built once per shape.
 
 The girth question needs no search.  The irregular Moore bound caps it
 (k >= order, a forest, is its d = 2 end), and the best greedy seed meets
@@ -40,7 +42,7 @@ the cap at every order <= 10 and every k, so that seed is the answer; a
 seed off the cap fails the self-check.  Both greedy seeds try the same
 fixed pair orders, drawn once per number of pairs and cached.
 
-``free_multigraph`` answers the decision form directly: is there a
+``free_multigraph`` asks the decision search once: is there a
 family-free multigraph of the given order and exact size?  It stops at
 the first witness, which makes it the cheap path for distance decisions.
 
@@ -137,30 +139,29 @@ def _family_search(
     f_order: int,
     f_size: int,
     pair_cap: int,
-    target: int | None,
-) -> tuple[int, dict[tuple[int, int], int], bool]:
-    """Core maximizer.  Returns (best size, best assignment, target reached).
+    target: int,
+) -> dict[tuple[int, int], int] | None:
+    """The first family-free assignment of ``target`` edges, or None.
 
-    A node at pair (u, v) is cut unless some completion can beat the best
-    so far (max mode) or reach ``target`` (decision mode).  Its bounds:
-    the forbidden subsets' capacity averaged over the subsets each pair
-    lies in; u's remaining rooms plus the later pairs, which lie among the
+    The greedy seeds are tried first, in ``_seed_orders`` order, and the
+    first to reach ``target`` is returned.  Otherwise the depth-first
+    search returns the first node of size ``target``.  A node at pair
+    (u, v) is cut unless some completion can reach ``target``.  Its
+    bounds: u's remaining rooms plus the later pairs, which lie among the
     order - u - 1 later vertices and so hold at most the smaller of their
     rooms and ``cap[order - u - 1]``; and vertices u and later, which hold
-    at most ``cap[order - u]`` edges, of which u's block has already
-    taken some.  A target above ``cap[order]`` is not reached, with no
-    search at all.  Each bound holds for every completion of the partial
-    graph, so a cut subtree has nothing above the best (or at the target)
-    and the search improves its best, or reaches the target, at the same
-    nodes and with the same assignment as a search without the cuts.
+    at most ``cap[order - u]`` edges, of which u's block has already taken
+    some.  A target above ``cap[order]`` is not reached, with no search at
+    all.  Each bound holds for every completion of the partial graph, so
+    a cut subtree holds no node at the target and the search returns the
+    same assignment as a search without the cuts.
     """
     pairs, sub_of_pair, pairs_of_sub = _incidence(order, f_order)
     npairs = len(pairs)
     nsub = len(pairs_of_sub)
     cap = _induced_caps(order, f_order, f_size, pair_cap)
-    if target is not None and cap[order] < target:
-        return 0, {}, False
-    per_pair_subs = comb(order - 2, f_order - 2) if f_order >= 2 and order >= 2 else 0
+    if cap[order] < target:
+        return None
     # room[j]: the multiplicity pair j can still take, min(pair_cap, spare
     # capacity of each subset holding it); it only falls as edges are added,
     # and starts at pair_cap, which callers keep <= f_size wherever subsets exist
@@ -174,77 +175,52 @@ def _family_search(
                 if room[j] > spare:
                     room[j] = spare
 
-    # greedy randomized seed: a strong initial bound makes the pruning bite
-    best = 0
-    best_assign: dict[tuple[int, int], int] = {}
     for perm in _seed_orders(npairs):
         cur = [0] * nsub
         room = empty_room.copy()
         tot = 0
         assign: dict[tuple[int, int], int] = {}
         for pi in perm:
-            m = room[pi]
-            if target is not None:
-                m = min(m, target - tot)
+            m = min(room[pi], target - tot)
             if m > 0:
                 assign[pairs[pi]] = m
                 tot += m
                 add(cur, room, pi, m)
-        if target is not None and tot >= target:
-            # later orders could only tie, and a tie never replaces the seed
-            return tot, assign, True
-        if tot > best:
-            best = tot
-            best_assign = assign
+        if tot == target:
+            return assign
 
     cur = [0] * nsub
     room = empty_room.copy()
     deg = [0] * order
     assign_vec = [0] * npairs
-    state = {"best": best, "assign": best_assign, "done": False}
-    residual_start = nsub * f_size
 
-    def dfs(i: int, size: int, residual: int, in_block: int):
+    def dfs(i: int, size: int, in_block: int) -> bool:
         # in_block: the multiplicity already placed in the block of pair i
-        if size > state["best"]:
-            state["best"] = size
-            state["assign"] = {
-                pairs[j]: assign_vec[j] for j in range(npairs) if assign_vec[j]
-            }
-            if target is not None and size >= target:
-                state["done"] = True
-                return
+        if size == target:
+            return True
         if i == npairs:
-            return
+            return False
         u, v = pairs[i]
         # entering vertex block u at (u, u + 1): degree of u-2 is final,
         # enforce sorted order
         if v == u + 1:
             if u >= 2 and deg[u - 2] < deg[u - 1]:
-                return
+                return False
             in_block = 0
-        # a branch is useless unless it can beat `best` (max mode) or reach
-        # `target` (decision mode)
-        floor_needed = state["best"] if target is None else target - 1
-        if per_pair_subs:
-            if size + residual // per_pair_subs <= floor_needed:
-                return
-        if size - in_block + cap[order - u] <= floor_needed:
-            return
+        if size - in_block + cap[order - u] < target:
+            return False
         e = i + order - v  # the first pair of block u + 1
-        if size + sum(room[i:e]) + min(sum(room[e:]), cap[order - u - 1]) <= floor_needed:
-            return
-        top = room[i]
-        if target is not None:
-            top = min(top, target - size)
+        if size + sum(room[i:e]) + min(sum(room[e:]), cap[order - u - 1]) < target:
+            return False
         saved = room.copy()
-        for m in range(max(top, 0), -1, -1):
+        for m in range(min(room[i], target - size), -1, -1):
             if m:
                 add(cur, room, i, m)
                 deg[u] += m
                 deg[v] += m
             assign_vec[i] = m
-            dfs(i + 1, size + m, residual - m * len(sub_of_pair[i]), in_block + m)
+            if dfs(i + 1, size + m, in_block + m):
+                return True
             assign_vec[i] = 0
             if m:
                 for s in sub_of_pair[i]:
@@ -252,19 +228,29 @@ def _family_search(
                 room[:] = saved
                 deg[u] -= m
                 deg[v] -= m
-            if state["done"]:
-                return
+        return False
 
-    dfs(0, 0, residual_start, 0)
-    reached = target is not None and state["best"] >= target
-    return state["best"], state["assign"], reached
+    if not dfs(0, 0, 0):
+        return None
+    return {pairs[j]: m for j, m in enumerate(assign_vec) if m}
 
 
 @lru_cache(maxsize=None)
 def _max_size_family(order: int, f_order: int, f_size: int, simple: bool) -> ExtremalResult:
+    """The last size the decision search reaches, asking for one more edge at a time.
+
+    Every assignment the search builds is family-free, so at the maximum
+    V no pair's room exceeds V minus the size so far: the search for V
+    walks the tree a maximizing search would walk and returns its first
+    node of size V, which is the witness such a search ends with.
+    """
     pair_cap = min(f_size, 1) if simple else f_size
-    value, assign, _ = _family_search(order, f_order, f_size, pair_cap, None)
-    return ExtremalResult(value=value, witness=Multigraph(order, assign), exhaustive=True)
+    value, assign = 0, {}
+    while True:
+        found = _family_search(order, f_order, f_size, min(pair_cap, value + 1), value + 1)
+        if found is None:
+            return ExtremalResult(value=value, witness=Multigraph(order, assign), exhaustive=True)
+        value, assign = value + 1, found
 
 
 def _validate_family_query(order: int, family: ForbiddenFamily):
@@ -298,8 +284,8 @@ def max_size_simple(order: int, family: ForbiddenFamily) -> ExtremalResult:
 @lru_cache(maxsize=None)
 def _free_multigraph(order: int, size: int, f_order: int, f_size: int) -> Multigraph | None:
     pair_cap = min(f_size, size) if f_order >= 2 else size
-    value, assign, reached = _family_search(order, f_order, f_size, pair_cap, size)
-    if not reached:
+    assign = _family_search(order, f_order, f_size, pair_cap, size)
+    if assign is None:
         return None
     g = Multigraph(order, assign)
     if g.size != size:
@@ -313,7 +299,7 @@ def free_multigraph(order: int, size: int, family: ForbiddenFamily) -> Multigrap
     Existence for a given size implies existence for every smaller size
     (edge removal never hurts freeness), so this is equivalent to asking
     whether ``size <= max_size_multigraph(order, family).value``, but it
-    terminates at the first witness instead of completing the maximum.
+    runs one decision search instead of one for each size up to the maximum.
     Families of order 1 can never be violated, so any graph of the right
     size works for them.
     """

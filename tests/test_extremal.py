@@ -149,7 +149,8 @@ def test_free_multigraph_matches_maximum():
         for fam in [ForbiddenFamily(2, 1), ForbiddenFamily(3, 2), ForbiddenFamily(3, 1)]:
             if fam.order > order:
                 continue
-            best = max_size_multigraph(order, fam).value
+            res = max_size_multigraph(order, fam)
+            best = res.value
             for size in range(0, best + 3):
                 g = free_multigraph(order, size, fam)
                 if size <= best:
@@ -158,6 +159,9 @@ def test_free_multigraph_matches_maximum():
                     assert is_family_free(g, fam)
                 else:
                     assert g is None
+                # the maximum is the decision search's witness at its own size
+                if size == best:
+                    assert g == res.witness
 
 
 def test_free_multigraph_never_violated_family():
@@ -304,11 +308,13 @@ def test_bounded_distance_update_matches_bfs(case):
 
 
 def rescan_girth_search(order, k, seed_orders):
-    """Reference girth search with no smaller-order bounds and no carried count.
+    """Reference exhaustive girth search: (maximum size, witness).
 
-    It copies the whole distance matrix for each added edge and recounts
-    the addable pairs at every node, as the search did before it carried
-    them.  Its greedy seed tries the pair orders ``seed_orders(npairs)``.
+    A plain branch and bound over the pairs in lexicographic order, bounded
+    only by the pairs still addable, recounted at every node; it copies the
+    whole distance matrix for each added edge.  Its greedy seed tries the
+    pair orders ``seed_orders(npairs)``, and a later node replaces the best
+    only when it is larger.
     """
     pairs = list(combinations(range(order), 2))
     npairs = len(pairs)
@@ -366,8 +372,8 @@ def rescan_girth_search(order, k, seed_orders):
 
 
 def test_girth_search_matches_the_rescan_reference():
-    # the smaller-order bounds cut only subtrees with nothing above the best
-    # so far, so the value and the witness are those of the plain search
+    # the oracle's Moore-certified best seed is the maximum, so the
+    # exhaustive search never beats it and ends with the same value and witness
     for order in range(0, 8):
         for k in range(3, order + 2):
             value, witness = rescan_girth_search(order, k, _seed_orders)
