@@ -11,18 +11,22 @@ Three maximum-size questions are answered exactly at desk scale
   length in [3, k], computed independently of the family machinery so
   the two routes can cross-check each other.
 
-The family questions rest on one decision search: depth-first branch
-and bound over vertex pairs in lexicographic order for a family-free
-graph of a given size.  Greedy randomized seeds are tried first and
-often reach the size with no search at all, completed-vertex degrees
-are forced non-increasing (every graph has a degree-sorted relabeling,
-so the restriction is lossless), and upper bounds prune branches.  The
-search carries each pair's room, the multiplicity it can still take,
-from node to node, and lowers it only for the pairs that share a
-forbidden subset with the pair just assigned; the branch top is the
-pair's own room, or the edges still missing if fewer.  A maximum size
-is the last size the search reaches when asked for one more edge at a
-time.
+The family questions rest on one decision search for a family-free
+graph of a given size, in three steps.  Greedy randomized seeds are
+tried first and often reach the size with no search at all.  Circulants
+come next: on Z_order every pair at cyclic distance d gets the same
+multiplicity, so the induced size of a subset is a dot product of its
+distance counts with the multiplicities, and a capped depth-first walk
+over the multiplicities finds an evenly spread witness where the seeds
+miss.  Last comes depth-first branch and bound over vertex pairs in
+lexicographic order: completed-vertex degrees are forced non-increasing
+(every graph has a degree-sorted relabeling, so the restriction is
+lossless), and upper bounds prune branches.  The search carries each
+pair's room, the multiplicity it can still take, from node to node, and
+lowers it only for the pairs that share a forbidden subset with the pair
+just assigned; the branch top is the pair's own room, or the edges still
+missing if fewer.  A maximum size is the last size the search reaches
+when asked for one more edge at a time.
 
 The search bounds a node by the edges that the vertices still to come
 can hold among themselves, with caps in closed form: up to
@@ -33,8 +37,9 @@ m - 1) extends the cap one vertex at a time.  The same argument caps the
 whole graph: a size above that cap is answered without a search.  Every
 bound holds for every completion of the partial graph, with or without
 sorted degrees, so it cuts only subtrees with nothing at the target,
-and the search returns the same first witness as without the bounds.
-The pair and subset tables are built once per shape.
+and the search returns the witness the uncapped DFS would return behind
+the seeds and the circulant step.  The pair and subset tables are built
+once per shape.
 
 The girth question needs no search.  The irregular Moore bound caps it
 (k >= order, a forest, is its d = 2 end), and the best greedy seed meets
@@ -55,7 +60,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .errors import BadArgs, EnvelopeExceeded, SelfCheckFailed, UnboundedFamily
@@ -63,6 +68,10 @@ from .multigraph import ForbiddenFamily, Multigraph
 
 SEARCH_ENVELOPE = 10
 _SEED_RESTARTS = 60
+# most circulant vectors one search looks at; over every family key with
+# n1 <= 10 from n <= 200, r <= 30, a hit takes at most 12 and a miss ends
+# on its own within 70
+_CIRCULANT_CAP = 200
 _RNG_SEED = 0x5EED
 # a distance no graph of the searched orders reaches: "no path yet"
 _FAR = 10**6
@@ -134,6 +143,89 @@ def _induced_caps(order: int, f_order: int, f_size: int, pair_cap: int) -> list[
     return cap
 
 
+@lru_cache(maxsize=None)
+def _distance_profiles(order: int, f_order: int) -> tuple[tuple[int, ...], ...]:
+    """How many pairs of each f_order-subset of Z_order lie at each cyclic distance.
+
+    Entry d - 1 counts distance d = 1..order // 2.  Every subset is a
+    rotation of one holding 0, and a profile below another in every entry
+    never induces more, so only the maximal profiles are kept.
+    """
+    profiles = set()
+    for rest in combinations(range(1, order), f_order - 1):
+        count = [0] * (order // 2)
+        for u, v in combinations((0, *rest), 2):
+            count[min(v - u, order - v + u) - 1] += 1
+        profiles.add(tuple(count))
+    return tuple(
+        p for p in sorted(profiles)
+        if not any(q != p and all(a <= b for a, b in zip(p, q)) for q in profiles)
+    )
+
+
+def _circulant_vectors(order: int, f_order: int, f_size: int, pair_cap: int, target: int):
+    """Free circulant multiplicity vectors, depth first, each with its size.
+
+    Vector x gives every pair at cyclic distance d the multiplicity
+    x[d - 1].  Distances are fixed from 1 up, each from the most it can
+    take down to 0, and each vector is yielded once, when its last
+    nonzero entry is set, the zero vector first.  A vector is free iff
+    each subset profile's dot product with it is at most f_size; raising
+    an entry never makes a vector free, so the most a distance can take
+    is read off the profiles and nothing above it is visited.  A prefix
+    whose later distances, all at pair_cap, could not lift it to
+    ``target`` is not extended.  The yielded list is the walk's own and
+    changes as the walk goes on.
+    """
+    half = order // 2
+    per_dist = [order if 2 * d < order else half for d in range(1, half + 1)]
+    reach = [sum(per_dist[j:]) * pair_cap for j in range(half + 1)]
+    profiles = _distance_profiles(order, f_order)
+    x = [0] * half
+
+    def extend(j: int, size: int, load: list[int]):
+        if j == half or size + reach[j] < target:
+            return
+        top = min(
+            [pair_cap] + [(f_size - s) // p[j] for p, s in zip(profiles, load) if p[j]]
+        )
+        for m in range(top, -1, -1):
+            x[j] = m
+            if m:
+                yield x, size + m * per_dist[j]
+            raised = [s + p[j] * m for p, s in zip(profiles, load)]
+            yield from extend(j + 1, size + m * per_dist[j], raised)
+        x[j] = 0
+
+    yield x, 0
+    yield from extend(0, 0, [0] * len(profiles))
+
+
+def _circulant(
+    order: int, f_order: int, f_size: int, pair_cap: int, target: int
+) -> dict[tuple[int, int], int] | None:
+    """The first free circulant that reaches ``target``, cut to ``target`` edges, or None.
+
+    At most ``_CIRCULANT_CAP`` vectors of ``_circulant_vectors`` are
+    looked at.  The cut keeps the lexicographically first pairs; removing
+    edges keeps a graph free.
+    """
+    if order < 2 or f_order < 2:
+        return None
+    vectors = _circulant_vectors(order, f_order, f_size, pair_cap, target)
+    for x, size in islice(vectors, _CIRCULANT_CAP):
+        if size >= target:
+            assign: dict[tuple[int, int], int] = {}
+            tot = 0
+            for u, v in combinations(range(order), 2):
+                m = min(x[min(v - u, order - v + u) - 1], target - tot)
+                if m:
+                    assign[(u, v)] = m
+                    tot += m
+            return assign
+    return None
+
+
 def _family_search(
     order: int,
     f_order: int,
@@ -144,17 +236,18 @@ def _family_search(
     """The first family-free assignment of ``target`` edges, or None.
 
     The greedy seeds are tried first, in ``_seed_orders`` order, and the
-    first to reach ``target`` is returned.  Otherwise the depth-first
-    search returns the first node of size ``target``.  A node at pair
-    (u, v) is cut unless some completion can reach ``target``.  Its
-    bounds: u's remaining rooms plus the later pairs, which lie among the
-    order - u - 1 later vertices and so hold at most the smaller of their
-    rooms and ``cap[order - u - 1]``; and vertices u and later, which hold
-    at most ``cap[order - u]`` edges, of which u's block has already taken
-    some.  A target above ``cap[order]`` is not reached, with no search at
+    first to reach ``target`` is returned; then the ``_circulant`` step.
+    Otherwise the depth-first search returns the first node of size
+    ``target``.  A node at pair (u, v) is cut unless some completion can
+    reach ``target``.  Its bounds: u's remaining rooms plus the later
+    pairs, which lie among the order - u - 1 later vertices and so hold at
+    most the smaller of their rooms and ``cap[order - u - 1]``; and
+    vertices u and later, which hold at most ``cap[order - u]`` edges, of
+    which u's block has already taken some.  A target above ``cap[order]`` is not reached, with no search at
     all.  Each bound holds for every completion of the partial graph, so
     a cut subtree holds no node at the target and the search returns the
-    same assignment as a search without the cuts.
+    same assignment as a search without the cuts, behind the same seeds
+    and circulant step.
     """
     pairs, sub_of_pair, pairs_of_sub = _incidence(order, f_order)
     npairs = len(pairs)
@@ -188,6 +281,9 @@ def _family_search(
                 add(cur, room, pi, m)
         if tot == target:
             return assign
+    assign = _circulant(order, f_order, f_size, pair_cap, target)
+    if assign is not None:
+        return assign
 
     cur = [0] * nsub
     room = empty_room.copy()
@@ -239,10 +335,12 @@ def _family_search(
 def _max_size_family(order: int, f_order: int, f_size: int, simple: bool) -> ExtremalResult:
     """The last size the decision search reaches, asking for one more edge at a time.
 
-    Every assignment the search builds is family-free, so at the maximum
-    V no pair's room exceeds V minus the size so far: the search for V
-    walks the tree a maximizing search would walk and returns its first
-    node of size V, which is the witness such a search ends with.
+    The witness is the decision search's for the maximum V: the first
+    seed or circulant that reaches V, else the DFS's.  Every assignment
+    the DFS builds is family-free, so at V no pair's room exceeds V minus
+    the size so far: the DFS for V walks the tree a maximizing DFS would
+    walk and returns its first node of size V, which is the witness such
+    a search ends with.
     """
     pair_cap = min(f_size, 1) if simple else f_size
     value, assign = 0, {}

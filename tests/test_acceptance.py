@@ -18,6 +18,7 @@ from lrcdist.codec import (
     verify_locality,
 )
 from lrcdist.constructions import DegreeSequence, is_graphic, realize
+from lrcdist import extremal
 from lrcdist.decider import decide, forest_component_min
 from lrcdist.errors import InvalidParams
 from lrcdist.extremal import (
@@ -27,7 +28,7 @@ from lrcdist.extremal import (
     max_size_simple,
     t_bound,
 )
-from lrcdist.multigraph import ForbiddenFamily, Multigraph
+from lrcdist.multigraph import ForbiddenFamily, Multigraph, is_family_free
 from lrcdist.params import derive_params
 from lrcdist.tanner import (
     FullTannerGraph,
@@ -101,6 +102,30 @@ def test_criterion_1_rules_agree_with_oracle():
     elapsed = time.time() - t0
     assert elapsed < 600
     _report(1, "rule/oracle agreement", t0, f"[{count} instances]")
+
+
+def test_criterion_1b_circulant_witnesses_agree_with_the_search(monkeypatch):
+    # every family key of the rule audit (n <= 60, r <= 10, n1 <= 8): a
+    # circulant witness has the asked size, passes the kernel, and the
+    # search without the circulant step also finds a witness
+    t0 = time.time()
+    keys = {(p.n1, p.n2, p.k1, p.k2) for p in envelope_instances(n_max=60, r_max=10)}
+    hits = []
+    for n1, n2, k1, k2 in sorted(keys):
+        assign = extremal._circulant(n1, k1, k2, min(k2, n2), n2)
+        if assign is not None:
+            g = Multigraph(n1, assign)
+            assert g.size == n2, (n1, n2, k1, k2)
+            assert is_family_free(g, ForbiddenFamily(k1, k2)), (n1, n2, k1, k2)
+            hits.append((n1, n2, ForbiddenFamily(k1, k2)))
+    monkeypatch.setattr(extremal, "_circulant", lambda *args: None)
+    extremal._free_multigraph.cache_clear()
+    try:
+        for n1, n2, family in hits:
+            assert free_multigraph(n1, n2, family) is not None, (n1, n2, family)
+    finally:
+        extremal._free_multigraph.cache_clear()
+    _report("1b", "circulant witnesses", t0, f"[{len(hits)} of {len(keys)} keys]")
 
 
 def test_criterion_2_mantel_reproduction():

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 
 import lrcdist
-from lrcdist import decider
+from lrcdist import decider, extremal
 from lrcdist.decider import Decision, decide, forest_component_min
 from lrcdist.errors import InvalidParams, SelfCheckFailed
 from lrcdist.constructions import saturated_pair_graph, turan_graph
@@ -82,7 +83,21 @@ def test_sweep_witnesses_are_pinned():
         digest.update((json.dumps(multigraph_to_json(w) if w else None) + "\n").encode())
         rows += 1
     assert rows == 9509
-    assert digest.hexdigest() == "0f8daf0180aa141b5f7758d78b6770cb"
+    assert digest.hexdigest() == "1d90a22312e0ce014fc2b8afa8fded96"
+
+
+def test_92_65_12_is_decided_by_a_circulant_witness_in_milliseconds():
+    # (8, 12) with every 6 vertices holding at most 7 edges: the seeds
+    # miss, and the DFS alone took about 7 s; the Wagner graph C8(1, 4)
+    # is a free circulant
+    extremal._free_multigraph.cache_clear()
+    start = time.process_time()
+    d = decide(derive_params(92, 65, 12))
+    elapsed = time.process_time() - start
+    assert (d.value, d.status, d.rule, d.notes) == (23, "exact", "oracle", ())
+    assert (d.witness.order, d.witness.size) == (8, 12)
+    assert is_family_free(d.witness, ForbiddenFamily(6, 7))
+    assert elapsed < 2.0
 
 
 def test_truncated_witnesses_keep_the_last_edges():
@@ -239,7 +254,7 @@ def piled_up(n1, n2):
 
 PILED_UP_UNDER_O = """
 import sys
-from lrcdist import decider
+from lrcdist import decider, extremal
 from lrcdist.errors import SelfCheckFailed
 from lrcdist.multigraph import Multigraph
 from lrcdist.params import derive_params

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -13,6 +13,7 @@ from lrcdist.errors import BadArgs, EnvelopeExceeded, SelfCheckFailed, Unbounded
 from lrcdist.extremal import (
     _FAR,
     _add_edge,
+    _circulant_vectors,
     _induced_caps,
     _moore_cap,
     _seed_orders,
@@ -503,24 +504,104 @@ def assert_family_oracles_match_reference(seed_orders):
             assert free_multigraph(order, size, fam) == expected, (order, fam, size)
 
 
-def test_family_search_matches_the_reference():
+@pytest.fixture
+def no_circulants(monkeypatch):
+    """The family search with its circulant step off, on cold caches."""
+    monkeypatch.setattr(extremal, "_circulant", lambda *args: None)
+    extremal._max_size_family.cache_clear()
+    extremal._free_multigraph.cache_clear()
+    yield
+    extremal._max_size_family.cache_clear()
+    extremal._free_multigraph.cache_clear()
+
+
+def test_family_search_matches_the_reference(no_circulants):
     # the caps cut only subtrees with nothing above the best so far (or at
-    # the target), so values and witnesses are those of the plain search
+    # the target), so values and witnesses are those of the plain search;
+    # the reference has no circulant step, so the search runs without it
     assert_family_oracles_match_reference(_seed_orders)
 
 
-def test_unseeded_family_search_matches_the_reference(monkeypatch):
+def test_unseeded_family_search_matches_the_reference(monkeypatch, no_circulants):
     # Without the greedy seed the search starts from the empty graph and
     # replaces its best many times; a cap that cut a subtree holding a
     # larger graph would change the witness here.
     monkeypatch.setattr(extremal, "_seed_orders", lambda npairs: ())
-    extremal._max_size_family.cache_clear()
+    assert_family_oracles_match_reference(extremal._seed_orders)
+
+
+def circulant(order, x):
+    return Multigraph(order, {
+        (u, v): x[min(v - u, order - v + u) - 1] for u, v in combinations(range(order), 2)
+    })
+
+
+def test_circulant_vectors_are_exactly_the_free_ones():
+    # with target 0 nothing is cut for size, so the walk must yield every
+    # vector whose circulant passes the kernel, each once, and no other;
+    # the step reaches every target some free circulant reaches
+    for order in range(2, 9):
+        half = order // 2
+        for f_order in range(2, order + 1):
+            for f_size in range(4):
+                family = ForbiddenFamily(f_order, f_size)
+                pair_cap = min(f_size, 2)
+                yielded = [tuple(x) for x, _ in _circulant_vectors(order, f_order, f_size, pair_cap, 0)]
+                free = [
+                    x for x in product(range(pair_cap + 1), repeat=half)
+                    if is_family_free(circulant(order, x), family)
+                ]
+                assert sorted(yielded) == sorted(free), (order, f_order, f_size)
+                best = max(circulant(order, x).size for x in free)
+                for target in range(best + 2):
+                    assign = extremal._circulant(order, f_order, f_size, pair_cap, target)
+                    assert (assign is not None) == (target <= best), (order, family, target)
+                    if assign is not None:
+                        g = Multigraph(order, assign)
+                        assert g.size == target and is_family_free(g, family), (order, family, target)
+
+
+def test_circulant_witness_is_the_wagner_graph():
+    # (8, 12) with every 5 vertices holding at most 5 edges: C8(1, 4),
+    # which no greedy seed reaches
+    assign = extremal._circulant(8, 5, 5, 5, 12)
+    assert Multigraph(8, assign) == circulant(8, (1, 0, 0, 1))
+    assert free_multigraph(8, 12, ForbiddenFamily(5, 5)) == circulant(8, (1, 0, 0, 1))
+
+
+def test_circulant_step_is_capped(monkeypatch, no_circulants):
+    # free_multigraph(5, 8, F(3, 3)): the seeds miss and the third vector
+    # is the first to reach 8 edges.  free_multigraph(6, 10, F(5, 7)): the
+    # walk runs out after 8 vectors and the DFS finds a witness.
+    fast = (5, 8, ForbiddenFamily(3, 3))
+    miss = (6, 10, ForbiddenFamily(5, 7))
+    expected = [free_multigraph(*q) for q in (fast, miss)]  # step off
+    monkeypatch.undo()
+    pulled = []
+    vectors = extremal._circulant_vectors
+
+    def counted(*args):
+        pulled.append(0)
+        for item in vectors(*args):
+            pulled[-1] += 1
+            yield item
+
+    monkeypatch.setattr(extremal, "_circulant_vectors", counted)
+    assert extremal._circulant(5, 3, 3, 3, 8) is not None and pulled == [3]
+    assert extremal._circulant(6, 5, 7, 7, 10) is None and pulled == [3, 8]
+    monkeypatch.setattr(extremal, "_CIRCULANT_CAP", 2)
+    pulled.clear()
     extremal._free_multigraph.cache_clear()
-    try:
-        assert_family_oracles_match_reference(extremal._seed_orders)
-    finally:
-        extremal._max_size_family.cache_clear()
-        extremal._free_multigraph.cache_clear()
+    # past the cap the DFS decides, as with the step off
+    assert [free_multigraph(*q) for q in (fast, miss)] == expected
+    assert None not in expected and pulled == [2, 2]
+
+
+def test_circulant_step_skips_graphs_without_pairs_or_families():
+    for order, f_order in ((0, 2), (1, 2), (6, 1), (6, 0)):
+        assert extremal._circulant(order, f_order, 0, 3, 3) is None
+    assert free_multigraph(1, 1, ForbiddenFamily(1, 0)) is None
+    assert free_multigraph(6, 5, ForbiddenFamily(1, 0)).size == 5
 
 
 def test_induced_caps_hold():
