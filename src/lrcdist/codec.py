@@ -17,21 +17,21 @@ claimed distance g (``construct_optimal_lrc`` always claims d*).  If none
 is, no smaller subset is dependent either, because independence is
 hereditary, and the scan starts at w = g; otherwise it starts at w = 1.
 Either way the result is the exact distance; a wrong claim costs one extra
-level.  Level 1 is the zero-column test.  From w = 2 on, each level groups
-its w-subsets by their w - 2 smallest columns and eliminates each such
-prefix P once for all pairs {u, v} of later columns
-(``gf.batch_columns_independent``), in batches of at most ``_ENTRY_BUDGET``
-int64 entries, so memory stays flat however many subsets a level has.  The
-pairs are settled without further elimination, and exactly: P with u and v
-is dependent iff P is, or the images of u and v modulo span(P) are
-dependent, which means one image is zero or the two are parallel.
+level.  A level is one call of ``gf.batch_columns_independent`` that
+builds the w-subsets one column at a time from the empty prefix: level 1
+is the zero-column test, and from w = 2 on adding a column is one
+fraction-free pivot step, shared by every subset that extends the columns
+chosen so far, and a column whose image modulo their span reads zero
+closes a dependent set.  The kernel splits a level into halves whenever it
+would hold more than ``gf._ENTRY_BUDGET`` int64 entries, so memory stays
+flat however many subsets a level has, and it stops at the first
+dependent set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb, isqrt
 
 import numpy as np
@@ -53,7 +53,6 @@ from .tanner import FullTannerGraph, graph_to_pruned, p2f
 DISTANCE_LENGTH_ENVELOPE = 20
 DISTANCE_CLAIM_ENVELOPE = 8
 FIELD_ORDER_ENVELOPE = isqrt(2**63 - 1) + 1  # largest q with (q - 1)**2 inside int64
-_ENTRY_BUDGET = 1 << 17  # int64 entries in one stacked (prefixes, rows, columns) array
 
 
 @dataclass(frozen=True)
@@ -109,24 +108,11 @@ def _check_distance_envelope(p: CodeParams, claimed: int | None) -> None:
 def _has_dependent_columns(h: np.ndarray, q: int, w: int) -> bool:
     """Whether some w columns of h, 1 <= w <= rows, are linearly dependent over GF(q).
 
-    Level 1 is the zero-column test.  From w = 2 on, the w-subsets are
-    grouped by their w - 2 smallest columns (the prefix), each settled with
-    every pair of later columns; the prefixes that end at the same column go
-    to the kernel in batches sized by ``_ENTRY_BUDGET``, and the scan stops
-    at the first dependent one.
+    One kernel call extends the empty prefix by w columns, one pivot step
+    per column after the first; w = 1 is the zero-column test.
     """
-    m, n = h.shape
-    if w == 1:
-        return not (h % q).any(axis=0).all()
-    s = w - 2
-    for last in range(s - 1, n - 2) if s else [-1]:
-        rows = [(*head, last) for head in combinations(range(last), s - 1)] if s else [()]
-        prefixes = np.array(rows, dtype=np.int64)
-        batch = max(1, _ENTRY_BUDGET // (m * (s + n - 1 - last)))
-        for i in range(0, len(prefixes), batch):
-            if not gf.batch_columns_independent(h, q, prefixes[i:i + batch]).all():
-                return True
-    return False
+    empty = np.empty((1, 0), dtype=np.int64)
+    return not gf.batch_columns_independent(h, q, empty, extra=w)[0]
 
 
 def min_distance(c: LinearCode) -> int:

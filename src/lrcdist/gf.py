@@ -3,20 +3,25 @@
 ``batch_columns_independent`` is the one kernel of the exhaustive distance
 search in ``codec.min_distance``.  It takes a batch of column prefixes that
 end at the same column and answers, for each prefix, whether it stays
-independent with every pair of later columns.  The prefix's pivot steps are
-shared by all the pairs, each step touches only the trailing block, and the
-caller sizes every batch by a fixed budget of int64 entries.  The pairs need
-no pivot step of their own: P with u and v is dependent iff P is, or the
-images of u and v modulo span(P) are, that is, one of them is zero or the
-two are parallel.  Parallel images become equal once each is divided by its
-first nonzero entry, and sorting each prefix's images puts equal ones side
-by side, so every dependent pair is found and no independent one is taken
-for dependent.
+independent with every ``extra`` later columns.  It builds those subsets one
+column at a time: the images of the later columns (their residues modulo
+the span of the columns chosen so far) are updated by one fraction-free
+pivot step per added column, with no division, and every extension of a
+subset shares that step.  A column whose image reads zero closes a
+dependent set, so no image is ever normalised or sorted.  Each step runs
+for all subsets of one level at once, and a level that would outgrow
+``_ENTRY_BUDGET`` int64 entries is split into halves.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
+
 import numpy as np
+
+_ENTRY_BUDGET = 1 << 17  # int64 entries in one array of the distance scan
+_SMALL_LAYOUT = 32  # most nodes of a ``_pivot`` step whose index arrays are cached
 
 
 def is_prime(q: int) -> bool:
@@ -72,71 +77,153 @@ def rank_mod(mat: np.ndarray, q: int) -> int:
     return len(rref_mod(mat, q)[1])
 
 
-def _inverse(x: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise x**(q - 2) mod q, the inverse of every nonzero x (Fermat);
-    products stay below q**2."""
-    result = np.ones_like(x)
-    e = q - 2
-    while e:
-        if e & 1:
-            result = result * x % q
-        e >>= 1
-        if e:
-            x = x * x % q
-    return result
+@lru_cache(maxsize=8)
+def _binomials(n: int) -> np.ndarray:
+    """C(i, j) for 0 <= i, j <= n, as floats: the sizes that ``extend`` splits by."""
+    table = np.array([[comb(i, j) for j in range(n + 1)] for i in range(n + 1)], dtype=float)
+    table.setflags(write=False)  # shared by every caller
+    return table
 
 
-def batch_columns_independent(h: np.ndarray, q: int, prefixes: np.ndarray) -> np.ndarray:
+def _layout(widths: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Where ``_pivot`` puts each child: the column of a that it pivots on,
+    its width, and, for each of its images, the column of a that the image
+    comes from and the child's index."""
+    j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    pivot = np.repeat(np.cumsum(widths) - widths, count) + j
+    child_widths = np.repeat(widths, count) - 1 - j
+    ends = np.cumsum(child_widths)
+    x = np.arange(ends[-1]) + np.repeat(pivot + 1 - ends + child_widths, child_widths)
+    child = np.repeat(np.arange(len(pivot)), child_widths)
+    return pivot, child_widths, x, child
+
+
+@lru_cache(maxsize=64)
+def _small_layout(widths: tuple[int, ...], count: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """``_layout`` of the few nodes near the top of a scan, where the same
+    widths come back for every code of a length and the index arithmetic
+    would cost more than the pivot step."""
+    layout = _layout(np.array(widths), np.array(count))
+    for array in layout:
+        array.setflags(write=False)  # shared by every caller
+    return layout
+
+
+def _pivot(a: np.ndarray, widths: np.ndarray, count: np.ndarray, q: int):
+    """One fraction-free pivot step of every node on each of its first
+    ``count`` columns, all nodes and columns at once.
+
+    The nodes' images sit side by side in the columns of ``a``: node b owns
+    the next ``widths[b]`` of them.  Pivoting node b on its column j makes a
+    child whose images are those of the columns after j: with p the first
+    nonzero entry of column j, in row i, every such column x becomes
+    x * p - x_i * (column j) mod q, so no division is needed and row i reads
+    zero.  A zero column j turns every image zero.  Returns the children's
+    images side by side, in the order of their nodes and then of j, the
+    pivot row under each image and each child's width.  The products stay
+    below q**2, which fits in int64 for every q that ``codec.PrimeField``
+    accepts.
+    """
+    if len(widths) <= _SMALL_LAYOUT:
+        pivot, child_widths, x, child = _small_layout(tuple(widths.tolist()), tuple(count.tolist()))
+    else:
+        pivot, child_widths, x, child = _layout(widths, count)
+    # take is several times faster than fancy indexing along axis 1
+    col = a.take(pivot, axis=1)
+    rows = (col != 0).argmax(axis=0)
+    lead = col[rows, np.arange(len(pivot))]
+    rows = rows[child]
+    out = a.take(x, axis=1)
+    out *= lead[child]
+    subtrahend = col.take(child, axis=1)
+    subtrahend *= a[rows, x]
+    out -= subtrahend
+    # NumPy divides by a scalar through a multiply and a shift, which is
+    # several times faster than % on the negative entries
+    out -= out // q * q
+    return out, rows, child_widths
+
+
+def _drop_pivot_rows(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``out`` without the zero pivot row under each image: row 0 takes its
+    place, which permutes the rows and so keeps every image's span."""
+    out[rows, np.arange(out.shape[1])] = out[0]
+    return out[1:]
+
+
+def batch_columns_independent(h: np.ndarray, q: int, prefixes: np.ndarray, extra: int = 2) -> np.ndarray:
     """For each row of ``prefixes``, report whether its columns of h together
-    with every pair of later columns are linearly independent over GF(q).
+    with every ``extra`` >= 1 later columns are linearly independent over GF(q).
 
     Every row of the (B, s) array ``prefixes`` lists s ascending column indices
     into the (m, n) matrix h and ends at the same column p (-1 when s = 0);
-    the later columns are p + 1, ..., n - 1, at least two of them, and the
-    result is a (B,) bool array.  A prefix P with later columns u and v is
-    dependent iff P is, or the images of u and v modulo span(P) are: one of
-    them is zero or the two are parallel.  Each prefix is stacked with all
-    later columns and its s fraction-free pivot steps run once for all of
-    them; a prefix without a pivot zeroes every image, and otherwise the
-    images are the later columns' entries below the pivots, up to an
-    invertible row transform.  Each image is divided by its first nonzero
-    entry, so parallel images become equal, and each prefix's images are
-    sorted by their bytes, which puts equal ones next to each other.  Each
-    step updates only the trailing block and swaps rows only where the
-    diagonal entry is zero; products stay below q**2, which fits in int64 for
-    every q that ``codec.PrimeField`` accepts.
+    the later columns are p + 1, ..., n - 1, at least ``extra`` of them, and
+    the result is a (B,) bool array.  Each prefix is stacked with all later
+    columns and eliminated by s pivot steps (``_pivot``); the later columns'
+    images are then the entries below the pivots, up to an invertible row
+    transform, and a prefix without a pivot zeroes them all.  A zero image
+    closes a dependent set, and a dependent set stays dependent whatever
+    columns join it, so a prefix fails iff an image reads zero here or in
+    ``extend``, which adds the later columns one pivot step at a time.
+    Prefixes go in batches of at most ``_ENTRY_BUDGET`` int64 entries, and
+    ``extend`` splits its levels until each fits the budget or holds one node.
     """
     b, s = prefixes.shape
     m, n = h.shape
-    if s >= m - 1:  # s + 2 columns in m rows are dependent
-        return np.zeros(b, dtype=bool)
-    last = int(prefixes[0, -1]) if s else -1
-    cols = np.empty((b, n - 1 - last + s), dtype=np.int64)
+    dependent = np.zeros(b, dtype=bool)
+    if s + extra > m:  # s + extra columns in m rows are dependent
+        return dependent
+
+    def extend(a, widths, owner, extra, chunk):
+        """Add ``extra`` >= 2 more columns to every node and mark the prefix
+        of each node that an added column makes dependent.
+
+        A node is a prefix with some later columns added, its images are
+        those of the columns after its last one, and ``owner`` is its
+        prefix's row.  One ``_pivot`` makes every child that adds one of a
+        node's first widths - extra + 1 columns, so that extra - 1 columns
+        are left after it.  A child with a zero image closes a dependent set;
+        so does a node with a zero image, whose first child then reads zero
+        there or, if the zero image is its first, everywhere.  Nodes whose
+        next level and whose subsets to come would take more than ``chunk``
+        entries are split into halves, the later half first, since its nodes
+        have the fewest later columns.  Each earlier half gets twice the
+        chunk, up to ``_ENTRY_BUDGET``, and the first chunk is an eighth of
+        it: a scan that meets a dependent set in the small subtrees it takes
+        first stops early, and a scan that visits every subset splits a few
+        times only.
+        """
+        r = a.shape[0]
+        if len(widths) > 1 and r * _binomials(n)[widths][:, [2, extra]].sum() > chunk:
+            half = len(widths) // 2
+            cut = int(widths[:half].sum())
+            extend(a[:, cut:], widths[half:], owner[half:], extra, chunk)
+            if not dependent.all():
+                extend(a[:, :cut], widths[:half], owner[:half], extra, min(2 * chunk, _ENTRY_BUDGET))
+            return
+        count = widths - extra + 1
+        out, rows, widths = _pivot(a, widths, count, q)
+        nonzero = out.any(axis=0)
+        if not nonzero.all():
+            dependent[np.repeat(np.repeat(owner, count), widths)[~nonzero]] = True
+        if extra > 2 and not dependent.all():
+            extend(_drop_pivot_rows(out, rows), widths, np.repeat(owner, count), extra - 1, chunk)
+
+    first = int(prefixes[0, -1]) + 1 if s else 0
+    cols = np.empty((b, s + n - first), dtype=np.int64)
     cols[:, :s] = prefixes
-    cols[:, s:] = np.arange(last + 1, n)
-    a = (h.T.astype(np.int64) % q)[cols].transpose(0, 2, 1)  # (B, m, s + later)
-    for j in range(s):
-        # without a pivot, a[:, j, j] = 0 and column j is zero below row j, so
-        # the update zeroes the trailing block: every image reads zero
-        moved = np.flatnonzero(a[:, j, j] == 0)
-        if moved.size:
-            piv = (a[moved, j:, j] != 0).argmax(axis=1) + j
-            top = a[moved, j, j:].copy()
-            a[moved, j, j:] = a[moved, piv, j:]
-            a[moved, piv, j:] = top
-        block = a[:, j + 1:, j + 1:]
-        block *= a[:, j, j][:, None, None]
-        block -= a[:, j + 1:, j, None] * a[:, j, None, j + 1:]
-        # block %= q, but NumPy divides by a scalar through a multiply and a
-        # shift, which is several times faster on the negative entries
-        block -= block // q * q
-    images = a[:, s:, s:]  # (B, m - s, later)
-    first = (images != 0).argmax(axis=1)  # row of each image's first nonzero entry
-    lead = images[np.arange(b)[:, None], first, np.arange(images.shape[2])]
-    zero = lead == 0
-    # a zero image is divided by 1 and stays zero
-    units = np.ascontiguousarray((images * _inverse(lead + zero, q)[:, None] % q).transpose(0, 2, 1))
-    # a byte order is a total order in which equal images are adjacent
-    units.view(np.dtype((np.void, units.shape[2] * units.itemsize))).sort(axis=1)
-    parallel = (units[:, 1:] == units[:, :-1]).all(axis=2)
-    return ~(zero.any(axis=1) | parallel.any(axis=1))
+    cols[:, s:] = np.arange(first, n)
+    h = np.asarray(h, dtype=np.int64) % q
+    batch = max(1, _ENTRY_BUDGET // (m * cols.shape[1]))
+    for i in range(0, b, batch):
+        a = h.take(cols[i : i + batch].ravel(), axis=1)
+        owner = np.arange(i, i + a.shape[1] // cols.shape[1])
+        widths = np.full(len(owner), cols.shape[1])
+        for _ in range(s):
+            out, rows, widths = _pivot(a, widths, np.ones_like(widths), q)
+            a = _drop_pivot_rows(out, rows)
+        if extra == 1:
+            dependent[owner] = (a == 0).all(axis=0).reshape(len(owner), -1).any(axis=1)
+        else:
+            extend(a, widths, owner, extra, _ENTRY_BUDGET // 8)
+    return ~dependent

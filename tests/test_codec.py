@@ -126,9 +126,8 @@ def test_min_distance_envelope():
         min_distance(code)
 
 
-def test_min_distance_matches_brute_weight():
-    # dual-method agreement on instances with q**k enumerable
-    compared = 0
+def brute_weight_codes():
+    """Full-rank codes from witnesses, with q**k enumerable by brute_min_weight."""
     for (n, k, r, q) in [(6, 3, 3, 7), (6, 2, 2, 11), (9, 4, 2, 3), (8, 5, 2, 5)]:
         p = derive_params(n, k, r)
         d = decide(p)
@@ -137,10 +136,16 @@ def test_min_distance_matches_brute_weight():
         t = p2f(graph_to_pruned(d.witness, p))
         for seed in range(3):
             code = build_parity_check(t, PrimeField(q), seed=seed)
-            if gf.rank_mod(code.H, q) != p.n - p.k:
-                continue
-            assert min_distance(code) == brute_min_weight(code)
-            compared += 1
+            if gf.rank_mod(code.H, q) == p.n - p.k:
+                yield code
+
+
+def test_min_distance_matches_brute_weight():
+    # dual-method agreement on instances with q**k enumerable
+    compared = 0
+    for code in brute_weight_codes():
+        assert min_distance(code) == brute_min_weight(code)
+        compared += 1
     assert compared >= 6
 
 
@@ -284,21 +289,80 @@ def test_json_malformed():
         code_from_json(data)
 
 
-def test_min_distance_on_random_matrices():
-    # the distance search does not rely on locality structure; random
-    # full-rank matrices must agree with the codeword-weight oracle too
+def random_full_rank_codes(count=25):
+    """Random full-rank parity-check matrices over small fields, with no
+    locality structure."""
     rng = np.random.default_rng(9)
-    agreed = 0
-    while agreed < 25:
+    made = 0
+    while made < count:
         q = int(rng.choice([2, 3, 5, 7]))
-        n, k, r = [(6, 3, 3), (6, 2, 2), (8, 4, 2), (5, 2, 2)][agreed % 4]
+        n, k, r = [(6, 3, 3), (6, 2, 2), (8, 4, 2), (5, 2, 2)][made % 4]
         p = derive_params(n, k, r)
         h = rng.integers(0, q, size=(n - k, n)).astype(np.int64)
         if gf.rank_mod(h, q) != n - k:
             continue
-        code = LinearCode(params=p, field=PrimeField(q), H=h)
+        yield LinearCode(params=p, field=PrimeField(q), H=h)
+        made += 1
+
+
+def test_min_distance_on_random_matrices():
+    # the distance search does not rely on locality structure; random
+    # full-rank matrices must agree with the codeword-weight oracle too
+    agreed = 0
+    for code in random_full_rank_codes():
         assert min_distance(code) == brute_min_weight(code)
         agreed += 1
+    assert agreed == 25
+
+
+def count_pivot_steps(monkeypatch):
+    """Count the kernel's pivot calls from here on."""
+    calls = []
+    pivot = gf._pivot
+    monkeypatch.setattr(gf, "_pivot", lambda *args: calls.append(1) or pivot(*args))
+    return calls
+
+
+def test_min_distance_with_split_levels(monkeypatch):
+    # a budget of a few hundred entries splits the scan's levels into halves,
+    # which no code of length <= 20 needs at the real budget; every distance
+    # must stay the same, and some level must have been split
+    codes = [*random_full_rank_codes(), *brute_weight_codes()]
+    for code in codes:
+        code.claimed_distance = None
+    calls = count_pivot_steps(monkeypatch)
+    whole = [min_distance(code) for code in codes]
+    unsplit = len(calls)
+    monkeypatch.setattr(gf, "_ENTRY_BUDGET", 300)
+    calls.clear()
+    assert [min_distance(code) for code in codes] == whole == [brute_min_weight(code) for code in codes]
+    assert len(calls) > unsplit
+
+
+@pytest.mark.parametrize("planted, last_half", [((0, 1, 2), True), ((5, 6, 7), False)])
+def test_min_distance_finds_a_set_in_either_half_of_a_split(monkeypatch, planted, last_half):
+    # one dependent triple among 8 random columns over the largest field; at
+    # level 3 the scan splits the nodes {0}, ..., {5} and takes the later half
+    # first, so it meets {5, 6, 7} in its first half with no more pivot steps
+    # than an unsplit scan, and {0, 1, 2} only in its last half, after more
+    q = 3037000493
+    rng = np.random.default_rng(6)
+    h = rng.integers(1, q, size=(4, 8)).astype(np.int64)
+    u, v, w = planted
+    a, b = (int(x) for x in rng.integers(1, q, size=2))
+    h[:, w] = (h[:, u].astype(object) * a + h[:, v].astype(object) * b) % q
+    dependent = [c for k in (2, 3) for c in combinations(range(8), k) if gf.rank_mod(h[:, list(c)], q) < k]
+    assert dependent == [planted]
+    code = LinearCode(params=derive_params(8, 4, 2), field=PrimeField(q), H=h)
+    calls = count_pivot_steps(monkeypatch)
+    assert min_distance(code) == 3
+    unsplit = len(calls)
+    monkeypatch.setattr(gf, "_ENTRY_BUDGET", 300)
+    calls.clear()
+    assert min_distance(code) == 3
+    assert (len(calls) > unsplit) == last_half
+    code.claimed_distance = 3
+    assert min_distance(code) == 3
 
 
 def test_distance_never_exceeds_bound():

@@ -36,18 +36,19 @@ def test_rref_properties():
         assert gf.rank_mod(stacked, q) == len(pivots)
 
 
-def prefix_groups(n, s):
-    """Every s-column prefix with at least two later columns, grouped by its
-    last column (-1 for the empty prefix), as the distance scan batches them."""
-    for last in range(s - 1, n - 2) if s else [-1]:
+def prefix_groups(n, s, extra=2):
+    """Every s-column prefix with at least ``extra`` later columns, grouped by
+    its last column (-1 for the empty prefix), as the kernel takes them."""
+    for last in range(s - 1, n - extra) if s else [-1]:
         heads = [c + (last,) for c in combinations(range(last), s - 1)] if s else [()]
         yield last, np.array(heads, dtype=np.int64).reshape(len(heads), s)
 
 
-def independent_with_every_pair(mat, q, prefix, last):
-    """rank_mod of the prefix plus each pair of later columns, one subset at a time."""
-    pairs = combinations(range(last + 1, mat.shape[1]), 2)
-    return all(gf.rank_mod(mat[:, [*prefix, u, v]], q) == len(prefix) + 2 for u, v in pairs)
+def independent_with_every_pair(mat, q, prefix, last, extra=2):
+    """rank_mod of the prefix plus each ``extra`` later columns (a pair by
+    default), one subset at a time."""
+    subsets = combinations(range(last + 1, mat.shape[1]), extra)
+    return all(gf.rank_mod(mat[:, [*prefix, *cols]], q) == len(prefix) + extra for cols in subsets)
 
 
 def test_prefix_extensions_match_per_subset_rank():
@@ -104,3 +105,70 @@ def test_planted_dependencies_are_found():
                     if not got:
                         found.append(s)
         assert min(found) == first
+
+
+def test_extensions_of_every_depth_match_per_subset_rank():
+    # every prefix with every number of later columns, against rank_mod of
+    # each subset; extra > m - s leaves no room and reads dependent, and the
+    # largest accepted field checks the int64 headroom of every pivot step
+    rng = np.random.default_rng(4)
+    compared = {}
+    for _ in range(30):
+        q = int(rng.choice([2, 3, 5, 101, 3037000493]))
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(m, 9))
+        mat = rng.integers(0, q, size=(m, n)).astype(np.int64)
+        for s in range(n):
+            for extra in range(1, n - s + 1):
+                for last, prefixes in prefix_groups(n, s, extra):
+                    fast = gf.batch_columns_independent(mat, q, prefixes, extra=extra)
+                    assert fast.shape == (len(prefixes),)
+                    for got, prefix in zip(fast, prefixes.tolist()):
+                        assert got == independent_with_every_pair(mat, q, prefix, last, extra)
+                        compared[extra] = compared.get(extra, 0) + comb(n - 1 - last, extra)
+    assert min(compared[extra] for extra in range(1, 6)) > 200
+
+
+def test_planted_dependencies_are_found_at_their_own_depth():
+    # a zero column, a multiple of an earlier column and a combination of two
+    # columns plant dependent sets of 1, 2 and 3 columns over the largest
+    # accepted field; with any prefix length s, the kernel finds them exactly
+    # when s + extra reaches that size, and 4 random rows leave every 5
+    # columns dependent
+    q = 3037000493
+    rng = np.random.default_rng(3)
+    base = rng.integers(1, q, size=(4, 9)).astype(np.int64)
+    zero, parallel, triple = base.copy(), base.copy(), base.copy()
+    zero[:, 5] = 0
+    parallel[:, 6] = base[:, 2].astype(object) * int(rng.integers(2, q)) % q
+    a, b = (int(x) for x in rng.integers(1, q, size=2))
+    triple[:, 7] = (base[:, 1].astype(object) * a + base[:, 4].astype(object) * b) % q
+    for mat, size in ((base, 5), (zero, 1), (parallel, 2), (triple, 3)):
+        for w in range(1, 6):
+            for s in range(w):
+                found = False
+                for last, prefixes in prefix_groups(9, s, w - s):
+                    fast = gf.batch_columns_independent(mat, q, prefixes, extra=w - s)
+                    for got, prefix in zip(fast, prefixes.tolist()):
+                        assert got == independent_with_every_pair(mat, q, prefix, last, w - s)
+                    found |= not fast.all()
+                assert found == (w >= size)
+
+
+def test_split_levels_give_the_same_answers(monkeypatch):
+    # a budget of a few entries splits every level down to single nodes,
+    # and each split must keep every prefix's answer
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        q = int(rng.choice([3, 101, 3037000493]))
+        m = int(rng.integers(3, 6))
+        n = int(rng.integers(m + 1, 10))
+        mat = rng.integers(0, q, size=(m, n)).astype(np.int64)
+        for s in range(3):
+            for extra in range(2, m - s + 1):
+                for _, prefixes in prefix_groups(n, s, extra):
+                    whole = gf.batch_columns_independent(mat, q, prefixes, extra=extra)
+                    monkeypatch.setattr(gf, "_ENTRY_BUDGET", 8)
+                    split = gf.batch_columns_independent(mat, q, prefixes, extra=extra)
+                    monkeypatch.undo()
+                    assert (whole == split).all()
