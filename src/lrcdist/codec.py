@@ -18,14 +18,14 @@ is, no smaller subset is dependent either, because independence is
 hereditary, and the scan starts at w = g; otherwise it starts at w = 1.
 Either way the result is the exact distance; a wrong claim costs one extra
 level.  A level is one call of ``gf.batch_columns_independent`` that
-builds the w-subsets one column at a time from the empty prefix: level 1
-is the zero-column test, and from w = 2 on adding a column is one
-fraction-free pivot step, shared by every subset that extends the columns
-chosen so far, and a column whose image modulo their span reads zero
-closes a dependent set.  The kernel splits a level into halves whenever it
-would hold more than ``gf._ENTRY_BUDGET`` int64 entries, so memory stays
-flat however many subsets a level has, and it stops at the first
-dependent set.
+builds the w-subsets one column at a time from the empty prefix and
+returns one flag for them all: level 1 is the zero-column test, and from
+w = 2 on adding a column is one fraction-free pivot step, shared by every
+subset that extends the columns chosen so far, and a column whose image
+modulo their span reads zero closes a dependent set.  The kernel splits a
+level into halves whenever it would hold more than ``gf._ENTRY_BUDGET``
+int64 entries, so memory stays flat however many subsets a level has, and
+it stops at the first dependent set.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ def _has_dependent_columns(h: np.ndarray, q: int, w: int) -> bool:
     One kernel call extends the empty prefix by w columns, one pivot step
     per column after the first; w = 1 is the zero-column test.
     """
-    empty = np.empty((1, 0), dtype=np.int64)
-    return not gf.batch_columns_independent(h, q, empty, extra=w)[0]
+    return not gf.batch_columns_independent(h, q, np.empty(0, dtype=np.int64), w)
 
 
 def min_distance(c: LinearCode) -> int:

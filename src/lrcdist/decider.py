@@ -14,6 +14,7 @@ when its witness exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from math import comb
 from typing import Iterable
 
@@ -25,6 +26,8 @@ from .params import CodeParams
 
 DEFAULT_ORACLE_LIMIT = 8
 SELF_CHECK_LIMIT = 20_000  # most k1-subsets the witness self-check enumerates
+# the least j with C(2j, j) > SELF_CHECK_LIMIT
+_SELF_CHECK_SIDE = next(j for j in count(1) if comb(2 * j, j) > SELF_CHECK_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,18 @@ RULES = (
 )
 
 
+def _exceeds_self_check_limit(n: int, k: int) -> bool:
+    """Whether C(n, k) > SELF_CHECK_LIMIT, for 0 <= k <= n, without forming
+    C(n, k) in full.
+
+    C(n, j) grows with j up to n / 2, so when j = min(k, n - k) reaches
+    ``_SELF_CHECK_SIDE`` (whence n >= 2 * _SELF_CHECK_SIDE), C(n, k) is at
+    least C(n, _SELF_CHECK_SIDE) >= C(2 * _SELF_CHECK_SIDE, _SELF_CHECK_SIDE),
+    which already exceeds the limit.
+    """
+    return comb(n, min(k, n - k, _SELF_CHECK_SIDE)) > SELF_CHECK_LIMIT
+
+
 def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules: bool = True) -> Decision:
     """Resolve the best achievable distance for validated parameters ``p``.
 
@@ -183,12 +198,11 @@ def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules
         raise SelfCheckFailed(f"rule {rule} gave no witness of order {p.n1} and size {p.n2}")
     # self-check the witness where the density sweep is affordable
     notes: tuple[str, ...] = ()
-    subsets = comb(p.n1, p.k1)
-    if subsets <= SELF_CHECK_LIMIT:
+    if not _exceeds_self_check_limit(p.n1, p.k1):
         if not is_family_free(witness, ForbiddenFamily(p.k1, p.k2)):
             raise SelfCheckFailed(
                 f"rule {rule} gave a witness with {p.k1} vertices inducing more than {p.k2} edges"
             )
     else:
-        notes = (f"witness self-check skipped: C({p.n1}, {p.k1}) = {subsets} > {SELF_CHECK_LIMIT}",)
+        notes = (f"witness self-check skipped: C({p.n1}, {p.k1}) > {SELF_CHECK_LIMIT}",)
     return Decision(params=p, value=p.d_star, status="exact", rule=rule, witness=witness, notes=notes)

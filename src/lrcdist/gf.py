@@ -1,16 +1,15 @@
 """Linear algebra over prime fields GF(q), batched where distance checks need it.
 
 ``batch_columns_independent`` is the one kernel of the exhaustive distance
-search in ``codec.min_distance``.  It takes a batch of column prefixes that
-end at the same column and answers, for each prefix, whether it stays
-independent with every ``extra`` later columns.  It builds those subsets one
-column at a time: the images of the later columns (their residues modulo
-the span of the columns chosen so far) are updated by one fraction-free
-pivot step per added column, with no division, and every extension of a
-subset shares that step.  A column whose image reads zero closes a
-dependent set, so no image is ever normalised or sorted.  Each step runs
-for all subsets of one level at once, and a level that would outgrow
-``_ENTRY_BUDGET`` int64 entries is split into halves.
+search in ``codec.min_distance``.  It takes one column prefix and answers
+whether it stays independent with every ``extra`` later columns.  It builds
+those subsets one column at a time: the images of the later columns (their
+residues modulo the span of the columns chosen so far) are updated by one
+fraction-free pivot step per added column, with no division, and every
+extension of a subset shares that step.  A column whose image reads zero
+closes a dependent set, so no image is ever normalised or sorted.  Each
+step runs for all subsets of one level at once, and a level that would
+outgrow ``_ENTRY_BUDGET`` int64 entries is split into halves.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ def rank_mod(mat: np.ndarray, q: int) -> int:
 
 @lru_cache(maxsize=8)
 def _binomials(n: int) -> np.ndarray:
-    """C(i, j) for 0 <= i, j <= n, as floats: the sizes that ``extend`` splits by."""
+    """C(i, j) for 0 <= i, j <= n, as floats: the sizes that the distance scan splits by."""
     table = np.array([[comb(i, j) for j in range(n + 1)] for i in range(n + 1)], dtype=float)
     table.setflags(write=False)  # shared by every caller
     return table
@@ -151,79 +150,62 @@ def _drop_pivot_rows(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out[1:]
 
 
-def batch_columns_independent(h: np.ndarray, q: int, prefixes: np.ndarray, extra: int = 2) -> np.ndarray:
-    """For each row of ``prefixes``, report whether its columns of h together
-    with every ``extra`` >= 1 later columns are linearly independent over GF(q).
+def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: int) -> bool:
+    """Whether the columns ``prefix`` of h together with every ``extra`` >= 1
+    later columns are linearly independent over GF(q).
 
-    Every row of the (B, s) array ``prefixes`` lists s ascending column indices
-    into the (m, n) matrix h and ends at the same column p (-1 when s = 0);
-    the later columns are p + 1, ..., n - 1, at least ``extra`` of them, and
-    the result is a (B,) bool array.  Each prefix is stacked with all later
-    columns and eliminated by s pivot steps (``_pivot``); the later columns'
-    images are then the entries below the pivots, up to an invertible row
-    transform, and a prefix without a pivot zeroes them all.  A zero image
-    closes a dependent set, and a dependent set stays dependent whatever
-    columns join it, so a prefix fails iff an image reads zero here or in
-    ``extend``, which adds the later columns one pivot step at a time.
-    Prefixes go in batches of at most ``_ENTRY_BUDGET`` int64 entries, and
-    ``extend`` splits its levels until each fits the budget or holds one node.
+    ``prefix`` is a 1-D array of s ascending column indices into the (m, n)
+    matrix h; the later columns are those after its last one (all of them
+    when s = 0), at least ``extra`` of them.  The prefix is stacked with all
+    later columns and eliminated by s pivot steps (``_pivot``); the later
+    columns' images are then the entries below the pivots, up to an
+    invertible row transform, and a prefix without a pivot zeroes them all.
+    A zero image closes a dependent set, and a dependent set stays dependent
+    whatever columns join it, so the answer is False iff an image reads zero
+    here or in ``dependent``, which adds the later columns one pivot step at
+    a time and splits its levels until each fits ``_ENTRY_BUDGET`` int64
+    entries or holds one node.
     """
-    b, s = prefixes.shape
+    s = len(prefix)
     m, n = h.shape
-    dependent = np.zeros(b, dtype=bool)
     if s + extra > m:  # s + extra columns in m rows are dependent
-        return dependent
+        return False
 
-    def extend(a, widths, owner, extra, chunk):
-        """Add ``extra`` >= 2 more columns to every node and mark the prefix
-        of each node that an added column makes dependent.
+    def dependent(a, widths, extra, chunk):
+        """Whether adding ``extra`` >= 2 more columns to some node closes a
+        dependent set.
 
-        A node is a prefix with some later columns added, its images are
-        those of the columns after its last one, and ``owner`` is its
-        prefix's row.  One ``_pivot`` makes every child that adds one of a
-        node's first widths - extra + 1 columns, so that extra - 1 columns
-        are left after it.  A child with a zero image closes a dependent set;
-        so does a node with a zero image, whose first child then reads zero
-        there or, if the zero image is its first, everywhere.  Nodes whose
-        next level and whose subsets to come would take more than ``chunk``
-        entries are split into halves, the later half first, since its nodes
-        have the fewest later columns.  Each earlier half gets twice the
-        chunk, up to ``_ENTRY_BUDGET``, and the first chunk is an eighth of
-        it: a scan that meets a dependent set in the small subtrees it takes
-        first stops early, and a scan that visits every subset splits a few
-        times only.
+        A node is the prefix with some later columns added, and its images
+        are those of the columns after its last one.  One ``_pivot`` makes
+        every child that adds one of a node's first widths - extra + 1
+        columns, so that extra - 1 columns are left after it.  A child with a
+        zero image closes a dependent set; so does a node with a zero image,
+        whose first child then reads zero there or, if the zero image is its
+        first, everywhere.  Nodes whose next level and whose subsets to come
+        would take more than ``chunk`` entries are split into halves, the
+        later half first, since its nodes have the fewest later columns.
+        Each earlier half gets twice the chunk, up to ``_ENTRY_BUDGET``, and
+        the first chunk is an eighth of it: a scan that meets a dependent set
+        in the small subtrees it takes first stops early, and a scan that
+        visits every subset splits a few times only.
         """
-        r = a.shape[0]
-        if len(widths) > 1 and r * _binomials(n)[widths][:, [2, extra]].sum() > chunk:
+        if len(widths) > 1 and a.shape[0] * _binomials(n)[widths][:, [2, extra]].sum() > chunk:
             half = len(widths) // 2
             cut = int(widths[:half].sum())
-            extend(a[:, cut:], widths[half:], owner[half:], extra, chunk)
-            if not dependent.all():
-                extend(a[:, :cut], widths[:half], owner[:half], extra, min(2 * chunk, _ENTRY_BUDGET))
-            return
-        count = widths - extra + 1
-        out, rows, widths = _pivot(a, widths, count, q)
-        nonzero = out.any(axis=0)
-        if not nonzero.all():
-            dependent[np.repeat(np.repeat(owner, count), widths)[~nonzero]] = True
-        if extra > 2 and not dependent.all():
-            extend(_drop_pivot_rows(out, rows), widths, np.repeat(owner, count), extra - 1, chunk)
+            return dependent(a[:, cut:], widths[half:], extra, chunk) or dependent(
+                a[:, :cut], widths[:half], extra, min(2 * chunk, _ENTRY_BUDGET)
+            )
+        out, rows, widths = _pivot(a, widths, widths - extra + 1, q)
+        if not out.any(axis=0).all():
+            return True
+        return extra > 2 and dependent(_drop_pivot_rows(out, rows), widths, extra - 1, chunk)
 
-    first = int(prefixes[0, -1]) + 1 if s else 0
-    cols = np.empty((b, s + n - first), dtype=np.int64)
-    cols[:, :s] = prefixes
-    cols[:, s:] = np.arange(first, n)
-    h = np.asarray(h, dtype=np.int64) % q
-    batch = max(1, _ENTRY_BUDGET // (m * cols.shape[1]))
-    for i in range(0, b, batch):
-        a = h.take(cols[i : i + batch].ravel(), axis=1)
-        owner = np.arange(i, i + a.shape[1] // cols.shape[1])
-        widths = np.full(len(owner), cols.shape[1])
-        for _ in range(s):
-            out, rows, widths = _pivot(a, widths, np.ones_like(widths), q)
-            a = _drop_pivot_rows(out, rows)
-        if extra == 1:
-            dependent[owner] = (a == 0).all(axis=0).reshape(len(owner), -1).any(axis=1)
-        else:
-            extend(a, widths, owner, extra, _ENTRY_BUDGET // 8)
-    return ~dependent
+    first = int(prefix[-1]) + 1 if s else 0
+    a = np.asarray(h, dtype=np.int64).take(np.concatenate((prefix, np.arange(first, n))), axis=1) % q
+    widths = np.array([a.shape[1]])
+    for _ in range(s):
+        out, rows, widths = _pivot(a, widths, np.ones_like(widths), q)
+        a = _drop_pivot_rows(out, rows)
+    if extra == 1:
+        return not (a == 0).all(axis=0).any()
+    return not dependent(a, widths, extra, _ENTRY_BUDGET // 8)

@@ -299,21 +299,3 @@ def graph_to_pruned(g: Multigraph, p: CodeParams) -> PrunedGraph:
     return PrunedGraph(
         n=p.n, k=p.k, r=p.r, m=p.n2, checks=tuple(frozenset(c) for c in checks)
     )
-
-
-def tanner_to_json(t: FullTannerGraph) -> dict:
-    return {
-        "n": t.n,
-        "k": t.k,
-        "r": t.r,
-        "local_checks": [sorted(c) for c in t.local_checks],
-        "global_count": t.global_count,
-    }
-
-
-def tanner_from_json(data: dict) -> FullTannerGraph:
-    try:
-        n, k, r, checks, global_count = (data[key] for key in ("n", "k", "r", "local_checks", "global_count"))
-        return FullTannerGraph(n, k, r, tuple(frozenset(c) for c in checks), global_count)
-    except (KeyError, TypeError) as exc:
-        raise InvalidTanner(f"malformed Tanner graph JSON: {exc}") from exc

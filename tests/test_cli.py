@@ -275,6 +275,16 @@ def test_decide_forest_and_cycle_rules_need_no_subset_sweep():
         assert payload["rule"] == rule
 
 
+def test_decide_skips_the_self_check_without_printing_a_huge_binomial():
+    # C(15000, 7500) has 4,513 digits, more than Python converts to a string
+    # by default; the note must bound it instead of printing it
+    done = run_subprocess("decide", "--n", "30000", "--k", "7500", "--r", "1", timeout=30)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert (payload["n1"], payload["k1"], payload["status"]) == (15000, 7500, "exact")
+    assert payload["notes"] == ["witness self-check skipped: C(15000, 7500) > 20000"]
+
+
 def test_construct_outside_distance_envelope_exit_2(tmp_path):
     # (60, 30, 5) decides d* at once; the envelope must reject it before any
     # field is chosen or any matrix is built

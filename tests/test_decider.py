@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -288,6 +289,14 @@ def test_skipped_self_check_is_noted():
     assert (p.n1, p.n2, p.k1) == (30, 0, 5)
     d = decide(p)
     assert (d.rule, d.status, d.value) == ("divides", "exact", p.d_star)
-    assert d.notes == ("witness self-check skipped: C(30, 5) = 142506 > 20000",)
+    assert d.notes == ("witness self-check skipped: C(30, 5) > 20000",)
     # a checked witness carries no such note
     assert decide(derive_params(16, 9, 4)).notes == ()
+
+
+def test_self_check_skip_matches_the_full_binomial():
+    # the skip test bounds C(n, k) instead of forming it, and must still
+    # decide exactly as comparing the full binomial with the limit would
+    for n in range(120):
+        for k in range(n + 1):
+            assert decider._exceeds_self_check_limit(n, k) == (comb(n, k) > decider.SELF_CHECK_LIMIT)

@@ -36,12 +36,12 @@ def test_rref_properties():
         assert gf.rank_mod(stacked, q) == len(pivots)
 
 
-def prefix_groups(n, s, extra=2):
-    """Every s-column prefix with at least ``extra`` later columns, grouped by
-    its last column (-1 for the empty prefix), as the kernel takes them."""
+def prefixes(n, s, extra=2):
+    """Every s-column prefix with at least ``extra`` later columns, as a 1-D
+    array the kernel takes, with its last column (-1 for the empty prefix)."""
     for last in range(s - 1, n - extra) if s else [-1]:
-        heads = [c + (last,) for c in combinations(range(last), s - 1)] if s else [()]
-        yield last, np.array(heads, dtype=np.int64).reshape(len(heads), s)
+        for head in combinations(range(last), s - 1) if s else [()]:
+            yield last, np.array([*head, last][:s], dtype=np.int64)
 
 
 def independent_with_every_pair(mat, q, prefix, last, extra=2):
@@ -63,12 +63,11 @@ def test_prefix_extensions_match_per_subset_rank():
         n = int(rng.integers(m, 8))
         mat = rng.integers(0, q, size=(m, n)).astype(np.int64)
         for s in range(m + 2):
-            for last, prefixes in prefix_groups(n, s):
-                fast = gf.batch_columns_independent(mat, q, prefixes)
-                assert fast.shape == (len(prefixes),)
-                for got, prefix in zip(fast, prefixes.tolist()):
-                    assert got == independent_with_every_pair(mat, q, prefix, last)
-                    compared += comb(n - 1 - last, 2)
+            for last, prefix in prefixes(n, s):
+                got = gf.batch_columns_independent(mat, q, prefix, extra=2)
+                assert type(got) is bool
+                assert got == independent_with_every_pair(mat, q, prefix.tolist(), last)
+                compared += comb(n - 1 - last, 2)
     assert compared > 500
 
 
@@ -76,8 +75,7 @@ def test_batched_wide_subsets_always_dependent():
     # s + 2 > m columns in m rows: every prefix reads dependent
     mat = np.array([[1, 2, 3, 4, 1], [0, 1, 4, 1, 3]], dtype=np.int64)
     for prefix in ([0], [0, 1], [0, 1, 2]):
-        ok = gf.batch_columns_independent(mat, 5, np.array([prefix], dtype=np.int64))
-        assert ok.shape == (1,) and not ok.any()
+        assert gf.batch_columns_independent(mat, 5, np.array(prefix, dtype=np.int64), extra=2) is False
         assert not independent_with_every_pair(mat, 5, prefix, prefix[-1])
 
 
@@ -98,12 +96,11 @@ def test_planted_dependencies_are_found():
     for mat, first in ((base, 3), (zero, 0), (parallel, 0), (triple, 1)):
         found = []
         for s in range(4):
-            for last, prefixes in prefix_groups(9, s):
-                fast = gf.batch_columns_independent(mat, q, prefixes)
-                for got, prefix in zip(fast, prefixes.tolist()):
-                    assert got == independent_with_every_pair(mat, q, prefix, last)
-                    if not got:
-                        found.append(s)
+            for last, prefix in prefixes(9, s):
+                got = gf.batch_columns_independent(mat, q, prefix, extra=2)
+                assert got == independent_with_every_pair(mat, q, prefix.tolist(), last)
+                if not got:
+                    found.append(s)
         assert min(found) == first
 
 
@@ -120,12 +117,11 @@ def test_extensions_of_every_depth_match_per_subset_rank():
         mat = rng.integers(0, q, size=(m, n)).astype(np.int64)
         for s in range(n):
             for extra in range(1, n - s + 1):
-                for last, prefixes in prefix_groups(n, s, extra):
-                    fast = gf.batch_columns_independent(mat, q, prefixes, extra=extra)
-                    assert fast.shape == (len(prefixes),)
-                    for got, prefix in zip(fast, prefixes.tolist()):
-                        assert got == independent_with_every_pair(mat, q, prefix, last, extra)
-                        compared[extra] = compared.get(extra, 0) + comb(n - 1 - last, extra)
+                for last, prefix in prefixes(n, s, extra):
+                    got = gf.batch_columns_independent(mat, q, prefix, extra=extra)
+                    assert type(got) is bool
+                    assert got == independent_with_every_pair(mat, q, prefix.tolist(), last, extra)
+                    compared[extra] = compared.get(extra, 0) + comb(n - 1 - last, extra)
     assert min(compared[extra] for extra in range(1, 6)) > 200
 
 
@@ -147,11 +143,10 @@ def test_planted_dependencies_are_found_at_their_own_depth():
         for w in range(1, 6):
             for s in range(w):
                 found = False
-                for last, prefixes in prefix_groups(9, s, w - s):
-                    fast = gf.batch_columns_independent(mat, q, prefixes, extra=w - s)
-                    for got, prefix in zip(fast, prefixes.tolist()):
-                        assert got == independent_with_every_pair(mat, q, prefix, last, w - s)
-                    found |= not fast.all()
+                for last, prefix in prefixes(9, s, w - s):
+                    got = gf.batch_columns_independent(mat, q, prefix, extra=w - s)
+                    assert got == independent_with_every_pair(mat, q, prefix.tolist(), last, w - s)
+                    found |= not got
                 assert found == (w >= size)
 
 
@@ -166,9 +161,9 @@ def test_split_levels_give_the_same_answers(monkeypatch):
         mat = rng.integers(0, q, size=(m, n)).astype(np.int64)
         for s in range(3):
             for extra in range(2, m - s + 1):
-                for _, prefixes in prefix_groups(n, s, extra):
-                    whole = gf.batch_columns_independent(mat, q, prefixes, extra=extra)
+                for _, prefix in prefixes(n, s, extra):
+                    whole = gf.batch_columns_independent(mat, q, prefix, extra=extra)
                     monkeypatch.setattr(gf, "_ENTRY_BUDGET", 8)
-                    split = gf.batch_columns_independent(mat, q, prefixes, extra=extra)
+                    split = gf.batch_columns_independent(mat, q, prefix, extra=extra)
                     monkeypatch.undo()
-                    assert (whole == split).all()
+                    assert whole == split

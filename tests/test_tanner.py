@@ -1,10 +1,7 @@
-import json
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lrcdist.decider import decide
 from lrcdist.errors import (
@@ -22,9 +19,7 @@ from lrcdist.tanner import (
     p2f,
     reduce_check_nodes,
     refine,
-    tanner_from_json,
     tanner_min_distance,
-    tanner_to_json,
 )
 
 
@@ -333,43 +328,6 @@ def test_tanner_min_distance_matches_brute_definition():
         assert tanner_min_distance(t) == brute_tanner_distance(t)
 
 
-def test_json_round_trip():
-    p, d, t = witness_tanner(16, 9, 4)
-    data = tanner_to_json(t)
-    assert tanner_from_json(data) == t
-    with pytest.raises(InvalidTanner):
-        tanner_from_json({"n": 4})
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([(8, 4, 3), (10, 5, 4), (12, 7, 3), (9, 4, 2), (16, 9, 4)]), st.integers(0, 2**32))
-def test_json_round_trip_random(nkr, seed):
-    n, k, r = nkr
-    rng = random.Random(seed)
-    n1 = -(-n // (r + 1))
-    t = random_full_tanner(rng, n, k, r, rng.randint(n1, n - k))
-    assert tanner_from_json(json.loads(json.dumps(tanner_to_json(t)))) == t
-
-
-@pytest.mark.parametrize(
-    "change",
-    [
-        # 2.5 would pass the range test and leave variable 2 uncovered
-        {"local_checks": [[0, 1, 2.5], [3, 4, 5]]},
-        {"local_checks": [[0, True, 2], [3, 4, 5]]},
-        {"n": 6.0},
-        {"k": 3.0},
-        {"r": 2.0},
-        {"global_count": 1.0},
-    ],
-)
-def test_json_non_integers_rejected(change):
-    data = {"n": 6, "k": 3, "r": 2, "local_checks": [[0, 1, 2], [3, 4, 5]], "global_count": 1}
-    assert tanner_min_distance(tanner_from_json(data)) == 3
-    with pytest.raises(InvalidTanner):
-        tanner_from_json({**data, **change})
-
-
 def test_constructors_reject_non_integers():
     checks = (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
     full = dict(n=6, k=3, r=2, local_checks=checks, global_count=1)
@@ -401,8 +359,6 @@ def test_negative_global_count_rejected():
     checks = [[0, 1, 2], [3, 4, 5], [0, 1, 3], [2, 4, 5]]
     with pytest.raises(InvalidTanner):
         FullTannerGraph(6, 3, 2, tuple(frozenset(c) for c in checks), -1)
-    with pytest.raises(InvalidTanner):
-        tanner_from_json({"n": 6, "k": 3, "r": 2, "local_checks": checks, "global_count": -1})
 
 
 def test_invalid_tanner_structures():
