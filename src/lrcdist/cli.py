@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import codec, extremal
@@ -32,16 +31,6 @@ EXIT_INPUT = 2
 EXIT_UNRESOLVED = 3
 EXIT_NOT_ACHIEVABLE = 4
 EXIT_RETRIES = 5
-
-
-def _env_oracle_limit() -> int:
-    raw = os.environ.get("LRC_ORACLE_LIMIT")
-    if raw is None:
-        return DEFAULT_ORACLE_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadArgs(f"LRC_ORACLE_LIMIT must be an integer, got {raw!r}") from None
 
 
 _RECORD_FIELDS = (
@@ -119,7 +108,6 @@ def _oracle_result_dict(res: ExtremalResult) -> dict:
     return {
         "value": res.value,
         "witness": multigraph_to_json(res.witness),
-        "exhaustive": res.exhaustive,
     }
 
 
@@ -186,9 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--oracle-limit",
             type=int,
-            default=_env_oracle_limit(),
-            help="largest n1 the exhaustive oracle may search (default %(default)s, "
-            "env LRC_ORACLE_LIMIT)",
+            default=DEFAULT_ORACLE_LIMIT,
+            help="largest n1 the family search may run at (default %(default)s)",
         )
 
     p_decide = sub.add_parser("decide", help="resolve the best achievable distance")

@@ -13,6 +13,7 @@ from typing import Iterator
 
 from .errors import BadArgs, NotGraphic, SelfCheckFailed
 from .multigraph import Multigraph
+from .params import is_int
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,10 @@ class DegreeSequence:
     degrees: tuple[int, ...]
 
     def __init__(self, degrees):
-        ds = tuple(sorted((int(d) for d in degrees), reverse=True))
+        ds = tuple(degrees)
+        if not all(map(is_int, ds)):
+            raise BadArgs(f"degrees must be integers, got {ds!r}")
+        ds = tuple(sorted(ds, reverse=True))
         if not ds:
             raise BadArgs("degree sequence must be non-empty")
         if ds[-1] < 0:

@@ -78,11 +78,6 @@ def _take(order: int, pairs: Iterable[tuple[tuple[int, int], int]], size: int) -
     return Multigraph(order, kept)
 
 
-def _girth_regime(p: CodeParams) -> bool:
-    """k2 = k1 - 1 with k1 >= 3: the free graphs are the simple graphs of girth > k1."""
-    return p.k2 == p.k1 - 1 and p.k1 >= 3
-
-
 def _turan_size(order: int, parts: int) -> int:
     """Size of ``cons.turan_graph(order, parts)``: (order^2 - sum of squared part sizes) / 2."""
     base, extra = divmod(order, parts)
@@ -109,8 +104,9 @@ def _girth_witness(p: CodeParams) -> Multigraph | None:
 
 
 # (name, applies(p, search_limit), witness(p)) in evaluation order; each
-# rule may assume that no earlier rule applied.  Constructions and oracles
-# are looked up on their modules at call time.
+# rule may assume that no earlier rule applied, and only the family search
+# reads the limit.  Constructions and oracles are looked up on their
+# modules at call time.
 RULES = (
     # r = k: every 1-vertex subgraph is empty
     ("k1_eq_1", lambda p, _: p.k1 == 1, lambda p: cons.almost_regular(p.n1, p.n2)),
@@ -146,9 +142,11 @@ RULES = (
     ("forest_n2_lt_n1", lambda p, _: p.n2 < p.n1, lambda p: cons.balanced_forest(p.n1, p.n1 - p.n2)),
     # n2 = n1, d* only: the cycle is free, as above
     ("cycle_n2_eq_n1", lambda p, _: p.n2 == p.n1, lambda p: cons.cycle_graph(p.n1)),
-    # k2 = k1 - 1: free graphs of this size exist iff simple graphs of
-    # girth > k1 reach size n2
-    ("girth_k2_eq_k1m1", lambda p, limit: _girth_regime(p) and p.n1 <= limit, _girth_witness),
+    # k2 = k1 - 1, k1 >= 3: the free graphs are the simple graphs of girth
+    # > k1, and the girth oracle is exact at every order inside the envelope
+    ("girth_k2_eq_k1m1",
+     lambda p, _: p.k2 == p.k1 - 1 and p.k1 >= 3 and p.n1 <= extremal.SEARCH_ENVELOPE,
+     _girth_witness),
     # exhaustive multigraph search
     ("oracle", lambda p, limit: p.n1 <= limit,
      lambda p: extremal.free_multigraph(p.n1, p.n2, ForbiddenFamily(p.k1, p.k2))),
@@ -170,10 +168,10 @@ def _exceeds_self_check_limit(n: int, k: int) -> bool:
 def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules: bool = True) -> Decision:
     """Resolve the best achievable distance for validated parameters ``p``.
 
-    ``oracle_limit`` caps the order at which the exhaustive searches run
-    (values above the module envelope are clamped).  With ``use_rules=False``
-    only the last rule, the exhaustive oracle, is consulted, which is how the
-    other rules get audited.
+    ``oracle_limit`` caps the order at which the family search, the last
+    rule, runs (values above the module envelope are clamped); no other
+    rule reads it.  With ``use_rules=False`` only the family search is
+    consulted, which is how the other rules get audited.
 
     A d* witness is checked to be family-free whenever C(n1, k1) is at
     most ``SELF_CHECK_LIMIT``; a failed check raises ``SelfCheckFailed``,
@@ -188,9 +186,6 @@ def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules
         notes = [f"n1={p.n1} exceeds oracle limit {search_limit}"]
         if not use_rules:
             notes.append("closed-form rules disabled")
-        elif _girth_regime(p) and p.n1 <= extremal.SEARCH_ENVELOPE:
-            # limits are clamped to the envelope, so only orders inside it qualify
-            notes.append("resolvable via the girth oracle at a higher limit")
         return Decision(p, (p.d_star - 1, p.d_star), "unresolved", "unresolved", None, tuple(notes))
     if witness is None:
         return Decision(params=p, value=p.d_star - 1, status="exact", rule=rule, witness=None)

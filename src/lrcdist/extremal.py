@@ -65,6 +65,7 @@ from math import comb
 
 from .errors import BadArgs, EnvelopeExceeded, SelfCheckFailed, UnboundedFamily
 from .multigraph import ForbiddenFamily, Multigraph
+from .params import is_int
 
 SEARCH_ENVELOPE = 10
 _SEED_RESTARTS = 60
@@ -81,16 +82,15 @@ _FAR = 10**6
 class ExtremalResult:
     value: int
     witness: Multigraph
-    exhaustive: bool
 
 
 def _check_envelope(order: int):
+    if not is_int(order) or order < 0:
+        raise BadArgs(f"order must be an integer >= 0, got {order!r}")
     if order > SEARCH_ENVELOPE:
         raise EnvelopeExceeded(
             f"exhaustive search limited to order <= {SEARCH_ENVELOPE}, got {order}"
         )
-    if order < 0:
-        raise BadArgs(f"order must be >= 0, got {order}")
 
 
 @lru_cache(maxsize=None)
@@ -347,7 +347,7 @@ def _max_size_family(order: int, f_order: int, f_size: int, simple: bool) -> Ext
     while True:
         found = _family_search(order, f_order, f_size, min(pair_cap, value + 1), value + 1)
         if found is None:
-            return ExtremalResult(value=value, witness=Multigraph(order, assign), exhaustive=True)
+            return ExtremalResult(value=value, witness=Multigraph(order, assign))
         value, assign = value + 1, found
 
 
@@ -402,8 +402,8 @@ def free_multigraph(order: int, size: int, family: ForbiddenFamily) -> Multigrap
     size works for them.
     """
     _check_envelope(order)
-    if size < 0:
-        raise BadArgs(f"size must be >= 0, got {size}")
+    if not is_int(size) or size < 0:
+        raise BadArgs(f"size must be an integer >= 0, got {size!r}")
     if 2 <= family.order and family.order > order:
         raise BadArgs(f"family order {family.order} exceeds graph order {order}")
     return _free_multigraph(order, size, family.order, family.max_size)
@@ -457,7 +457,8 @@ def _moore_cap(order: int, k: int) -> int:
     return e
 
 
-@lru_cache(maxsize=None)
+# typed, so that 9.0 or True misses the entry for 9 or 1 and is rejected
+@lru_cache(maxsize=None, typed=True)
 def max_size_girth(order: int, k: int) -> ExtremalResult:
     """Exact maximum edges of a simple graph on ``order`` vertices with girth > k.
 
@@ -471,8 +472,8 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
     the self-check.
     """
     _check_envelope(order)
-    if k < 3:
-        raise BadArgs(f"need k >= 3, got {k}")
+    if not is_int(k) or k < 3:
+        raise BadArgs(f"need an integer k >= 3, got {k!r}")
     pairs = list(combinations(range(order), 2))
     best: list[tuple[int, int]] = []
     for perm in _seed_orders(len(pairs)):
@@ -491,7 +492,7 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
         raise SelfCheckFailed(
             f"girth > {k} seed on {order} vertices has {len(best)} edges, {side} the Moore cap {cap}"
         )
-    return ExtremalResult(value=cap, witness=Multigraph.from_edges(order, best), exhaustive=True)
+    return ExtremalResult(value=cap, witness=Multigraph.from_edges(order, best))
 
 
 def t_bound(n1: int, n2: int, k1: int, variant: str = "ceil") -> int:

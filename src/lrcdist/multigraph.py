@@ -47,10 +47,10 @@ class ForbiddenFamily:
     max_size: int
 
     def __post_init__(self):
-        if self.order < 1:
-            raise BadArgs(f"family order must be >= 1, got {self.order}")
-        if self.max_size < 0:
-            raise BadArgs(f"family max_size must be >= 0, got {self.max_size}")
+        if not is_int(self.order) or self.order < 1:
+            raise BadArgs(f"family order must be an integer >= 1, got {self.order!r}")
+        if not is_int(self.max_size) or self.max_size < 0:
+            raise BadArgs(f"family max_size must be an integer >= 0, got {self.max_size!r}")
 
 
 class Multigraph:

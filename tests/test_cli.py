@@ -50,27 +50,22 @@ def test_decide_invalid_exit_2(capsys):
 
 def test_decide_unresolved_exit_3(capsys):
     code, out, _ = run(
-        capsys, "decide", "--n", "98", "--k", "51", "--r", "11", "--oracle-limit", "8"
+        capsys, "decide", "--n", "89", "--k", "45", "--r", "10", "--oracle-limit", "8"
     )
     assert code == 3
     payload = json.loads(out)
     assert payload["status"] == "unresolved"
     assert payload["value"] == [payload["d_star"] - 1, payload["d_star"]]
-
-
-def test_oracle_limit_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("LRC_ORACLE_LIMIT", "10")
+    code, out, _ = run(
+        capsys, "decide", "--n", "89", "--k", "45", "--r", "10", "--oracle-limit", "9"
+    )
+    assert code == 0
+    assert json.loads(out)["rule"] == "oracle"
+    # a girth key at n1 = 9 needs no limit
     code, out, _ = run(capsys, "decide", "--n", "98", "--k", "51", "--r", "11")
     assert code == 0
-    assert json.loads(out)["status"] == "exact"
-
-
-def test_oracle_limit_env_var_rejects_non_integer(capsys, monkeypatch):
-    monkeypatch.setenv("LRC_ORACLE_LIMIT", "abc")
-    code, out, err = run(capsys, "decide", "--n", "16", "--k", "9", "--r", "4")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "LRC_ORACLE_LIMIT" in err
+    payload = json.loads(out)
+    assert (payload["n1"], payload["status"], payload["rule"]) == (9, "exact", "girth_k2_eq_k1m1")
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):
@@ -159,7 +154,7 @@ def test_oracle_commands(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == 4
-    assert payload["exhaustive"] is True
+    assert "exhaustive" not in payload
     assert len(payload["witness"]["edges"]) == 4
 
     code, out, _ = run(capsys, "oracle", "girth-ex", "--vertices", "5", "--girth-k", "4")

@@ -122,6 +122,12 @@ def test_turan_is_clique_free():
                 assert is_family_free(g, fam)
 
 
+@pytest.mark.parametrize("degrees", [[1.9, 1.2, 1.7], ["2", "1", "1"], [2, True, 1], ["2", 1]])
+def test_degree_sequence_rejects_non_integers(degrees):
+    with pytest.raises(BadArgs):
+        DegreeSequence(degrees)
+
+
 def test_is_graphic_examples():
     assert is_graphic(DegreeSequence([3, 3, 2]))
     assert not is_graphic(DegreeSequence([3, 1]))

@@ -11,7 +11,7 @@ import pytest
 
 import lrcdist
 from lrcdist import decider, extremal
-from lrcdist.decider import Decision, decide, forest_component_min
+from lrcdist.decider import DEFAULT_ORACLE_LIMIT, Decision, decide, forest_component_min
 from lrcdist.errors import InvalidParams, SelfCheckFailed
 from lrcdist.constructions import saturated_pair_graph, turan_graph
 from lrcdist.extremal import free_multigraph, max_size_girth
@@ -163,24 +163,57 @@ def test_monotone_in_n2():
 
 
 def test_unresolved_above_oracle_limit():
-    # n1 = 9, n2 = 10, k1 = 5, k2 = 4: no arithmetic rule settles it, and
-    # the k2 = k1 - 1 girth rule needs the oracle envelope to reach n1
-    p = derive_params(98, 51, 11)
-    assert (p.n1, p.n2, p.k1, p.k2) == (9, 10, 5, 4)
+    # n1 = 9, n2 = 10, k1 = 5, k2 = 5: no closed-form rule settles it, and
+    # the family search runs only up to the oracle limit
+    p = derive_params(89, 45, 10)
+    assert (p.n1, p.n2, p.k1, p.k2) == (9, 10, 5, 5)
     d_small = decide(p, oracle_limit=8)
     assert d_small.status == "unresolved"
     assert d_small.value == (p.d_star - 1, p.d_star)
     assert d_small.rule == "unresolved"
-    assert d_small.notes
-    assert "resolvable via the girth oracle at a higher limit" in d_small.notes
-    d_full = decide(p, oracle_limit=10)
+    assert d_small.notes == ("n1=9 exceeds oracle limit 8",)
+    d_full = decide(p, oracle_limit=9)
     assert d_full.status == "exact"
-    assert d_full.rule == "girth_k2_eq_k1m1"
+    assert d_full.rule == "oracle"
+    # (9, 10, 5, 4) is a girth key: the girth oracle is exact at every
+    # order inside the envelope, so no limit keeps the girth rule out
+    p = derive_params(98, 51, 11)
+    assert (p.n1, p.n2, p.k1, p.k2) == (9, 10, 5, 4)
+    for limit in (0, DEFAULT_ORACLE_LIMIT, 10):
+        d = decide(p, oracle_limit=limit)
+        assert (d.status, d.rule) == ("exact", "girth_k2_eq_k1m1"), limit
+
+
+# the rows of the n <= 100, r <= 12 sweep that the girth rule settles at
+# n1 = 9, by key (n1, n2, k1, k2)
+GIRTH_ROWS_AT_N1_9 = {
+    (9, 10, 4, 3): [(89, 37, 10), (98, 41, 11)],
+    (9, 10, 5, 4): [(89, 46, 10), (98, 51, 11)],
+    (9, 10, 6, 5): [(89, 55, 10), (98, 61, 11)],
+    (9, 10, 7, 6): [(89, 64, 10), (98, 71, 11)],
+    (9, 11, 4, 3): [(97, 41, 11)],
+    (9, 11, 5, 4): [(97, 51, 11)],
+    (9, 11, 6, 5): [(97, 61, 11)],
+}
+
+
+def test_girth_rule_settles_the_n1_9_keys_at_the_default_limit():
+    for key, rows in GIRTH_ROWS_AT_N1_9.items():
+        for n, k, r in rows:
+            p = derive_params(n, k, r)
+            assert (p.n1, p.n2, p.k1, p.k2) == key
+            d = decide(p)
+            assert (d.status, d.rule) == ("exact", "girth_k2_eq_k1m1"), (n, k, r)
+            if d.value == p.d_star:
+                assert is_family_free(d.witness, ForbiddenFamily(p.k1, p.k2)), (n, k, r)
+            else:
+                assert d.value == p.d_star - 1 and d.witness is None
+                assert p.n2 > extremal._moore_cap(9, p.k1), (n, k, r)
 
 
 def test_no_higher_limit_note_beyond_the_search_envelope():
-    # n1 = 11 is a girth-rule key (k2 = k1 - 1), but no limit reaches it:
-    # limits are clamped to extremal.SEARCH_ENVELOPE = 10
+    # n1 = 11 is a girth-regime key (k2 = k1 - 1), but both the girth rule
+    # and the clamped limit stop at extremal.SEARCH_ENVELOPE = 10
     p = derive_params(131, 45, 12)
     assert (p.n1, p.k1, p.k2) == (11, 4, 3)
     d = decide(p, oracle_limit=12)

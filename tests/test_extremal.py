@@ -62,7 +62,6 @@ def test_multigraph_oracle_examples():
     res = max_size_multigraph(4, ForbiddenFamily(3, 2))
     assert res.value == 4
     assert res.witness.size == 4
-    assert res.exhaustive
     assert max_size_multigraph(3, ForbiddenFamily(2, 0)).value == 0
     assert max_size_multigraph(5, ForbiddenFamily(3, 2)).value == 6
 
@@ -143,6 +142,25 @@ def test_envelope_and_family_validation():
         max_size_multigraph(3, ForbiddenFamily(4, 2))
     with pytest.raises(BadArgs):
         max_size_girth(5, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: max_size_girth(9.0, 4),
+    lambda: max_size_girth(True, 3),
+    lambda: max_size_girth(9, 4.0),
+    lambda: max_size_girth("9", 4),
+    lambda: max_size_multigraph(5.0, ForbiddenFamily(3, 2)),
+    lambda: max_size_simple(4.0, ForbiddenFamily(2, 1)),
+    lambda: free_multigraph(5.0, 3, ForbiddenFamily(3, 2)),
+    lambda: free_multigraph(5, 3.0, ForbiddenFamily(3, 2)),
+    lambda: free_multigraph(5, False, ForbiddenFamily(3, 2)),
+])
+def test_oracles_reject_non_integer_arguments(call):
+    # the same answer is cached for the integer arguments first: a float or
+    # a bool equal to them must not be served from that entry
+    max_size_girth(9, 4), max_size_girth(1, 3)
+    with pytest.raises(BadArgs):
+        call()
 
 
 def test_free_multigraph_matches_maximum():

@@ -136,6 +136,12 @@ def test_family_free_examples():
     assert not is_family_free(g, ForbiddenFamily(3, 1))
 
 
+@pytest.mark.parametrize("order, max_size", [(3, 1.5), (3.0, 2), (True, 0), (3, False), ("3", 2)])
+def test_forbidden_family_rejects_non_integers(order, max_size):
+    with pytest.raises(BadArgs):
+        ForbiddenFamily(order, max_size)
+
+
 def test_loops_rejected():
     with pytest.raises(BadArgs):
         Multigraph(3, {(1, 1): 1})
