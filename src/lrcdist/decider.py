@@ -9,20 +9,28 @@ last rule is the exhaustive multigraph oracle inside the search envelope.
 A rule marked "d* only" never answers d* - 1, because earlier rules settle
 every such instance that reaches it, and a "one-sided" rule applies only
 when its witness exists.
+
+By the paper's equivalence the graph question depends on the key
+(n1, n2, k1, k2) alone; only d* depends on (n, k, r).  So the rule walk,
+the witness and its self-check are memoized per key, search limit and
+rule switch (``_resolve``), and ``decide`` only puts d* or d* - 1 into a
+``Decision`` for each triple.  Exceptions, ``SelfCheckFailed`` among
+them, are never cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import count
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import constructions as cons
 from . import extremal
-from .errors import SelfCheckFailed
+from .errors import BadArgs, SelfCheckFailed
 from .multigraph import ForbiddenFamily, Multigraph, is_family_free
-from .params import CodeParams
+from .params import CodeParams, is_int
 
 DEFAULT_ORACLE_LIMIT = 8
 SELF_CHECK_LIMIT = 20_000  # most k1-subsets the witness self-check enumerates
@@ -40,6 +48,15 @@ class Decision:
     rule: str
     witness: Multigraph | None
     notes: tuple[str, ...] = field(default=())
+
+
+class _Key(NamedTuple):
+    """What the rules see of the parameters: the family key, without n, k, r or d*."""
+
+    n1: int
+    n2: int
+    k1: int
+    k2: int
 
 
 def forest_component_min(n1: int, k1: int, k2: int) -> int:
@@ -165,39 +182,56 @@ def _exceeds_self_check_limit(n: int, k: int) -> bool:
     return comb(n, min(k, n - k, _SELF_CHECK_SIDE)) > SELF_CHECK_LIMIT
 
 
-def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules: bool = True) -> Decision:
-    """Resolve the best achievable distance for validated parameters ``p``.
-
-    ``oracle_limit`` caps the order at which the family search, the last
-    rule, runs (values above the module envelope are clamped); no other
-    rule reads it.  With ``use_rules=False`` only the family search is
-    consulted, which is how the other rules get audited.
-
-    A d* witness is checked to be family-free whenever C(n1, k1) is at
-    most ``SELF_CHECK_LIMIT``; a failed check raises ``SelfCheckFailed``,
-    and a skipped one is recorded in ``notes``.
-    """
-    search_limit = min(oracle_limit, extremal.SEARCH_ENVELOPE)
+@lru_cache(maxsize=None)
+def _resolve(
+    n1: int, n2: int, k1: int, k2: int, search_limit: int, use_rules: bool
+) -> tuple[str, Multigraph | None, tuple[str, ...]]:
+    """(rule, witness, notes) for one key; rule "unresolved" when no rule applies."""
+    p = _Key(n1, n2, k1, k2)
     for rule, applies, witness_of in RULES if use_rules else RULES[-1:]:
         if applies(p, search_limit):
             witness = witness_of(p)
             break
     else:
-        notes = [f"n1={p.n1} exceeds oracle limit {search_limit}"]
+        notes = [f"n1={n1} exceeds oracle limit {search_limit}"]
         if not use_rules:
             notes.append("closed-form rules disabled")
-        return Decision(p, (p.d_star - 1, p.d_star), "unresolved", "unresolved", None, tuple(notes))
+        return "unresolved", None, tuple(notes)
     if witness is None:
-        return Decision(params=p, value=p.d_star - 1, status="exact", rule=rule, witness=None)
-    if witness.order != p.n1 or witness.size != p.n2:
-        raise SelfCheckFailed(f"rule {rule} gave no witness of order {p.n1} and size {p.n2}")
+        return rule, None, ()
+    if witness.order != n1 or witness.size != n2:
+        raise SelfCheckFailed(f"rule {rule} gave no witness of order {n1} and size {n2}")
     # self-check the witness where the density sweep is affordable
-    notes: tuple[str, ...] = ()
-    if not _exceeds_self_check_limit(p.n1, p.k1):
-        if not is_family_free(witness, ForbiddenFamily(p.k1, p.k2)):
-            raise SelfCheckFailed(
-                f"rule {rule} gave a witness with {p.k1} vertices inducing more than {p.k2} edges"
-            )
-    else:
-        notes = (f"witness self-check skipped: C({p.n1}, {p.k1}) > {SELF_CHECK_LIMIT}",)
-    return Decision(params=p, value=p.d_star, status="exact", rule=rule, witness=witness, notes=notes)
+    if _exceeds_self_check_limit(n1, k1):
+        return rule, witness, (f"witness self-check skipped: C({n1}, {k1}) > {SELF_CHECK_LIMIT}",)
+    if not is_family_free(witness, ForbiddenFamily(k1, k2)):
+        raise SelfCheckFailed(f"rule {rule} gave a witness with {k1} vertices inducing more than {k2} edges")
+    return rule, witness, ()
+
+
+def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules: bool = True) -> Decision:
+    """Resolve the best achievable distance for validated parameters ``p``.
+
+    ``oracle_limit``, an integer >= 0, caps the order at which the family
+    search, the last rule, runs (values above the module envelope are
+    clamped); no other rule reads it.  With ``use_rules=False`` only the
+    family search is consulted, which is how the other rules get audited.
+
+    A d* witness is checked to be family-free whenever C(n1, k1) is at
+    most ``SELF_CHECK_LIMIT``; a failed check raises ``SelfCheckFailed``,
+    and a skipped one is recorded in ``notes``.
+
+    The rule, witness and notes are a function of the key (n1, n2, k1, k2)
+    and are computed once per key, clamped limit and ``use_rules`` in a
+    process; triples with the same key share one witness.  A raised
+    exception is not cached, so a bad witness raises on every call.
+    """
+    if not is_int(oracle_limit) or oracle_limit < 0:
+        raise BadArgs(f"oracle limit must be an integer >= 0, got {oracle_limit!r}")
+    rule, witness, notes = _resolve(
+        p.n1, p.n2, p.k1, p.k2, min(oracle_limit, extremal.SEARCH_ENVELOPE), use_rules
+    )
+    if rule == "unresolved":
+        return Decision(p, (p.d_star - 1, p.d_star), "unresolved", rule, None, notes)
+    value = p.d_star if witness is not None else p.d_star - 1
+    return Decision(p, value, "exact", rule, witness, notes)

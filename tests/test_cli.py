@@ -358,3 +358,11 @@ def test_construct_bad_seed_or_retries_exit_2(capsys, tmp_path, monkeypatch, opt
     assert code == 2
     assert err.startswith("error:") and option[2:] in err
     assert not out_path.exists()
+
+
+def test_negative_oracle_limit_exit_2(capsys):
+    for command in ("decide", "sweep"):
+        argv = ("--n", "89", "--k", "45", "--r", "10") if command == "decide" else ("--n-max", "5", "--r-max", "2")
+        code, out, err = run(capsys, command, *argv, "--oracle-limit", "-1")
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error:") and "oracle limit" in err, command

@@ -12,7 +12,7 @@ import pytest
 import lrcdist
 from lrcdist import decider, extremal
 from lrcdist.decider import DEFAULT_ORACLE_LIMIT, Decision, decide, forest_component_min
-from lrcdist.errors import InvalidParams, SelfCheckFailed
+from lrcdist.errors import BadArgs, InvalidParams, SelfCheckFailed
 from lrcdist.constructions import saturated_pair_graph, turan_graph
 from lrcdist.extremal import free_multigraph, max_size_girth
 from lrcdist.multigraph import ForbiddenFamily, Multigraph, is_family_free, multigraph_to_json
@@ -333,3 +333,69 @@ def test_self_check_skip_matches_the_full_binomial():
     for n in range(120):
         for k in range(n + 1):
             assert decider._exceeds_self_check_limit(n, k) == (comb(n, k) > decider.SELF_CHECK_LIMIT)
+
+
+def test_triples_with_one_key_share_the_answer_and_keep_their_own_d_star():
+    # per key: two triples with different d*, the deciding rule and how far
+    # below d* the value is (None: the interval [d* - 1, d*])
+    for pair, rule, below in (
+        (((13, 7, 3), (17, 10, 4)), "real_n1m1", 0),
+        (((13, 8, 3), (17, 11, 4)), "t_bound", 1),
+        (((89, 45, 10), (98, 50, 11)), "unresolved", None),
+    ):
+        p, q = (derive_params(*nkr) for nkr in pair)
+        assert (p.n1, p.n2, p.k1, p.k2) == (q.n1, q.n2, q.k1, q.k2) and p.d_star != q.d_star
+        a, b = decide(p), decide(q)
+        assert a.rule == b.rule == rule and a.status == b.status, pair
+        assert a.witness is b.witness and (a.witness is None) == (below != 0), pair
+        assert a.notes == b.notes and (a.params, b.params) == (p, q), pair
+        for x, d in ((p, a), (q, b)):
+            assert d.value == ((x.d_star - 1, x.d_star) if below is None else x.d_star - below), pair
+    assert decider._resolve.cache_info().misses == 3
+
+
+def test_self_check_failure_is_raised_on_every_call(monkeypatch):
+    monkeypatch.setattr(decider.cons, "almost_regular", piled_up)
+    for _ in range(2):
+        with pytest.raises(SelfCheckFailed):
+            decide(derive_params(16, 9, 4))
+    assert decider._resolve.cache_info().currsize == 0
+
+
+def test_memo_key_holds_the_clamped_limit_and_the_rule_switch():
+    p = derive_params(89, 45, 10)
+    assert decide(p, 8).rule == "unresolved"
+    assert decide(p, 9).rule == "oracle"
+    assert decide(p, 8).rule == "unresolved"
+    # limits above extremal.SEARCH_ENVELOPE = 10 are clamped to one entry
+    before = decider._resolve.cache_info()
+    assert decide(p, 10).rule == decide(p, 12).rule == "oracle"
+    after = decider._resolve.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    q = derive_params(16, 9, 4)
+    assert decide(q).rule == "real_n1m1"
+    assert decide(q, use_rules=False).rule == "oracle"
+    assert decide(q).rule == "real_n1m1"
+
+
+def test_sweep_decides_each_key_once():
+    rows = 0
+    for p in valid_envelope(n_max=60, r_max=8, n1_max=60):
+        decide(p)
+        rows += 1
+    info = decider._resolve.cache_info()
+    assert (rows, info.misses, info.hits) == (9509, 4118, 5391)
+
+
+@pytest.mark.parametrize("limit", [8.5, 9.0, True, False, None, "8", -1])
+def test_oracle_limit_must_be_a_non_negative_integer(limit):
+    with pytest.raises(BadArgs, match="oracle limit"):
+        decide(derive_params(89, 45, 10), limit)
+
+
+def test_rules_see_only_the_key(monkeypatch):
+    # a rule reading n, k, r or d* would memoize one triple's answer for
+    # every triple with its key, so it must fail instead
+    monkeypatch.setattr(decider, "RULES", (("d_star", lambda p, _: p.d_star > 2, lambda p: None),))
+    with pytest.raises(AttributeError):
+        decide(derive_params(16, 9, 4))
