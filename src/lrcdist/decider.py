@@ -215,7 +215,8 @@ def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules
     ``oracle_limit``, an integer >= 0, caps the order at which the family
     search, the last rule, runs (values above the module envelope are
     clamped); no other rule reads it.  With ``use_rules=False`` only the
-    family search is consulted, which is how the other rules get audited.
+    family search is consulted, which is how the other rules get audited;
+    ``use_rules`` must be a bool.
 
     A d* witness is checked to be family-free whenever C(n1, k1) is at
     most ``SELF_CHECK_LIMIT``; a failed check raises ``SelfCheckFailed``,
@@ -228,6 +229,8 @@ def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules
     """
     if not is_int(oracle_limit) or oracle_limit < 0:
         raise BadArgs(f"oracle limit must be an integer >= 0, got {oracle_limit!r}")
+    if not isinstance(use_rules, bool):
+        raise BadArgs(f"use_rules must be a bool, got {use_rules!r}")
     rule, witness, notes = _resolve(
         p.n1, p.n2, p.k1, p.k2, min(oracle_limit, extremal.SEARCH_ENVELOPE), use_rules
     )

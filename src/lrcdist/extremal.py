@@ -26,7 +26,8 @@ pair's room, the multiplicity it can still take, from node to node, and
 lowers it only for the pairs that share a forbidden subset with the pair
 just assigned; the branch top is the pair's own room, or the edges still
 missing if fewer.  A maximum size is the last size the search reaches
-when asked for one more edge at a time.
+when asked for one more edge at a time; for an order-2 family, where
+each pair is a forbidden subset, it is every pair at the pair cap.
 
 The search bounds a node by the edges that the vertices still to come
 can hold among themselves, with caps in closed form: up to
@@ -341,8 +342,15 @@ def _max_size_family(order: int, f_order: int, f_size: int, simple: bool) -> Ext
     the size so far: the DFS for V walks the tree a maximizing DFS would
     walk and returns its first node of size V, which is the witness such
     a search ends with.
+
+    Order-2 families are in closed form: each pair is a forbidden subset,
+    so the maximum puts ``pair_cap`` on every pair, which is also the
+    graph the walk ends with.
     """
     pair_cap = min(f_size, 1) if simple else f_size
+    if f_order == 2:
+        witness = Multigraph(order, dict.fromkeys(combinations(range(order), 2), pair_cap))
+        return ExtremalResult(value=witness.size, witness=witness)
     value, assign = 0, {}
     while True:
         found = _family_search(order, f_order, f_size, min(pair_cap, value + 1), value + 1)

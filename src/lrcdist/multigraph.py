@@ -12,13 +12,20 @@ searches produce that form and every reader walks it, and it keeps a
 witness of n2 edges on n1 vertices at O(n2) memory however large n1 is.  The density
 kernels, which index pairs, build a dense matrix for their own walk.
 
-One kernel answers the k-subset density queries: a depth-first walk over
-the k-subsets (over their complements when k exceeds half the order)
-that carries, for every remaining vertex, its edge count into the
-vertices chosen so far, so the last vertex of a subset is a single
-``max``.  ``k_density`` runs it to the end.  ``is_family_free``
-settles a graph whose whole size is within the bound without looking at
-any subset, and otherwise stops the walk at the first violating subset.
+One kernel, ``_densest``, answers the k-subset density queries.  Two
+cases have closed forms.  For k = 2 the density is the largest pair
+multiplicity.  A simple forest (a graph with fewer edges than vertices is
+tested for one by a union-find over its pairs) has k-density k - j, where
+j is the fewest components, largest first, whose orders add up to at
+least k: a k-set S spans |S| minus the number of components it meets, and
+a tree has subtrees of every smaller order.  Every other query takes a
+depth-first walk over the k-subsets (over their complements when k
+exceeds half the order) that carries, for every remaining vertex, its
+edge count into the vertices chosen so far, so the last vertex of a
+subset is a single ``max``.  ``k_density`` runs the kernel to the end.
+``is_family_free`` settles a graph whose whole size is within the bound
+without looking at any subset, and otherwise stops the walk at the first
+violating subset.
 """
 
 from __future__ import annotations
@@ -152,15 +159,45 @@ def _matrix(g: Multigraph) -> list[list[int]]:
     return rows
 
 
-def _densest(g: Multigraph, k: int, cap: int | None = None) -> int:
-    """Largest induced size over the k-vertex subsets of ``g``, 1 <= k <= g.order.
+def _forest_density(g: Multigraph, k: int) -> int | None:
+    """k-density of ``g`` if it is a simple forest, else None.
 
-    With ``cap`` set the walk stops at the first subset inducing more than
-    ``cap`` edges and returns a value above ``cap``; it returns the exact
-    maximum whenever that maximum is at most ``cap``.  For k > order / 2
-    it walks the complements T instead, since a subset S induces
-    size - (degree sum of T) + induced(T) edges; the walk is therefore
-    never deeper than order / 2.
+    A union-find over the pairs finds the components and rejects a
+    repeated pair or a pair inside one component (a cycle).  Isolated
+    vertices are components of order 1.  The density is k - j for the
+    fewest components j, largest first, that hold k vertices.
+    """
+    root = list(range(g.order))
+    comp = [1] * g.order  # the order of the component at each root
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for (u, v), m in g.pair_multiplicities():
+        u, v = find(u), find(v)
+        if m > 1 or u == v:
+            return None
+        if comp[u] < comp[v]:
+            u, v = v, u
+        root[v] = u
+        comp[u] += comp[v]
+    orders = sorted((comp[v] for v in range(g.order) if root[v] == v), reverse=True)
+    j = covered = 0
+    while covered < k:
+        covered += orders[j]
+        j += 1
+    return k - j
+
+
+def _enumerate(g: Multigraph, k: int, cap: int | None = None) -> int:
+    """Largest induced size over the k-vertex subsets of ``g``, by walking them.
+
+    ``cap`` is as for ``_densest``.  For k > order / 2 it walks the
+    complements T instead, since a subset S induces size - (degree sum
+    of T) + induced(T) edges; the walk is therefore never deeper than
+    order / 2.
     """
     n = g.order
     if 2 * k > n:
@@ -192,8 +229,32 @@ def _densest(g: Multigraph, k: int, cap: int | None = None) -> int:
     return best
 
 
+def _densest(g: Multigraph, k: int, cap: int | None = None) -> int:
+    """Largest induced size over the k-vertex subsets of ``g``, 1 <= k <= g.order.
+
+    With ``cap`` set the answer may stop short: it is above ``cap``
+    whenever the maximum is, and it is the exact maximum whenever that
+    maximum is at most ``cap``.  The closed forms for k = 2 and for
+    simple forests are always exact; every other graph takes the walk of
+    ``_enumerate``, which stops at the first subset above ``cap``.  Only
+    a graph with fewer edges than vertices can be a forest, so denser
+    graphs skip the forest test.
+    """
+    if k == 2:
+        return max((m for _, m in g.pair_multiplicities()), default=0)
+    if g.size < g.order:
+        density = _forest_density(g, k)
+        if density is not None:
+            return density
+    return _enumerate(g, k, cap)
+
+
 def k_density(g: Multigraph, k: int) -> int:
-    """Maximum induced size over all k-vertex subsets, by exhaustive enumeration."""
+    """Maximum induced size over all k-vertex subsets.
+
+    Exact by ``_densest``: in closed form for k = 2 and for simple
+    forests, by enumerating the k-subsets otherwise.
+    """
     if not 1 <= k <= g.order:
         raise BadK(f"k must be in [1, {g.order}], got {k}")
     return _densest(g, k)

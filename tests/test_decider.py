@@ -393,6 +393,14 @@ def test_oracle_limit_must_be_a_non_negative_integer(limit):
         decide(derive_params(89, 45, 10), limit)
 
 
+@pytest.mark.parametrize("use_rules", [[], 1, 0, None, "no"])
+def test_use_rules_must_be_a_bool(use_rules):
+    # [] is unhashable in the memo key, and 1 or "no" would share True's entry
+    with pytest.raises(BadArgs, match="use_rules"):
+        decide(derive_params(16, 9, 4), use_rules=use_rules)
+    assert decider._resolve.cache_info().currsize == 0
+
+
 def test_rules_see_only_the_key(monkeypatch):
     # a rule reading n, k, r or d* would memoize one triple's answer for
     # every triple with its key, so it must fail instead

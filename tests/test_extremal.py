@@ -742,3 +742,31 @@ def test_free_multigraph_existence_is_monotone_and_matches_maximum(query):
     assert exists == (size <= max_size_multigraph(order, family).value)
     if exists and size > 0:
         assert free_multigraph(order, size - 1, family) is not None
+
+
+def order_2_walk(order, f_size, simple):
+    """The order-2 maximum by the decision search, asked for one more edge at a time."""
+    pair_cap = min(f_size, 1) if simple else f_size
+    value, assign = 0, {}
+    while (found := extremal._family_search(order, 2, f_size, min(pair_cap, value + 1), value + 1)) is not None:
+        value, assign = value + 1, found
+    return extremal.ExtremalResult(value=value, witness=Multigraph(order, assign))
+
+
+def test_order_2_families_in_closed_form_match_the_walk():
+    for order in range(2, 8):
+        for f_size in range(5):
+            family = ForbiddenFamily(2, f_size)
+            assert max_size_multigraph(order, family) == order_2_walk(order, f_size, False)
+            assert max_size_simple(order, family) == order_2_walk(order, f_size, True)
+
+
+def test_order_2_family_with_a_huge_pair_cap_takes_no_walk():
+    # one search per edge took seconds here
+    extremal._max_size_family.cache_clear()
+    start = time.process_time()
+    res = max_size_multigraph(4, ForbiddenFamily(2, 100_000))
+    elapsed = time.process_time() - start
+    assert res.value == 600_000
+    assert res.witness == Multigraph(4, dict.fromkeys(combinations(range(4), 2), 100_000))
+    assert elapsed < 1.0

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrcdist import multigraph
 from lrcdist.constructions import balanced_forest, cycle_graph, saturated_pair_graph
 from lrcdist.errors import BadArgs, BadK, UnknownVertex
 from lrcdist.multigraph import (
     ForbiddenFamily,
     Multigraph,
+    _densest,
+    _enumerate,
+    _forest_density,
     is_family_free,
     k_density,
     multigraph_from_json,
@@ -172,6 +176,78 @@ def test_density_invariants_random():
         degs = g.degrees()
         if order >= 2:
             assert k_density(g, order - 1) >= g.size - min(degs)
+
+
+def partitions(n, largest=None):
+    """Every partition of n into positive parts, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part, *rest)
+
+
+def random_forest(rng, orders):
+    """A simple forest with a random tree of each order, on shuffled vertex labels."""
+    label = list(range(sum(orders)))
+    rng.shuffle(label)
+    edges, start = [], 0
+    for c in orders:
+        # attaching each vertex to a random earlier one gives paths, stars
+        # and everything between
+        edges += [(label[start + i], label[start + rng.randrange(i)]) for i in range(1, c)]
+        start += c
+    return Multigraph.from_edges(len(label), edges)
+
+
+def test_forest_closed_form_matches_the_walk():
+    # every partition of n <= 12 into component orders (isolated vertices
+    # are parts of 1), with a random tree per component, at every k
+    rng = random.Random(21)
+    for n in range(1, 13):
+        for orders in partitions(n):
+            g = random_forest(rng, orders)
+            assert g.size == n - len(orders)
+            for k in range(1, n + 1):
+                d = _forest_density(g, k)
+                assert d == _densest(g, k) == _enumerate(g, k), (orders, k)
+                for s in range(max(d - 1, 0), d + 1):
+                    assert is_family_free(g, ForbiddenFamily(k, s)) == (d <= s)
+
+
+def test_pair_closed_form_matches_the_walk():
+    rng = random.Random(22)
+    for _ in range(200):
+        order = rng.randint(2, 9)
+        g = random_multigraph(rng, order, rng.randint(0, 20))
+        d = _densest(g, 2)
+        assert d == _enumerate(g, 2) == brute_density(g, 2)
+        for s in range(g.size + 1):
+            assert is_family_free(g, ForbiddenFamily(2, s)) == (d <= s)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Multigraph(5, {(0, 1): 2, (2, 3): 1}),  # a double edge
+        cycle_graph(6),  # no fewer edges than vertices: not even tested
+        Multigraph.from_edges(7, [(0, 1), (1, 2), (0, 2)]),  # a triangle and isolated vertices
+        Multigraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]),  # n - 1 edges, one cycle
+    ],
+)
+def test_non_forests_take_the_walk(g, monkeypatch):
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return _enumerate(*args)
+
+    monkeypatch.setattr(multigraph, "_enumerate", counted)
+    for k in range(3, g.order + 1):
+        assert _forest_density(g, k) is None
+        assert _densest(g, k) == brute_density(g, k)
+    assert len(walks) == g.order - 2
 
 
 def test_json_round_trip():
