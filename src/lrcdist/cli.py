@@ -24,7 +24,7 @@ from .errors import (
 )
 from .extremal import ExtremalResult
 from .multigraph import ForbiddenFamily, multigraph_to_json
-from .params import derive_params
+from .params import CodeParams, derive_params
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -33,33 +33,28 @@ EXIT_NOT_ACHIEVABLE = 4
 EXIT_RETRIES = 5
 
 
-_RECORD_FIELDS = (
-    "n", "k", "r", "n1", "n2", "k1", "k2", "d_star",
-    "value", "status", "rule", "witness_almost_regular",
-)
+_RECORD_FIELDS = (*CodeParams._fields, "value", "status", "rule", "witness_almost_regular")
+_CSV_FLAG = {True: "true", False: "false", None: ""}
 
 
-def _decision_record(d: Decision) -> dict:
-    """The decision as ``decide`` and ``sweep`` report it."""
-    p, w = d.params, d.witness
-    return {
-        **{f: getattr(p, f) for f in _RECORD_FIELDS[:8]},
-        "value": list(d.value) if isinstance(d.value, tuple) else d.value,
-        "status": d.status,
-        "rule": d.rule,
-        "witness_almost_regular": w.is_almost_regular() if w is not None else None,
-    }
+def _decision_row(d: Decision) -> tuple:
+    """The decision as ``decide`` and ``sweep`` report it, one cell per ``_RECORD_FIELDS``."""
+    w = d.witness
+    return (*d.params, d.value, d.status, d.rule, w.is_almost_regular() if w is not None else None)
 
 
 def cmd_decide(args) -> int:
     params = derive_params(args.n, args.k, args.r)
     decision = decide(params, oracle_limit=args.oracle_limit)
-    record = _decision_record(decision)
-    # the witness goes just before its regularity flag, the notes last
-    almost = record.pop("witness_almost_regular")
+    *cells, almost = _decision_row(decision)
     w = decision.witness
-    record["witness"] = multigraph_to_json(w) if w is not None else None
-    record.update(witness_almost_regular=almost, notes=list(decision.notes))
+    record = dict(zip(_RECORD_FIELDS, cells))
+    # the witness goes just before its regularity flag, the notes last
+    record.update(
+        witness=multigraph_to_json(w) if w is not None else None,
+        witness_almost_regular=almost,
+        notes=decision.notes,
+    )
     print(json.dumps(record, indent=2))
     return EXIT_OK if decision.status == "exact" else EXIT_UNRESOLVED
 
@@ -135,25 +130,22 @@ def _sweep_decisions(n_max: int, r_max: int, oracle_limit: int):
                 yield decide(params, oracle_limit=oracle_limit)
 
 
-def _csv_cell(value) -> object:
-    """``lo..hi`` for an interval, true/false for a flag, empty for None."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, list):
-        return f"{value[0]}..{value[1]}"
-    return value
+def _csv_row(row: tuple) -> tuple:
+    """``row`` with its interval as ``lo..hi`` and its flag as true, false or empty."""
+    *params, value, status, rule, almost = row
+    if isinstance(value, tuple):
+        value = f"{value[0]}..{value[1]}"
+    return (*params, value, status, rule, _CSV_FLAG[almost])
 
 
 def cmd_sweep(args) -> int:
-    records = [_decision_record(d) for d in _sweep_decisions(args.n_max, args.r_max, args.oracle_limit)]
+    rows = [_decision_row(d) for d in _sweep_decisions(args.n_max, args.r_max, args.oracle_limit)]
     if args.format == "json":
-        print(json.dumps(records, indent=2))
+        print(json.dumps([dict(zip(_RECORD_FIELDS, row)) for row in rows], indent=2))
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(_RECORD_FIELDS)
-        writer.writerows([_csv_cell(v) for v in record.values()] for record in records)
+        writer.writerows(map(_csv_row, rows))
     return EXIT_OK
 
 

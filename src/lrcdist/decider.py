@@ -20,7 +20,6 @@ them, are never cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
 from math import comb
@@ -38,8 +37,7 @@ SELF_CHECK_LIMIT = 20_000  # most k1-subsets the witness self-check enumerates
 _SELF_CHECK_SIDE = next(j for j in count(1) if comb(2 * j, j) > SELF_CHECK_LIMIT)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Resolved distance value with rule provenance and an optional witness."""
 
     params: CodeParams
@@ -47,16 +45,18 @@ class Decision:
     status: str  # "exact" | "unresolved"
     rule: str
     witness: Multigraph | None
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
 
 class _Key(NamedTuple):
-    """What the rules see of the parameters: the family key, without n, k, r or d*."""
+    """What the rules see of the parameters: the family key and the clamped
+    search limit, without n, k, r or d*."""
 
     n1: int
     n2: int
     k1: int
     k2: int
+    limit: int
 
 
 def forest_component_min(n1: int, k1: int, k2: int) -> int:
@@ -120,52 +120,52 @@ def _girth_witness(p: CodeParams) -> Multigraph | None:
     return None
 
 
-# (name, applies(p, search_limit), witness(p)) in evaluation order; each
-# rule may assume that no earlier rule applied, and only the family search
-# reads the limit.  Constructions and oracles are looked up on their
-# modules at call time.
+# (name, applies(p), witness(p)) in evaluation order; each rule may
+# assume that no earlier rule applied, and only the family search reads
+# p.limit.  Constructions and oracles are looked up on their modules at
+# call time.
 RULES = (
     # r = k: every 1-vertex subgraph is empty
-    ("k1_eq_1", lambda p, _: p.k1 == 1, lambda p: cons.almost_regular(p.n1, p.n2)),
+    ("k1_eq_1", lambda p: p.k1 == 1, lambda p: cons.almost_regular(p.n1, p.n2)),
     # n2 = 0: the empty graph is trivially free
-    ("divides", lambda p, _: p.n2 == 0, lambda p: Multigraph.empty(p.n1)),
+    ("divides", lambda p: p.n2 == 0, lambda p: Multigraph.empty(p.n1)),
     # 0 < n2 <= k2: the whole size is already small enough
-    ("n2_le_k2", lambda p, _: p.k2 >= p.n2, lambda p: cons.almost_regular(p.n1, p.n2)),
+    ("n2_le_k2", lambda p: p.k2 >= p.n2, lambda p: cons.almost_regular(p.n1, p.n2)),
     # k2 = 0, k1 >= 2, n2 >= 1: a single edge violates
-    ("k2_zero", lambda p, _: p.k2 == 0 and p.k1 >= 2, lambda p: None),
+    ("k2_zero", lambda p: p.k2 == 0 and p.k1 >= 2, lambda p: None),
     # k1 = 2: the saturated pair graph is extremal, free iff n2 <= C(n1, 2) * k2
-    ("k1_eq_2", lambda p, _: p.k1 == 2, _saturated_witness),
+    ("k1_eq_2", lambda p: p.k1 == 2, _saturated_witness),
     # any k2 + 1 edges span at most 2k2 + 2 <= k1 vertices and violate
-    ("many_edges", lambda p, _: p.n2 >= p.k2 + 1 and p.k1 >= 2 * p.k2 + 2, lambda p: None),
+    ("many_edges", lambda p: p.n2 >= p.k2 + 1 and p.k1 >= 2 * p.k2 + 2, lambda p: None),
     # the min-degree peeling bound exceeds k2: no free graph
-    ("t_bound", lambda p, _: extremal.t_bound(p.n1, p.n2, p.k1, "floor") > p.k2, lambda p: None),
+    ("t_bound", lambda p: extremal.t_bound(p.n1, p.n2, p.k1) > p.k2, lambda p: None),
     # k2 < k1 - 1: balanced forests are extremal
-    ("forest_k2_lt_k1m1", lambda p, _: p.k2 < p.k1 - 1, _forest_witness),
+    ("forest_k2_lt_k1m1", lambda p: p.k2 < p.k1 - 1, _forest_witness),
     # n1 - k1 = 1, d* only: the almost-regular graph is free; d* - 1 needs
     # n2 - floor(2 n2 / n1) > k2, which is t_bound after one peel
-    ("real_n1m1", lambda p, _: p.n1 - p.k1 == 1, lambda p: cons.almost_regular(p.n1, p.n2)),
+    ("real_n1m1", lambda p: p.n1 - p.k1 == 1, lambda p: cons.almost_regular(p.n1, p.n2)),
     # k1 = 3, k2 = 2, d* only: the bipartite Turan graph is free; past
     # floor(n1^2 / 4) edges t_bound already ends above 2 at order 3
-    ("mantel", lambda p, _: p.k1 == 3 and p.k2 == 2, lambda p: _take(p.n1, cons.turan_pairs(p.n1, 2), p.n2)),
+    ("mantel", lambda p: p.k1 == 3 and p.k2 == 2, lambda p: _take(p.n1, cons.turan_pairs(p.n1, 2), p.n2)),
     # k2 = C(k1, 2) - 1, one-sided: forbidding k1-subsets of size C(k1, 2)
     # means forbidding k1-cliques, and the balanced complete (k1-1)-partite
     # graph is the densest such simple graph, so it applies when that graph
     # has n2 edges
     ("turan_sufficient",
-     lambda p, _: p.k2 == comb(p.k1, 2) - 1 and _turan_size(p.n1, p.k1 - 1) >= p.n2,
+     lambda p: p.k2 == comb(p.k1, 2) - 1 and _turan_size(p.n1, p.k1 - 1) >= p.n2,
      lambda p: _take(p.n1, cons.turan_pairs(p.n1, p.k1 - 1), p.n2)),
     # n2 < n1, d* only: k1 - 1 <= k2 and k1 < n1 here, and k1 < n1 vertices
     # of a forest or a cycle induce a forest, so at most k1 - 1 edges
-    ("forest_n2_lt_n1", lambda p, _: p.n2 < p.n1, lambda p: cons.balanced_forest(p.n1, p.n1 - p.n2)),
+    ("forest_n2_lt_n1", lambda p: p.n2 < p.n1, lambda p: cons.balanced_forest(p.n1, p.n1 - p.n2)),
     # n2 = n1, d* only: the cycle is free, as above
-    ("cycle_n2_eq_n1", lambda p, _: p.n2 == p.n1, lambda p: cons.cycle_graph(p.n1)),
+    ("cycle_n2_eq_n1", lambda p: p.n2 == p.n1, lambda p: cons.cycle_graph(p.n1)),
     # k2 = k1 - 1, k1 >= 3: the free graphs are the simple graphs of girth
     # > k1, and the girth oracle is exact at every order inside the envelope
     ("girth_k2_eq_k1m1",
-     lambda p, _: p.k2 == p.k1 - 1 and p.k1 >= 3 and p.n1 <= extremal.SEARCH_ENVELOPE,
+     lambda p: p.k2 == p.k1 - 1 and p.k1 >= 3 and p.n1 <= extremal.SEARCH_ENVELOPE,
      _girth_witness),
     # exhaustive multigraph search
-    ("oracle", lambda p, limit: p.n1 <= limit,
+    ("oracle", lambda p: p.n1 <= p.limit,
      lambda p: extremal.free_multigraph(p.n1, p.n2, ForbiddenFamily(p.k1, p.k2))),
 )
 
@@ -187,9 +187,9 @@ def _resolve(
     n1: int, n2: int, k1: int, k2: int, search_limit: int, use_rules: bool
 ) -> tuple[str, Multigraph | None, tuple[str, ...]]:
     """(rule, witness, notes) for one key; rule "unresolved" when no rule applies."""
-    p = _Key(n1, n2, k1, k2)
+    p = _Key(n1, n2, k1, k2, search_limit)
     for rule, applies, witness_of in RULES if use_rules else RULES[-1:]:
-        if applies(p, search_limit):
+        if applies(p):
             witness = witness_of(p)
             break
     else:

@@ -69,6 +69,8 @@ from .multigraph import ForbiddenFamily, Multigraph
 from .params import is_int
 
 SEARCH_ENVELOPE = 10
+# most edges a maximum-size query may answer with: its witness is listed edge by edge
+WITNESS_EDGE_LIMIT = 1_000_000
 _SEED_RESTARTS = 60
 # most circulant vectors one search looks at; over every family key with
 # n1 <= 10 from n <= 200, r <= 30, a hit takes at most 12 and a miss ends
@@ -346,8 +348,17 @@ def _max_size_family(order: int, f_order: int, f_size: int, simple: bool) -> Ext
     Order-2 families are in closed form: each pair is a forbidden subset,
     so the maximum puts ``pair_cap`` on every pair, which is also the
     graph the walk ends with.
+
+    A query whose averaging cap on the whole graph exceeds
+    ``WITNESS_EDGE_LIMIT`` is refused with ``EnvelopeExceeded`` before any
+    search; for an order-2 family that cap is the maximum itself.
     """
     pair_cap = min(f_size, 1) if simple else f_size
+    cap = _induced_caps(order, f_order, f_size, pair_cap)[order]
+    if cap > WITNESS_EDGE_LIMIT:
+        raise EnvelopeExceeded(
+            f"a witness of up to {cap} edges exceeds the limit of {WITNESS_EDGE_LIMIT} edges"
+        )
     if f_order == 2:
         witness = Multigraph(order, dict.fromkeys(combinations(range(order), 2), pair_cap))
         return ExtremalResult(value=witness.size, witness=witness)
@@ -387,18 +398,6 @@ def max_size_simple(order: int, family: ForbiddenFamily) -> ExtremalResult:
     return _max_size_family(order, family.order, family.max_size, True)
 
 
-@lru_cache(maxsize=None)
-def _free_multigraph(order: int, size: int, f_order: int, f_size: int) -> Multigraph | None:
-    pair_cap = min(f_size, size) if f_order >= 2 else size
-    assign = _family_search(order, f_order, f_size, pair_cap, size)
-    if assign is None:
-        return None
-    g = Multigraph(order, assign)
-    if g.size != size:
-        raise SelfCheckFailed(f"family search reached size {size} but built size {g.size}")
-    return g
-
-
 def free_multigraph(order: int, size: int, family: ForbiddenFamily) -> Multigraph | None:
     """A family-free multigraph of exactly this order and size, or None.
 
@@ -412,9 +411,17 @@ def free_multigraph(order: int, size: int, family: ForbiddenFamily) -> Multigrap
     _check_envelope(order)
     if not is_int(size) or size < 0:
         raise BadArgs(f"size must be an integer >= 0, got {size!r}")
-    if 2 <= family.order and family.order > order:
-        raise BadArgs(f"family order {family.order} exceeds graph order {order}")
-    return _free_multigraph(order, size, family.order, family.max_size)
+    f_order, f_size = family.order, family.max_size
+    if 2 <= f_order and f_order > order:
+        raise BadArgs(f"family order {f_order} exceeds graph order {order}")
+    pair_cap = min(f_size, size) if f_order >= 2 else size
+    assign = _family_search(order, f_order, f_size, pair_cap, size)
+    if assign is None:
+        return None
+    g = Multigraph(order, assign)
+    if g.size != size:
+        raise SelfCheckFailed(f"family search reached size {size} but built size {g.size}")
+    return g
 
 
 def _add_edge(dist: list[list[int]], u: int, v: int, k: int):
@@ -503,25 +510,20 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
     return ExtremalResult(value=cap, witness=Multigraph.from_edges(order, best))
 
 
-def t_bound(n1: int, n2: int, k1: int, variant: str = "ceil") -> int:
+def t_bound(n1: int, n2: int, k1: int) -> int:
     """Density lower bound by peeling a minimum-degree vertex n1 - k1 times.
 
-    Seeded with n2 edges on n1 vertices, one peeling step at order m removes
-    at most ceil(2*t/m) edges (the floor variant uses the sharper floor
-    estimate of the minimum degree).  The result bounds from below the size
-    of some k1-vertex subgraph of every multigraph of order n1 and size n2,
-    so a value above k2 certifies that no family-free graph exists.
+    Seeded with n2 edges on n1 vertices, one peeling step at order m with
+    t edges removes a vertex of degree at most floor(2*t/m), the minimum
+    degree.  The result bounds from below the size of some k1-vertex
+    subgraph of every multigraph of order n1 and size n2, so a value above
+    k2 certifies that no family-free graph exists.
     """
     if not 1 <= k1 <= n1:
         raise BadArgs(f"need 1 <= k1 <= n1, got (n1={n1}, k1={k1})")
     if n2 < 0:
         raise BadArgs(f"need n2 >= 0, got {n2}")
-    if variant not in ("ceil", "floor"):
-        raise BadArgs(f"variant must be 'ceil' or 'floor', got {variant!r}")
     t = n2
     for m in range(n1, k1, -1):
-        if variant == "floor":
-            t -= (2 * t) // m
-        else:
-            t -= -((-2 * t) // m)
+        t -= (2 * t) // m
     return t

@@ -13,13 +13,12 @@ The best achievable minimum distance is always d* or d* - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParams
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(NamedTuple):
     n: int
     k: int
     r: int
@@ -58,4 +57,4 @@ def derive_params(n: int, k: int, r: int) -> CodeParams:
             f"locality infeasible: n - k = {n - k} < ceil(k/r) = {k1}", "locality"
         )
     d_star = n - k - k1 + 2
-    return CodeParams(n=n, k=k, r=r, n1=n1, n2=n2, k1=k1, k2=k2, d_star=d_star)
+    return CodeParams(n, k, r, n1, n2, k1, k2, d_star)

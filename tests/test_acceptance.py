@@ -39,6 +39,7 @@ from lrcdist.tanner import (
     tanner_min_distance,
 )
 
+from test_extremal import ceil_peel
 from test_multigraph import density_profile
 
 
@@ -119,12 +120,8 @@ def test_criterion_1b_circulant_witnesses_agree_with_the_search(monkeypatch):
             assert is_family_free(g, ForbiddenFamily(k1, k2)), (n1, n2, k1, k2)
             hits.append((n1, n2, ForbiddenFamily(k1, k2)))
     monkeypatch.setattr(extremal, "_circulant", lambda *args: None)
-    extremal._free_multigraph.cache_clear()
-    try:
-        for n1, n2, family in hits:
-            assert free_multigraph(n1, n2, family) is not None, (n1, n2, family)
-    finally:
-        extremal._free_multigraph.cache_clear()
+    for n1, n2, family in hits:
+        assert free_multigraph(n1, n2, family) is not None, (n1, n2, family)
     _report("1b", "circulant witnesses", t0, f"[{len(hits)} of {len(keys)} keys]")
 
 
@@ -314,8 +311,8 @@ def test_criterion_10_peeling_bound_soundness():
                 g = random_multigraph(rng, n1, n2)
                 profile = density_profile(g)
                 for k1 in range(1, n1 + 1):
-                    fl = t_bound(n1, n2, k1, "floor")
-                    ce = t_bound(n1, n2, k1, "ceil")
+                    fl = t_bound(n1, n2, k1)
+                    ce = ceil_peel(n1, n2, k1)
                     assert fl >= ce
                     assert profile[k1] >= fl
                     if ce >= 0 and fl > ce:

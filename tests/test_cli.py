@@ -3,8 +3,10 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from functools import lru_cache
 
 import pytest
@@ -13,6 +15,9 @@ from hypothesis import strategies as st
 
 import lrcdist
 from lrcdist.cli import main
+from lrcdist.errors import EnvelopeExceeded
+from lrcdist.extremal import max_size_multigraph
+from lrcdist.multigraph import ForbiddenFamily
 
 
 def run(capsys, *argv):
@@ -175,6 +180,22 @@ def test_oracle_envelope_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("vertices,forbid_order", [(4, 2), (5, 3)])
+def test_oracle_refuses_a_huge_witness_at_once(vertices, forbid_order):
+    # averaging caps of 6·10^9 and 3.3·10^9 edges: the order-2 witness would
+    # print for hours, and the order-3 walk would ask for one more edge 10^9
+    # times; a separate interpreter with bounded memory keeps a regression
+    # from stalling the suite or filling the machine
+    argv = ("--vertices", str(vertices), "--forbid-order", str(forbid_order), "--forbid-size", str(10**9))
+    done = run_subprocess("oracle", "eX", *argv, timeout=10, max_memory=2**30)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error:") and "exceeds the limit" in done.stderr
+    start = time.process_time()
+    with pytest.raises(EnvelopeExceeded):
+        max_size_multigraph(vertices, ForbiddenFamily(forbid_order, 10**9))
+    assert time.process_time() - start < 1.0
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run(capsys, "sweep", "--n-max", "12", "--r-max", "3")
     assert code == 0
@@ -247,13 +268,18 @@ def test_sweep_json_agrees_with_decide(capsys):
         assert d["rule"] == t["rule"]
 
 
-def run_subprocess(*argv, timeout=60):
-    # a separate interpreter, so a hang fails the test instead of stalling the suite
+def run_subprocess(*argv, timeout=60, max_memory=None):
+    # a separate interpreter, so a hang fails the test instead of stalling the
+    # suite; max_memory (bytes of address space) makes a runaway allocation fail it too
     src = os.path.dirname(os.path.dirname(lrcdist.__file__))
     env = {**os.environ, "PYTHONPATH": src}
+    limit = None
+    if max_memory is not None:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (max_memory, max_memory))
     return subprocess.run(
         [sys.executable, "-m", "lrcdist", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=limit,
     )
 
 

@@ -91,7 +91,6 @@ def test_92_65_12_is_decided_by_a_circulant_witness_in_milliseconds():
     # (8, 12) with every 6 vertices holding at most 7 edges: the seeds
     # miss, and the DFS alone took about 7 s; the Wagner graph C8(1, 4)
     # is a free circulant
-    extremal._free_multigraph.cache_clear()
     start = time.process_time()
     d = decide(derive_params(92, 65, 12))
     elapsed = time.process_time() - start
@@ -281,6 +280,15 @@ def test_decision_is_dataclass_value():
     assert d.params.n == 16
 
 
+def test_records_are_read_only():
+    p = derive_params(16, 9, 4)
+    d = decide(p)
+    for record, field in ((p, "d_star"), (d, "value"), (d, "witness")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    assert (p.d_star, d.value) == (6, 6) and d.witness is not None
+
+
 def piled_up(n1, n2):
     # right order and size, but every edge on one pair: not (3, 3)-free for n2 = 4
     return Multigraph(n1, {(0, 1): n2})
@@ -404,6 +412,6 @@ def test_use_rules_must_be_a_bool(use_rules):
 def test_rules_see_only_the_key(monkeypatch):
     # a rule reading n, k, r or d* would memoize one triple's answer for
     # every triple with its key, so it must fail instead
-    monkeypatch.setattr(decider, "RULES", (("d_star", lambda p, _: p.d_star > 2, lambda p: None),))
+    monkeypatch.setattr(decider, "RULES", (("d_star", lambda p: p.d_star > 2, lambda p: None),))
     with pytest.raises(AttributeError):
         decide(derive_params(16, 9, 4))

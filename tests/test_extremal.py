@@ -194,15 +194,20 @@ def test_free_multigraph_never_violated_family():
             assert free_multigraph(order, size, ForbiddenFamily(1, 0)) is None
 
 
+def ceil_peel(n1, n2, k1):
+    """Reference for t_bound: the weaker peel, removing ceil(2t / m) edges at order m."""
+    t = n2
+    for m in range(n1, k1, -1):
+        t -= -((-2 * t) // m)
+    return t
+
+
 def test_t_bound_examples():
-    assert t_bound(5, 7, 3, "ceil") == 2
-    assert t_bound(5, 7, 3, "floor") == 3
-    for variant in ("ceil", "floor"):
-        assert t_bound(6, 4, 6, variant) == 4  # empty recursion
+    assert ceil_peel(5, 7, 3) == 2
+    assert t_bound(5, 7, 3) == 3
+    assert t_bound(6, 4, 6) == ceil_peel(6, 4, 6) == 4  # empty recursion
     with pytest.raises(BadArgs):
         t_bound(4, 3, 5)
-    with pytest.raises(BadArgs):
-        t_bound(4, 3, 2, "round")
 
 
 def test_t_bound_soundness_random():
@@ -219,8 +224,8 @@ def test_t_bound_soundness_random():
             mult[(u, v)] = mult.get((u, v), 0) + 1
         g = Multigraph(n1, mult)
         for k1 in range(1, n1 + 1):
-            fl = t_bound(n1, n2, k1, "floor")
-            ce = t_bound(n1, n2, k1, "ceil")
+            fl = t_bound(n1, n2, k1)
+            ce = ceil_peel(n1, n2, k1)
             assert fl >= ce
             if fl > ce >= 0:
                 floor_beats_ceil += 1
@@ -527,10 +532,8 @@ def no_circulants(monkeypatch):
     """The family search with its circulant step off, on cold caches."""
     monkeypatch.setattr(extremal, "_circulant", lambda *args: None)
     extremal._max_size_family.cache_clear()
-    extremal._free_multigraph.cache_clear()
     yield
     extremal._max_size_family.cache_clear()
-    extremal._free_multigraph.cache_clear()
 
 
 def test_family_search_matches_the_reference(no_circulants):
@@ -609,7 +612,6 @@ def test_circulant_step_is_capped(monkeypatch, no_circulants):
     assert extremal._circulant(6, 5, 7, 7, 10) is None and pulled == [3, 8]
     monkeypatch.setattr(extremal, "_CIRCULANT_CAP", 2)
     pulled.clear()
-    extremal._free_multigraph.cache_clear()
     # past the cap the DFS decides, as with the step off
     assert [free_multigraph(*q) for q in (fast, miss)] == expected
     assert None not in expected and pulled == [2, 2]
@@ -759,6 +761,15 @@ def test_order_2_families_in_closed_form_match_the_walk():
             family = ForbiddenFamily(2, f_size)
             assert max_size_multigraph(order, family) == order_2_walk(order, f_size, False)
             assert max_size_simple(order, family) == order_2_walk(order, f_size, True)
+
+
+def test_witness_edge_limit_reads_the_pair_cap():
+    # a simple graph holds one edge per pair whatever the forbid-size
+    assert max_size_simple(5, ForbiddenFamily(3, 10**9)).value == 10
+    limit = extremal.WITNESS_EDGE_LIMIT
+    assert max_size_multigraph(2, ForbiddenFamily(2, limit)).value == limit
+    with pytest.raises(EnvelopeExceeded):
+        max_size_multigraph(2, ForbiddenFamily(2, limit + 1))
 
 
 def test_order_2_family_with_a_huge_pair_cap_takes_no_walk():
