@@ -178,10 +178,10 @@ def construct_optimal_lrc(
     user-supplied small field, success decays like (1 - failure_rate) per
     attempt and ``max_retries`` caps the spend before RetriesExhausted.
     """
-    if seed < 0:
-        raise BadArgs(f"seed must be >= 0, got {seed}")
-    if max_retries < 1:
-        raise BadArgs(f"max_retries must be >= 1, got {max_retries}")
+    if not is_int(seed) or seed < 0:
+        raise BadArgs(f"seed must be an integer >= 0, got {seed!r}")
+    if not is_int(max_retries) or max_retries < 1:
+        raise BadArgs(f"max_retries must be an integer >= 1, got {max_retries!r}")
     _check_distance_envelope(p, p.d_star)
     decision = decide(p, oracle_limit=oracle_limit)
     if decision.status != "exact":
@@ -218,15 +218,28 @@ def _row_reduced(h: bytes, shape: tuple[int, int], q: int) -> tuple[np.ndarray, 
     return reduced, tuple(pivots)
 
 
+def _symbols(values, length: int, what: str) -> np.ndarray:
+    """``values`` as an int64 vector of ``length`` integers, else BadArgs.
+
+    Checked on the NumPy dtype, not entry by entry: floats, strings, bools
+    and integers past int64 give no integer dtype that casts to int64.
+    """
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise BadArgs(f"{what} must be {length} integers: {exc}") from exc
+    if a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64) or a.shape != (length,):
+        raise BadArgs(f"{what} must be {length} integers, got {a.dtype} of shape {a.shape}")
+    return a.astype(np.int64, copy=False)
+
+
 def encode(c: LinearCode, message: list[int] | np.ndarray) -> np.ndarray:
     """Systematic encoding: message symbols sit on the non-pivot columns of
     the row-reduced parity-check matrix, pivot columns are solved from them.
     """
     p = c.params
     q = c.field.q
-    msg = np.array(message, dtype=np.int64) % q
-    if msg.shape != (p.k,):
-        raise BadArgs(f"message must have length k = {p.k}")
+    msg = _symbols(message, p.k, "message") % q
     h = np.ascontiguousarray(c.H, dtype=np.int64)
     reduced, pivots = _row_reduced(h.tobytes(), h.shape, q)
     if len(pivots) != p.n - p.k:
@@ -248,12 +261,15 @@ def repair_symbol(c: LinearCode, word: list[int | None]) -> int:
     Reads at most r other coordinates: the lowest-index row of weight
     <= r + 1 that is nonzero on the erased position.
     """
+    p = c.params
+    q = c.field.q
+    if len(word) != p.n:
+        raise BadArgs(f"word must have length n = {p.n}, got {len(word)}")
     erased = [j for j, x in enumerate(word) if x is None]
     if len(erased) != 1:
         raise BadArgs(f"expected exactly one erasure, got {len(erased)}")
     j = erased[0]
-    p = c.params
-    q = c.field.q
+    _symbols([*word[:j], *word[j + 1:]], p.n - 1, "the word's other symbols")
     weights = (c.H != 0).sum(axis=1)
     for i in range(c.H.shape[0]):
         if weights[i] <= p.r + 1 and c.H[i, j] != 0:

@@ -21,20 +21,16 @@ them, are never cached.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
 from math import comb
 from typing import Iterable, NamedTuple
 
 from . import constructions as cons
 from . import extremal
-from .errors import BadArgs, SelfCheckFailed
-from .multigraph import ForbiddenFamily, Multigraph, is_family_free
+from .errors import BadArgs, EnvelopeExceeded, SelfCheckFailed
+from .multigraph import SUBSET_BUDGET, ForbiddenFamily, Multigraph, is_family_free
 from .params import CodeParams, is_int
 
 DEFAULT_ORACLE_LIMIT = 8
-SELF_CHECK_LIMIT = 20_000  # most k1-subsets the witness self-check enumerates
-# the least j with C(2j, j) > SELF_CHECK_LIMIT
-_SELF_CHECK_SIDE = next(j for j in count(1) if comb(2 * j, j) > SELF_CHECK_LIMIT)
 
 
 class Decision(NamedTuple):
@@ -170,18 +166,6 @@ RULES = (
 )
 
 
-def _exceeds_self_check_limit(n: int, k: int) -> bool:
-    """Whether C(n, k) > SELF_CHECK_LIMIT, for 0 <= k <= n, without forming
-    C(n, k) in full.
-
-    C(n, j) grows with j up to n / 2, so when j = min(k, n - k) reaches
-    ``_SELF_CHECK_SIDE`` (whence n >= 2 * _SELF_CHECK_SIDE), C(n, k) is at
-    least C(n, _SELF_CHECK_SIDE) >= C(2 * _SELF_CHECK_SIDE, _SELF_CHECK_SIDE),
-    which already exceeds the limit.
-    """
-    return comb(n, min(k, n - k, _SELF_CHECK_SIDE)) > SELF_CHECK_LIMIT
-
-
 @lru_cache(maxsize=None)
 def _resolve(
     n1: int, n2: int, k1: int, k2: int, search_limit: int, use_rules: bool
@@ -201,10 +185,11 @@ def _resolve(
         return rule, None, ()
     if witness.order != n1 or witness.size != n2:
         raise SelfCheckFailed(f"rule {rule} gave no witness of order {n1} and size {n2}")
-    # self-check the witness where the density sweep is affordable
-    if _exceeds_self_check_limit(n1, k1):
-        return rule, witness, (f"witness self-check skipped: C({n1}, {k1}) > {SELF_CHECK_LIMIT}",)
-    if not is_family_free(witness, ForbiddenFamily(k1, k2)):
+    try:
+        free = is_family_free(witness, ForbiddenFamily(k1, k2))
+    except EnvelopeExceeded:
+        return rule, witness, (f"witness self-check skipped: C({n1}, {k1}) > {SUBSET_BUDGET}",)
+    if not free:
         raise SelfCheckFailed(f"rule {rule} gave a witness with {k1} vertices inducing more than {k2} edges")
     return rule, witness, ()
 
@@ -218,9 +203,10 @@ def decide(p: CodeParams, oracle_limit: int = DEFAULT_ORACLE_LIMIT, *, use_rules
     family search is consulted, which is how the other rules get audited;
     ``use_rules`` must be a bool.
 
-    A d* witness is checked to be family-free whenever C(n1, k1) is at
-    most ``SELF_CHECK_LIMIT``; a failed check raises ``SelfCheckFailed``,
-    and a skipped one is recorded in ``notes``.
+    Every d* witness is checked to be family-free; a failed check raises
+    ``SelfCheckFailed``.  A check that the density kernel refuses, a walk
+    over more than ``multigraph.SUBSET_BUDGET`` subsets, is skipped and
+    recorded in ``notes``.
 
     The rule, witness and notes are a function of the key (n1, n2, k1, k2)
     and are computed once per key, clamped limit and ``use_rules`` in a

@@ -22,21 +22,28 @@ a tree has subtrees of every smaller order.  Every other query takes a
 depth-first walk over the k-subsets (over their complements when k
 exceeds half the order) that carries, for every remaining vertex, its
 edge count into the vertices chosen so far, so the last vertex of a
-subset is a single ``max``.  ``k_density`` runs the kernel to the end.
-``is_family_free`` settles a graph whose whole size is within the bound
-without looking at any subset, and otherwise stops the walk at the first
-violating subset.
+subset is a single ``max``.  The walk holds its own envelope: past
+``SUBSET_BUDGET`` subsets it raises ``EnvelopeExceeded`` instead of
+starting.  ``k_density`` runs the kernel to the end.  ``is_family_free``
+settles a graph whose whole size is within the bound without looking at
+any subset, and otherwise stops the walk at the first violating subset.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
+from math import comb
 from operator import index
 from typing import ItemsView, Iterable, Mapping
 
-from .errors import BadArgs, BadK, UnknownVertex
+from .errors import BadArgs, BadK, EnvelopeExceeded, UnknownVertex
 from .params import is_int
+
+SUBSET_BUDGET = 20_000  # most k-subsets the density walk enumerates
+# the least j with C(2j, j) > SUBSET_BUDGET
+_BUDGET_SIDE = next(j for j in count(1) if comb(2 * j, j) > SUBSET_BUDGET)
 
 
 def _vertex(v) -> int:
@@ -238,7 +245,9 @@ def _densest(g: Multigraph, k: int, cap: int | None = None) -> int:
     simple forests are always exact; every other graph takes the walk of
     ``_enumerate``, which stops at the first subset above ``cap``.  Only
     a graph with fewer edges than vertices can be a forest, so denser
-    graphs skip the forest test.
+    graphs skip the forest test.  A walk over more than ``SUBSET_BUDGET``
+    subsets raises ``EnvelopeExceeded``; C(n, j) grows with j up to n / 2,
+    so j is capped at ``_BUDGET_SIDE`` and no huge C(n, k) is formed.
     """
     if k == 2:
         return max((m for _, m in g.pair_multiplicities()), default=0)
@@ -246,6 +255,8 @@ def _densest(g: Multigraph, k: int, cap: int | None = None) -> int:
         density = _forest_density(g, k)
         if density is not None:
             return density
+    if comb(g.order, min(k, g.order - k, _BUDGET_SIDE)) > SUBSET_BUDGET:
+        raise EnvelopeExceeded(f"C({g.order}, {k}) > {SUBSET_BUDGET} subsets to walk")
     return _enumerate(g, k, cap)
 
 
@@ -253,10 +264,11 @@ def k_density(g: Multigraph, k: int) -> int:
     """Maximum induced size over all k-vertex subsets.
 
     Exact by ``_densest``: in closed form for k = 2 and for simple
-    forests, by enumerating the k-subsets otherwise.
+    forests, by enumerating the k-subsets otherwise (``EnvelopeExceeded``
+    past ``SUBSET_BUDGET`` of them).
     """
-    if not 1 <= k <= g.order:
-        raise BadK(f"k must be in [1, {g.order}], got {k}")
+    if not is_int(k) or not 1 <= k <= g.order:
+        raise BadK(f"k must be an integer in [1, {g.order}], got {k!r}")
     return _densest(g, k)
 
 

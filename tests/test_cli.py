@@ -298,12 +298,20 @@ def test_decide_forest_and_cycle_rules_need_no_subset_sweep():
 
 def test_decide_skips_the_self_check_without_printing_a_huge_binomial():
     # C(15000, 7500) has 4,513 digits, more than Python converts to a string
-    # by default; the note must bound it instead of printing it
+    # by default; the note must bound it instead of printing it.  The cycle
+    # witness is no forest, so the kernel would walk the subsets.
+    done = run_subprocess("decide", "--n", "225000000", "--k", "112492501", "--r", "15000", timeout=30)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert (payload["n1"], payload["n2"], payload["k1"], payload["k2"]) == (15000, 15000, 7500, 7499)
+    assert (payload["status"], payload["rule"]) == ("exact", "cycle_n2_eq_n1")
+    assert payload["notes"] == ["witness self-check skipped: C(15000, 7500) > 20000"]
+    # the empty witness at the same n1 and k1 is settled by its size
     done = run_subprocess("decide", "--n", "30000", "--k", "7500", "--r", "1", timeout=30)
     assert done.returncode == 0, done.stderr
     payload = json.loads(done.stdout)
     assert (payload["n1"], payload["k1"], payload["status"]) == (15000, 7500, "exact")
-    assert payload["notes"] == ["witness self-check skipped: C(15000, 7500) > 20000"]
+    assert payload["notes"] == []
 
 
 def test_construct_outside_distance_envelope_exit_2(tmp_path):

@@ -260,9 +260,32 @@ def test_repair_gf2():
 
 def test_repair_input_validation():
     code = construct_optimal_lrc(derive_params(12, 7, 3), seed=0)
-    word = [0] * 12
+    for word in ([0] * 12, [None, 0, 0, 0], [None] + [0] * 12, [None] * 2 + [0] * 10,
+                 [None, 1.5] + [0] * 10, [None, "1"] + [0] * 10, [None] + [True] * 11,
+                 [None, 2**70] + [0] * 10):
+        with pytest.raises(BadArgs):
+            repair_symbol(code, word)
+
+
+def test_encode_rejects_malformed_messages():
+    code = construct_optimal_lrc(derive_params(12, 7, 3), seed=0)
+    for msg in ([0] * 6, [0] * 8, [1.5] + [0] * 6, ["1"] * 7, [True] * 7, [2**70] + [0] * 6,
+                [[0]] * 7, [[0], 1, 2, 3, 4, 5, 6], np.zeros(7), None):
+        with pytest.raises(BadArgs):
+            encode(code, msg)
+    # every NumPy integer dtype is taken, and reduced mod q like a list
+    msg = [3, 1, 4, 1, 5, 9, 2]
+    word = encode(code, msg)
+    for dtype in (np.int8, np.uint16, np.int32, np.uint32, np.int64):
+        assert (encode(code, np.array(msg, dtype=dtype)) == word).all()
+    assert (encode(code, [x + code.field.q for x in msg]) == word).all()
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": 1.5}, {"seed": True}, {"seed": "0"}, {"seed": -1},
+                                    {"max_retries": 2.5}, {"max_retries": True}, {"max_retries": 0}])
+def test_construct_rejects_non_integer_seed_or_retries(kwargs):
     with pytest.raises(BadArgs):
-        repair_symbol(code, word)
+        construct_optimal_lrc(derive_params(12, 7, 3), **kwargs)
 
 
 def test_json_round_trip():

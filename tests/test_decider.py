@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from math import comb
 
 import pytest
 
@@ -326,21 +325,19 @@ def test_self_check_rejects_non_free_witness(monkeypatch):
 
 
 def test_skipped_self_check_is_noted():
+    # C(30, 5) > 20000, but the empty witness is settled by its size
     p = derive_params(60, 5, 1)
     assert (p.n1, p.n2, p.k1) == (30, 0, 5)
     d = decide(p)
-    assert (d.rule, d.status, d.value) == ("divides", "exact", p.d_star)
-    assert d.notes == ("witness self-check skipped: C(30, 5) > 20000",)
-    # a checked witness carries no such note
+    assert (d.rule, d.status, d.value, d.notes) == ("divides", "exact", p.d_star, ())
     assert decide(derive_params(16, 9, 4)).notes == ()
-
-
-def test_self_check_skip_matches_the_full_binomial():
-    # the skip test bounds C(n, k) instead of forming it, and must still
-    # decide exactly as comparing the full binomial with the limit would
-    for n in range(120):
-        for k in range(n + 1):
-            assert decider._exceeds_self_check_limit(n, k) == (comb(n, k) > decider.SELF_CHECK_LIMIT)
+    # the Turan witness, K(2, 5) with 10 > k2 edges, is no forest, so the
+    # kernel would walk C(21, 5) > 20000 subsets
+    p = derive_params(221, 41, 10)
+    assert (p.n1, p.n2, p.k1, p.k2) == (21, 10, 5, 9)
+    d = decide(p)
+    assert (d.rule, d.status, d.value) == ("turan_sufficient", "exact", p.d_star)
+    assert d.notes == ("witness self-check skipped: C(21, 5) > 20000",)
 
 
 def test_triples_with_one_key_share_the_answer_and_keep_their_own_d_star():

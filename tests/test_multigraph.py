@@ -1,5 +1,7 @@
 import random
+import time
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from lrcdist import multigraph
 from lrcdist.constructions import balanced_forest, cycle_graph, saturated_pair_graph
-from lrcdist.errors import BadArgs, BadK, UnknownVertex
+from lrcdist.errors import BadArgs, BadK, EnvelopeExceeded, UnknownVertex
 from lrcdist.multigraph import (
+    SUBSET_BUDGET,
     ForbiddenFamily,
     Multigraph,
     _densest,
@@ -127,10 +130,38 @@ def test_k_density_examples():
 
 
 def test_k_density_bad_k():
-    with pytest.raises(BadK):
-        k_density(cycle_graph(4), 0)
-    with pytest.raises(BadK):
-        k_density(cycle_graph(4), 5)
+    for k in (0, 5, True, 1.5, 2.0, "2"):
+        with pytest.raises(BadK):
+            k_density(cycle_graph(4), k)
+
+
+def test_k_density_past_the_subset_budget_fails_at_once():
+    start = time.perf_counter()
+    with pytest.raises(EnvelopeExceeded):
+        k_density(cycle_graph(40), 20)
+    with pytest.raises(EnvelopeExceeded):
+        is_family_free(cycle_graph(40), ForbiddenFamily(20, 19))
+    assert time.perf_counter() - start < 1
+    # the closed forms and the whole-size test come before the budget
+    assert k_density(cycle_graph(40), 2) == 1
+    assert k_density(balanced_forest(40, 2), 20) == 19
+    assert is_family_free(cycle_graph(40), ForbiddenFamily(20, 40))
+
+
+def test_subset_budget_matches_the_full_binomial():
+    # the budget test bounds C(n, k) instead of forming it, and must still
+    # refuse exactly the walks over more than SUBSET_BUDGET subsets; with
+    # cap -1 an allowed walk stops at its first subset
+    for n in range(3, 120):
+        g = cycle_graph(n)  # n edges: no forest, so k != 2 reaches the walk
+        for k in range(1, n + 1):
+            if k == 2:
+                continue
+            if comb(n, k) > SUBSET_BUDGET:
+                with pytest.raises(EnvelopeExceeded):
+                    _densest(g, k, -1)
+            else:
+                _densest(g, k, -1)
 
 
 def test_family_free_examples():
