@@ -218,12 +218,19 @@ def _row_reduced(h: bytes, shape: tuple[int, int], q: int) -> tuple[np.ndarray, 
     return reduced, tuple(pivots)
 
 
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
 def _symbols(values, length: int, what: str) -> np.ndarray:
     """``values`` as an int64 vector of ``length`` integers, else BadArgs.
 
     Checked on the NumPy dtype, not entry by entry: floats, strings, bools
-    and integers past int64 give no integer dtype that casts to int64.
+    and integers past int64 give no integer dtype that casts to int64.  A
+    bool among integers would give one, so a list or tuple is first
+    scanned for bool types, at C speed.
     """
+    if isinstance(values, (list, tuple)) and not _BOOL_TYPES.isdisjoint(map(type, values)):
+        raise BadArgs(f"{what} must be {length} integers, got a bool among them")
     try:
         a = np.asarray(values)
     except ValueError as exc:  # a ragged nesting

@@ -13,21 +13,24 @@ Three maximum-size questions are answered exactly at desk scale
 
 The family questions rest on one decision search for a family-free
 graph of a given size, in three steps.  Greedy randomized seeds are
-tried first and often reach the size with no search at all.  Circulants
-come next: on Z_order every pair at cyclic distance d gets the same
-multiplicity, so the induced size of a subset is a dot product of its
-distance counts with the multiplicities, and a capped depth-first walk
-over the multiplicities finds an evenly spread witness where the seeds
-miss.  Last comes depth-first branch and bound over vertex pairs in
-lexicographic order: completed-vertex degrees are forced non-increasing
-(every graph has a degree-sorted relabeling, so the restriction is
-lossless), and upper bounds prune branches.  The search carries each
-pair's room, the multiplicity it can still take, from node to node, and
-lowers it only for the pairs that share a forbidden subset with the pair
-just assigned; the branch top is the pair's own room, or the edges still
-missing if fewer.  A maximum size is the last size the search reaches
-when asked for one more edge at a time; for an order-2 family, where
-each pair is a forbidden subset, it is every pair at the pair cap.
+tried first and often reach the size with no search at all; once they
+all miss, the most edges any of them reached is kept for the shape, and
+a larger size skips them.  Circulants come next: on Z_order every pair
+at cyclic distance d gets the same multiplicity, so the induced size of
+a subset is a dot product of its distance counts with the
+multiplicities, and a capped depth-first walk over the multiplicities
+finds an evenly spread witness where the seeds miss.  Last comes
+depth-first branch and bound over vertex pairs in lexicographic order:
+completed-vertex degrees are forced non-increasing (every graph has a
+degree-sorted relabeling, so the restriction is lossless), and upper
+bounds prune branches.  The search carries each pair's room, the
+multiplicity it can still take, from node to node, and lowers it only
+for the later pairs that share a forbidden subset with the pair just
+assigned, as no earlier pair's room is read again; the branch top is
+the pair's own room, or the edges still missing if fewer.  A maximum
+size is the last size the search reaches when asked for one more edge
+at a time; for an order-2 family, where each pair is a forbidden
+subset, it is every pair at the pair cap.
 
 The search bounds a node by the edges that the vertices still to come
 can hold among themselves, with caps in closed form: up to
@@ -39,8 +42,8 @@ whole graph: a size above that cap is answered without a search.  Every
 bound holds for every completion of the partial graph, with or without
 sorted degrees, so it cuts only subtrees with nothing at the target,
 and the search returns the witness the uncapped DFS would return behind
-the seeds and the circulant step.  The pair and subset tables are built
-once per shape.
+the seeds and the circulant step.  The pair and subset tables, with
+each pair's later pairs, are built once per order and family order.
 
 The girth question needs no search.  The irregular Moore bound caps it
 (k >= order, a forest, is its d = 2 end), and the best greedy seed meets
@@ -79,6 +82,9 @@ _CIRCULANT_CAP = 200
 _RNG_SEED = 0x5EED
 # a distance no graph of the searched orders reaches: "no path yet"
 _FAR = 10**6
+# per shape (order, f_order, f_size, pair_cap) whose greedy seeds have all
+# missed a target: the most edges any of its seed walks reaches
+_seed_reach: dict[tuple[int, int, int, int], int] = {}
 
 
 @dataclass(frozen=True)
@@ -109,20 +115,30 @@ def _seed_orders(npairs: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _incidence(
-    order: int, f_order: int
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Pairs in lexicographic order, the f_order-subsets holding each, and the pairs of each."""
+def _incidence(order: int, f_order: int) -> tuple[
+    tuple[tuple[int, int], ...],
+    tuple[tuple[int, ...], ...],
+    tuple[tuple[int, ...], ...],
+    tuple[tuple[tuple[int, tuple[int, ...]], ...], ...],
+]:
+    """Pairs in lexicographic order, the f_order-subsets holding each, the
+    pairs of each, and for each pair its later pairs: every subset holding
+    it with a pair after it, paired with the pairs after it in that subset."""
     pairs = tuple(combinations(range(order), 2))
-    subsets = list(combinations(range(order), f_order)) if f_order >= 2 else []
+    subsets = combinations(range(order), f_order) if f_order >= 2 else ()
     sub_of_pair: list[list[int]] = [[] for _ in pairs]
-    pairs_of_sub: list[list[int]] = [[] for _ in subsets]
+    pairs_of_sub: list[tuple[int, ...]] = []
+    later: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in pairs]
     pair_index = {p: pi for pi, p in enumerate(pairs)}
     for si, s in enumerate(subsets):
-        for p in combinations(s, 2):
-            sub_of_pair[pair_index[p]].append(si)
-            pairs_of_sub[si].append(pair_index[p])
-    return pairs, tuple(map(tuple, sub_of_pair)), tuple(map(tuple, pairs_of_sub))
+        # lexicographic, like the pairs: each pair's later pairs follow it
+        in_s = tuple(map(pair_index.__getitem__, combinations(s, 2)))
+        pairs_of_sub.append(in_s)
+        for pi in in_s:
+            sub_of_pair[pi].append(si)
+        for t in range(len(in_s) - 1):
+            later[in_s[t]].append((si, in_s[t + 1:]))
+    return pairs, tuple(map(tuple, sub_of_pair)), tuple(pairs_of_sub), tuple(map(tuple, later))
 
 
 def _induced_caps(order: int, f_order: int, f_size: int, pair_cap: int) -> list[int]:
@@ -240,19 +256,30 @@ def _family_search(
 
     The greedy seeds are tried first, in ``_seed_orders`` order, and the
     first to reach ``target`` is returned; then the ``_circulant`` step.
+    A seed that misses never cut an edge to the target, so its size is
+    that of its walk with no target.  Once every seed has missed,
+    ``_seed_reach`` keeps the largest such size for the shape (order,
+    f_order, f_size, pair_cap), and a later target above it skips the
+    seeds, which would all miss again.
+
     Otherwise the depth-first search returns the first node of size
-    ``target``.  A node at pair (u, v) is cut unless some completion can
-    reach ``target``.  Its bounds: u's remaining rooms plus the later
-    pairs, which lie among the order - u - 1 later vertices and so hold at
-    most the smaller of their rooms and ``cap[order - u - 1]``; and
-    vertices u and later, which hold at most ``cap[order - u]`` edges, of
-    which u's block has already taken some.  A target above ``cap[order]`` is not reached, with no search at
-    all.  Each bound holds for every completion of the partial graph, so
-    a cut subtree holds no node at the target and the search returns the
-    same assignment as a search without the cuts, behind the same seeds
-    and circulant step.
+    ``target``.  It reads rooms only at its own pair and after it, so an
+    edge on pair i lowers only the later pairs of each subset holding i,
+    and a subset with no pair after i is left alone; the seeds walk the
+    pairs in any order and lower every pair of each subset.
+
+    A node at pair (u, v) is cut unless some completion can reach
+    ``target``.  Its bounds: u's remaining rooms plus the later pairs,
+    which lie among the order - u - 1 later vertices and so hold at most
+    the smaller of their rooms and ``cap[order - u - 1]``; and vertices u
+    and later, which hold at most ``cap[order - u]`` edges, of which u's
+    block has already taken some.  A target above ``cap[order]`` is not
+    reached, with no search at all.  Each bound holds for every
+    completion of the partial graph, so a cut subtree holds no node at
+    the target and the search returns the same assignment as a search
+    without the cuts, behind the same seeds and circulant step.
     """
-    pairs, sub_of_pair, pairs_of_sub = _incidence(order, f_order)
+    pairs, sub_of_pair, pairs_of_sub, later = _incidence(order, f_order)
     npairs = len(pairs)
     nsub = len(pairs_of_sub)
     cap = _induced_caps(order, f_order, f_size, pair_cap)
@@ -271,19 +298,26 @@ def _family_search(
                 if room[j] > spare:
                     room[j] = spare
 
-    for perm in _seed_orders(npairs):
-        cur = [0] * nsub
-        room = empty_room.copy()
-        tot = 0
-        assign: dict[tuple[int, int], int] = {}
-        for pi in perm:
-            m = min(room[pi], target - tot)
-            if m > 0:
-                assign[pairs[pi]] = m
-                tot += m
-                add(cur, room, pi, m)
-        if tot == target:
-            return assign
+    shape = (order, f_order, f_size, pair_cap)
+    reach = _seed_reach.get(shape)
+    if reach is None or target <= reach:
+        best = 0
+        for perm in _seed_orders(npairs):
+            cur = [0] * nsub
+            room = empty_room.copy()
+            tot = 0
+            assign: dict[tuple[int, int], int] = {}
+            for pi in perm:
+                m = min(room[pi], target - tot)
+                if m > 0:
+                    assign[pairs[pi]] = m
+                    tot += m
+                    add(cur, room, pi, m)
+            if tot == target:
+                return assign
+            if tot > best:
+                best = tot
+        _seed_reach[shape] = best
     assign = _circulant(order, f_order, f_size, pair_cap, target)
     if assign is not None:
         return assign
@@ -312,9 +346,15 @@ def _family_search(
         if size + sum(room[i:e]) + min(sum(room[e:]), cap[order - u - 1]) < target:
             return False
         saved = room.copy()
+        subs = later[i]
         for m in range(min(room[i], target - size), -1, -1):
             if m:
-                add(cur, room, i, m)
+                for s, rest in subs:
+                    cur[s] += m
+                    spare = f_size - cur[s]
+                    for j in rest:
+                        if room[j] > spare:
+                            room[j] = spare
                 deg[u] += m
                 deg[v] += m
             assign_vec[i] = m
@@ -322,7 +362,7 @@ def _family_search(
                 return True
             assign_vec[i] = 0
             if m:
-                for s in sub_of_pair[i]:
+                for s, _ in subs:
                     cur[s] -= m
                 room[:] = saved
                 deg[u] -= m

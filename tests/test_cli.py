@@ -172,6 +172,21 @@ def test_oracle_commands(capsys):
     assert json.loads(out)["value"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("eX", "--vertices", "6", "--forbid-order", "4", "--forbid-size", "5"),
+    ("eX", "--vertices", "3", "--forbid-order", "2", "--forbid-size", "3"),
+    ("ex", "--vertices", "4", "--forbid-order", "2", "--forbid-size", "0"),
+    ("ex", "--vertices", "5", "--forbid-order", "3", "--forbid-size", "0"),
+    ("girth-ex", "--vertices", "7", "--girth-k", "4"),
+])
+def test_oracle_output_is_the_indented_json_dump(capsys, argv):
+    # the edge list is written by hand, byte for byte as json.dumps writes it:
+    # repeated pairs, a one-edge-per-pair witness and the empty list
+    code, out, _ = run(capsys, "oracle", *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_oracle_envelope_exit_2(capsys):
     code, _, err = run(
         capsys,

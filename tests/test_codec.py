@@ -281,6 +281,21 @@ def test_encode_rejects_malformed_messages():
     assert (encode(code, [x + code.field.q for x in msg]) == word).all()
 
 
+def test_a_bool_among_integers_is_rejected():
+    # NumPy would read [True, 2, ...] as the integers [1, 2, ...]
+    code = construct_optimal_lrc(derive_params(12, 7, 3), seed=0)
+    for msg in ([True, 2, 3, 4, 5, 6, 7], (1, 2, 3, False, 5, 6, 7), [1, 2, np.True_, 4, 5, 6, 7]):
+        with pytest.raises(BadArgs):
+            encode(code, msg)
+    word = encode(code, [3, 1, 4, 1, 5, 9, 2]).tolist()
+    for j, flag in ((1, True), (5, np.False_)):
+        received = [*word]
+        received[0] = None
+        received[j] = flag
+        with pytest.raises(BadArgs):
+            repair_symbol(code, received)
+
+
 @pytest.mark.parametrize("kwargs", [{"seed": 1.5}, {"seed": True}, {"seed": "0"}, {"seed": -1},
                                     {"max_retries": 2.5}, {"max_retries": True}, {"max_retries": 0}])
 def test_construct_rejects_non_integer_seed_or_retries(kwargs):

@@ -551,6 +551,131 @@ def test_unseeded_family_search_matches_the_reference(monkeypatch, no_circulants
     assert_family_oracles_match_reference(extremal._seed_orders)
 
 
+def full_room_dfs(order, f_order, f_size, pair_cap, target):
+    """The family DFS as it was when each edge lowered the room of every pair
+    sharing a subset with it, earlier pairs included; no seeds, no circulants."""
+    pairs, sub_of_pair, pairs_of_sub, _ = extremal._incidence(order, f_order)
+    npairs = len(pairs)
+    cap = _induced_caps(order, f_order, f_size, pair_cap)
+    if cap[order] < target:
+        return None
+    cur = [0] * len(pairs_of_sub)
+    room = [pair_cap] * npairs
+    deg = [0] * order
+    assign_vec = [0] * npairs
+
+    def add(i, m):
+        for s in sub_of_pair[i]:
+            cur[s] += m
+            spare = f_size - cur[s]
+            for j in pairs_of_sub[s]:
+                if room[j] > spare:
+                    room[j] = spare
+
+    def dfs(i, size, in_block):
+        if size == target:
+            return True
+        if i == npairs:
+            return False
+        u, v = pairs[i]
+        if v == u + 1:
+            if u >= 2 and deg[u - 2] < deg[u - 1]:
+                return False
+            in_block = 0
+        if size - in_block + cap[order - u] < target:
+            return False
+        e = i + order - v
+        if size + sum(room[i:e]) + min(sum(room[e:]), cap[order - u - 1]) < target:
+            return False
+        saved = room.copy()
+        for m in range(min(room[i], target - size), -1, -1):
+            if m:
+                add(i, m)
+                deg[u] += m
+                deg[v] += m
+            assign_vec[i] = m
+            if dfs(i + 1, size + m, in_block + m):
+                return True
+            assign_vec[i] = 0
+            if m:
+                for s in sub_of_pair[i]:
+                    cur[s] -= m
+                room[:] = saved
+                deg[u] -= m
+                deg[v] -= m
+        return False
+
+    if not dfs(0, 0, 0):
+        return None
+    return {pairs[j]: m for j, m in enumerate(assign_vec) if m}
+
+
+def test_dfs_lowering_only_later_pairs_matches_the_full_room_dfs(monkeypatch):
+    # the DFS reads no room before its own pair, so lowering only the later
+    # pairs of each subset changes no branch, no cut and no witness
+    monkeypatch.setattr(extremal, "_seed_orders", lambda npairs: ())
+    monkeypatch.setattr(extremal, "_circulant", lambda *args: None)
+    for order in range(3, 8):
+        for f_order in range(3, order + 1):
+            for f_size in range(6):
+                top = _induced_caps(order, f_order, f_size, f_size)[order]
+                for target in range(top + 2):
+                    query = (order, f_order, f_size, min(f_size, target), target)
+                    assert extremal._family_search(*query) == full_room_dfs(*query), query
+
+
+def seed_walk_sizes(order, f_order, f_size, pair_cap):
+    """The size each greedy seed reaches with no target: it takes all the room of each pair."""
+    pairs = list(combinations(range(order), 2))
+    subsets = list(combinations(range(order), f_order))
+    sizes = []
+    for perm in _seed_orders(len(pairs)):
+        g = {}
+        for pi in perm:
+            u, v = pairs[pi]
+            room = min(
+                [pair_cap] + [f_size - sum(g.get(p, 0) for p in combinations(s, 2)) for s in subsets if u in s and v in s]
+            )
+            if room > 0:
+                g[(u, v)] = room
+        sizes.append(sum(g.values()))
+    return sizes
+
+
+def test_a_shape_whose_seeds_all_missed_walks_no_seed_above_their_reach(monkeypatch):
+    walked = []
+
+    def counted_seed_orders(npairs):
+        walked.append(npairs)
+        return _seed_orders(npairs)
+
+    monkeypatch.setattr(extremal, "_seed_orders", counted_seed_orders)
+    for order, f_order, f_size in [(5, 3, 2), (6, 4, 3), (7, 5, 4), (7, 3, 4), (8, 6, 3)]:
+        shape = (order, f_order, f_size, f_size)
+        reach = max(seed_walk_sizes(*shape))
+        top = _induced_caps(*shape)[order]
+        targets = range(top + 2)
+        cold = []
+        for target in targets:
+            extremal._seed_reach.clear()
+            cold.append(extremal._family_search(*shape, target))
+        # asked from the top down, a miss comes first and every target at or
+        # below the reach then walks the seeds; asked from the bottom up, the
+        # first miss is at the reach + 1; a target above the cap walks none
+        for sweep in (targets[::-1], targets):
+            extremal._seed_reach.clear()
+            missed = False
+            for target in sweep:
+                walked.clear()
+                assert extremal._family_search(*shape, target) == cold[target], (shape, target)
+                skipped = target > top or (missed and target > reach)
+                assert walked == ([] if skipped else [comb(order, 2)]), (shape, target)
+                if reach < target <= top:
+                    assert extremal._seed_reach[shape] == reach, shape
+                    missed = True
+            assert missed, shape
+
+
 def circulant(order, x):
     return Multigraph(order, {
         (u, v): x[min(v - u, order - v + u) - 1] for u, v in combinations(range(order), 2)
