@@ -23,14 +23,15 @@ finds an evenly spread witness where the seeds miss.  Last comes
 depth-first branch and bound over vertex pairs in lexicographic order:
 completed-vertex degrees are forced non-increasing (every graph has a
 degree-sorted relabeling, so the restriction is lossless), and upper
-bounds prune branches.  The search carries each pair's room, the
-multiplicity it can still take, from node to node, and lowers it only
-for the later pairs that share a forbidden subset with the pair just
-assigned, as no earlier pair's room is read again; the branch top is
-the pair's own room, or the edges still missing if fewer.  A maximum
-size is the last size the search reaches when asked for one more edge
-at a time; for an order-2 family, where each pair is a forbidden
-subset, it is every pair at the pair cap.
+bounds prune branches.  The search hands each pair's room, the
+multiplicity it can still take, down from node to node; a branch that
+places edges lowers the room, in its own copy, only for the later pairs
+that share a forbidden subset with the pair just assigned, as no
+earlier pair's room is read again, so there is nothing to undo.  The
+branch top is the pair's own room, or the edges still missing if fewer.
+A maximum size is the last size the search reaches when asked for one
+more edge at a time; for an order-2 family, where each pair is a
+forbidden subset, it is every pair at the pair cap.
 
 The search bounds a node by the edges that the vertices still to come
 can hold among themselves, with caps in closed form: up to
@@ -148,13 +149,14 @@ def _induced_caps(order: int, f_order: int, f_size: int, pair_cap: int) -> list[
     most f_size edges.  Above it the averaging argument applies: each edge
     on m vertices lies in m - 2 of their m subsets of m - 1 vertices, so m
     vertices span at most m * cap[m - 1] / (m - 2) edges.  No pair holds
-    more than pair_cap.  A family of order below 2 caps nothing.  Needs
-    f_order <= order.
+    more than pair_cap.  A family of order below 2 caps no subset, so only
+    pair_cap does: m vertices span at most C(m, 2) * pair_cap edges.
+    Needs f_order <= order.
     """
     cap = [0] * (order + 1)
     for m in range(2, order + 1):
         if f_order < 2:
-            cap[m] = _FAR
+            cap[m] = comb(m, 2) * pair_cap
         elif m <= f_order:
             cap[m] = min(f_size, comb(m, 2) * pair_cap)
         else:
@@ -193,31 +195,30 @@ def _circulant_vectors(order: int, f_order: int, f_size: int, pair_cap: int, tar
     an entry never makes a vector free, so the most a distance can take
     is read off the profiles and nothing above it is visited.  A prefix
     whose later distances, all at pair_cap, could not lift it to
-    ``target`` is not extended.  The yielded list is the walk's own and
-    changes as the walk goes on.
+    ``target`` is not extended.  Each vector is a fresh tuple of
+    ``order // 2`` entries, so a caller may keep it.
     """
     half = order // 2
     per_dist = [order if 2 * d < order else half for d in range(1, half + 1)]
     reach = [sum(per_dist[j:]) * pair_cap for j in range(half + 1)]
     profiles = _distance_profiles(order, f_order)
-    x = [0] * half
 
-    def extend(j: int, size: int, load: list[int]):
+    def extend(prefix: tuple[int, ...], size: int, load: list[int]):
+        j = len(prefix)
         if j == half or size + reach[j] < target:
             return
         top = min(
             [pair_cap] + [(f_size - s) // p[j] for p, s in zip(profiles, load) if p[j]]
         )
         for m in range(top, -1, -1):
-            x[j] = m
+            x = prefix + (m,)
             if m:
-                yield x, size + m * per_dist[j]
+                yield x + (0,) * (half - j - 1), size + m * per_dist[j]
             raised = [s + p[j] * m for p, s in zip(profiles, load)]
-            yield from extend(j + 1, size + m * per_dist[j], raised)
-        x[j] = 0
+            yield from extend(x, size + m * per_dist[j], raised)
 
-    yield x, 0
-    yield from extend(0, 0, [0] * len(profiles))
+    yield (0,) * half, 0
+    yield from extend((), 0, [0] * len(profiles))
 
 
 def _circulant(
@@ -263,10 +264,15 @@ def _family_search(
     seeds, which would all miss again.
 
     Otherwise the depth-first search returns the first node of size
-    ``target``.  It reads rooms only at its own pair and after it, so an
-    edge on pair i lowers only the later pairs of each subset holding i,
-    and a subset with no pair after i is left alone; the seeds walk the
-    pairs in any order and lower every pair of each subset.
+    ``target``.  A node gets its subset loads, rooms and degrees from its
+    parent and changes none of them: a branch placing m > 0 edges on pair
+    i works on its own copies, and the m = 0 branch, tried last, passes
+    the parent's on.  A branch that reaches the target returns its
+    assignment, and each pair on the way back up adds its own edges.  It
+    reads rooms only at its own pair and after it, so an edge on pair i
+    lowers only the later pairs of each subset holding i, and a subset
+    with no pair after i is left alone; the seeds walk the pairs in any
+    order and lower every pair of each subset.
 
     A node at pair (u, v) is cut unless some completion can reach
     ``target``.  Its bounds: u's remaining rooms plus the later pairs,
@@ -322,56 +328,43 @@ def _family_search(
     if assign is not None:
         return assign
 
-    cur = [0] * nsub
-    room = empty_room.copy()
-    deg = [0] * order
-    assign_vec = [0] * npairs
-
-    def dfs(i: int, size: int, in_block: int) -> bool:
+    def dfs(
+        i: int, size: int, in_block: int, cur: list[int], room: list[int], deg: list[int]
+    ) -> dict[tuple[int, int], int] | None:
         # in_block: the multiplicity already placed in the block of pair i
         if size == target:
-            return True
+            return {}
         if i == npairs:
-            return False
+            return None
         u, v = pairs[i]
         # entering vertex block u at (u, u + 1): degree of u-2 is final,
         # enforce sorted order
         if v == u + 1:
             if u >= 2 and deg[u - 2] < deg[u - 1]:
-                return False
+                return None
             in_block = 0
         if size - in_block + cap[order - u] < target:
-            return False
+            return None
         e = i + order - v  # the first pair of block u + 1
         if size + sum(room[i:e]) + min(sum(room[e:]), cap[order - u - 1]) < target:
-            return False
-        saved = room.copy()
-        subs = later[i]
-        for m in range(min(room[i], target - size), -1, -1):
-            if m:
-                for s, rest in subs:
-                    cur[s] += m
-                    spare = f_size - cur[s]
-                    for j in rest:
-                        if room[j] > spare:
-                            room[j] = spare
-                deg[u] += m
-                deg[v] += m
-            assign_vec[i] = m
-            if dfs(i + 1, size + m, in_block + m):
-                return True
-            assign_vec[i] = 0
-            if m:
-                for s, _ in subs:
-                    cur[s] -= m
-                room[:] = saved
-                deg[u] -= m
-                deg[v] -= m
-        return False
+            return None
+        for m in range(min(room[i], target - size), 0, -1):
+            c, r, d = cur.copy(), room.copy(), deg.copy()
+            for s, rest in later[i]:
+                c[s] += m
+                spare = f_size - c[s]
+                for j in rest:
+                    if r[j] > spare:
+                        r[j] = spare
+            d[u] += m
+            d[v] += m
+            found = dfs(i + 1, size + m, in_block + m, c, r, d)
+            if found is not None:
+                found[pairs[i]] = m
+                return found
+        return dfs(i + 1, size, in_block, cur, room, deg)
 
-    if not dfs(0, 0, 0):
-        return None
-    return {pairs[j]: m for j, m in enumerate(assign_vec) if m}
+    return dfs(0, 0, 0, [0] * nsub, empty_room, [0] * order)
 
 
 @lru_cache(maxsize=None)

@@ -167,6 +167,10 @@ def p2f(p: PrunedGraph, strategy: str | AttachStrategy = "first") -> FullTannerG
     variables, so any attachment policy succeeds and every check ends at
     degree exactly r + 1.
     """
+    if isinstance(strategy, str) and strategy not in BUILTIN_STRATEGIES:
+        raise InvalidTanner(
+            f"unknown strategy {strategy!r}; built-in strategies: {', '.join(BUILTIN_STRATEGIES)}"
+        )
     pick = BUILTIN_STRATEGIES[strategy] if isinstance(strategy, str) else strategy
     checks = [set(c) for c in p.checks]
     for i, v in enumerate(range(p.m, p.n)):

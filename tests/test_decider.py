@@ -145,6 +145,16 @@ def test_agrees_with_forced_oracle_small():
         assert (a.value, a.status) == (b.value, b.status), p
 
 
+def test_oracle_agrees_with_k1_eq_1_past_a_million_edges():
+    # k1 = 1 forbids nothing, so the search must find the d* witness too
+    p = derive_params(1000003, 1000001, 1000001)
+    a = decide(p)
+    b = decide(p, use_rules=False)
+    assert p.d_star == 3 and (a.rule, a.value) == ("k1_eq_1", 3)
+    assert (b.rule, b.value) == ("oracle", 3)
+    assert b.witness.size == p.n2
+
+
 def test_monotone_in_n2():
     # if d* is achievable at n2 = x, it is achievable at every smaller n2
     # with the same n1, k1, k2 (edge removal preserves freeness)

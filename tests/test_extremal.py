@@ -187,6 +187,9 @@ def test_free_multigraph_never_violated_family():
     # order-1 families cannot be violated; any size is realizable on >= 2 vertices
     g = free_multigraph(5, 7, ForbiddenFamily(1, 0))
     assert g is not None and g.size == 7
+    # only the pair cap bounds the size, past a million edges too
+    g = free_multigraph(3, 1_000_001, ForbiddenFamily(1, 0))
+    assert g is not None and g.size == 1_000_001
     # orders 0 and 1 have no pairs: only the empty graph exists
     for order in (0, 1):
         assert free_multigraph(order, 0, ForbiddenFamily(1, 0)) == Multigraph.empty(order)
@@ -705,6 +708,17 @@ def test_circulant_vectors_are_exactly_the_free_ones():
                     if assign is not None:
                         g = Multigraph(order, assign)
                         assert g.size == target and is_family_free(g, family), (order, family, target)
+
+
+def test_circulant_vectors_can_be_kept_as_yielded():
+    # each yielded vector is its own tuple: collected without copying, the
+    # walk's output is still every free vector
+    kept = [x for x, _ in _circulant_vectors(6, 3, 3, 3, 0)]
+    free = [
+        x for x in product(range(4), repeat=3)
+        if is_family_free(circulant(6, x), ForbiddenFamily(3, 3))
+    ]
+    assert sorted(kept) == sorted(free)
 
 
 def test_circulant_witness_is_the_wagner_graph():

@@ -142,6 +142,8 @@ def test_p2f_rejects_bad_strategy_choice():
     pr = f2p(t)
     with pytest.raises(InvalidTanner):
         p2f(pr, lambda cands, i: -1)
+    with pytest.raises(InvalidTanner, match="'bogus'.*first, last, cycle"):
+        p2f(pr, "bogus")
 
 
 def test_neighborhood_size_examples():
