@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import chain, islice
 
 from . import codec, extremal
 from .decider import DEFAULT_ORACLE_LIMIT, Decision, decide
@@ -22,8 +23,7 @@ from .errors import (
     RetriesExhausted,
     UnboundedFamily,
 )
-from .extremal import ExtremalResult
-from .multigraph import ForbiddenFamily, multigraph_to_json
+from .multigraph import ForbiddenFamily
 from .params import CodeParams, derive_params
 
 EXIT_OK = 0
@@ -47,15 +47,9 @@ def cmd_decide(args) -> int:
     params = derive_params(args.n, args.k, args.r)
     decision = decide(params, oracle_limit=args.oracle_limit)
     *cells, almost = _decision_row(decision)
-    w = decision.witness
-    record = dict(zip(_RECORD_FIELDS, cells))
     # the witness goes just before its regularity flag, the notes last
-    record.update(
-        witness=multigraph_to_json(w) if w is not None else None,
-        witness_almost_regular=almost,
-        notes=decision.notes,
-    )
-    print(json.dumps(record, indent=2))
+    _print_record(dict(zip(_RECORD_FIELDS, cells), witness=decision.witness,
+                       witness_almost_regular=almost, notes=decision.notes))
     return EXIT_OK if decision.status == "exact" else EXIT_UNRESOLVED
 
 
@@ -99,23 +93,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(checks.values()) else 1
 
 
-def _print_oracle_result(res: ExtremalResult):
-    """Print ``res`` as ``json.dumps(..., indent=2)`` writes its value and witness.
+def _print_record(record: dict):
+    """Print ``record`` as ``json.dumps(record, indent=2)`` writes it, with its
+    witness, a Multigraph or None, as ``{"order": N, "edges": [[u, v], ...]}``.
 
     The edge list is written a pair at a time, one formatted edge repeated
     by the pair's multiplicity: the indenting encoder is pure Python and
     took seconds and hundreds of MB on a witness of 600,000 edges.
     """
-    w = res.witness
-    record = {"value": res.value, "witness": {"order": w.order, "edges": []}}
-    head, empty, tail = json.dumps(record, indent=2).rpartition("[]")
+    w = record["witness"]
+    if w is not None:  # "\0", encoded "\u0000", marks the edge list: no other field holds it
+        record = {**record, "witness": {"order": w.order, "edges": "\0"}}
+    head, _, tail = json.dumps(record, indent=2).partition(json.dumps("\0"))
     out = sys.stdout
     out.write(head)
-    opening = "[\n"
-    for (u, v), m in w.pair_multiplicities():
-        out.write(opening + ",\n".join([f"      [\n        {u},\n        {v}\n      ]"] * m))
-        opening = ",\n"
-    out.write(("\n    ]" if w.size else empty) + tail + "\n")
+    if w is not None:
+        opening = "[\n"
+        for (u, v), m in w.pair_multiplicities():
+            out.write(opening + ",\n".join([f"      [\n        {u},\n        {v}\n      ]"] * m))
+            opening = ",\n"
+        out.write("\n    ]" if w.size else "[]")
+    out.write(tail + "\n")
 
 
 def cmd_oracle(args) -> int:
@@ -127,7 +125,7 @@ def cmd_oracle(args) -> int:
             res = extremal.max_size_simple(args.vertices, family)
     else:
         res = extremal.max_size_girth(args.vertices, args.girth_k)
-    _print_oracle_result(res)
+    _print_record({"value": res.value, "witness": res.witness})
     return EXIT_OK
 
 
@@ -151,13 +149,14 @@ def _csv_row(row: tuple) -> tuple:
 
 
 def cmd_sweep(args) -> int:
-    rows = [_decision_row(d) for d in _sweep_decisions(args.n_max, args.r_max, args.oracle_limit)]
+    rows = map(_decision_row, _sweep_decisions(args.n_max, args.r_max, args.oracle_limit))
     if args.format == "json":
         print(json.dumps([dict(zip(_RECORD_FIELDS, row)) for row in rows], indent=2))
     else:
+        first = list(islice(rows, 1))  # decided before the header: a bad limit prints nothing
         writer = csv.writer(sys.stdout)
         writer.writerow(_RECORD_FIELDS)
-        writer.writerows(map(_csv_row, rows))
+        writer.writerows(map(_csv_row, chain(first, rows)))
     return EXIT_OK
 
 

@@ -47,7 +47,8 @@ def balanced_forest(order: int, components: int) -> Multigraph:
     base, extra = divmod(order, components)
     edges = []
     start = 0
-    for i in range(components):
+    # a component of one vertex has no edge; with base 1 only the first extra have one
+    for i in range(extra if base == 1 else components):
         length = base + (1 if i < extra else 0)
         for v in range(start, start + length - 1):
             edges.append((v, v + 1))
@@ -82,17 +83,19 @@ def turan_pairs(order: int, parts: int) -> Iterator[tuple[tuple[int, int], int]]
     """Pairs of ``turan_graph`` with their multiplicities, in descending order.
 
     Parts are consecutive blocks of vertices, so vertex u is joined to every
-    vertex after the end of its own block.
+    vertex after the end of its own block.  The first ``extra`` blocks hold
+    base + 1 vertices and the rest base; the last block has no later vertex.
     """
     if not 1 <= parts <= order:
         raise BadArgs(f"need 1 <= parts <= order, got ({order}, {parts})")
     base, extra = divmod(order, parts)
-    block_end: list[int] = []
-    for i in range(parts):
-        length = base + (1 if i < extra else 0)
-        block_end.extend([len(block_end) + length] * length)
-    for u in reversed(range(order)):
-        for v in reversed(range(block_end[u], order)):
+    big = extra * (base + 1)  # the vertices in the larger blocks
+    for u in reversed(range(order - base)):
+        if u < big:
+            end = (u // (base + 1) + 1) * (base + 1)
+        else:
+            end = big + ((u - big) // base + 1) * base
+        for v in reversed(range(end, order)):
             yield (u, v), 1
 
 
@@ -152,6 +155,9 @@ def almost_regular(order: int, size: int) -> Multigraph:
         raise BadArgs(f"need order >= 2 when size > 0, got order {order}")
     if size < 0:
         raise BadArgs(f"need size >= 0, got {size}")
+    if 2 * size < order:
+        # degrees 1 and 0: ``realize`` pairs the degree-1 vertices in order
+        return Multigraph(order, {(v, v + 1): 1 for v in range(0, 2 * size, 2)})
     hi = -(-2 * size // order)
     lo = 2 * size // order
     t = (2 * size) % order

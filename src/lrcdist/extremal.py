@@ -557,6 +557,7 @@ def t_bound(n1: int, n2: int, k1: int) -> int:
     if n2 < 0:
         raise BadArgs(f"need n2 >= 0, got {n2}")
     t = n2
-    for m in range(n1, k1, -1):
+    # a step at order m > 2 * n2 >= 2 * t removes nothing
+    for m in range(min(n1, 2 * n2), k1, -1):
         t -= (2 * t) // m
     return t

@@ -12,10 +12,11 @@ searches produce that form and every reader walks it, and it keeps a
 witness of n2 edges on n1 vertices at O(n2) memory however large n1 is.  The density
 kernels, which index pairs, build a dense matrix for their own walk.
 
-One kernel, ``_densest``, answers the k-subset density queries.  Two
-cases have closed forms.  For k = 2 the density is the largest pair
-multiplicity.  A simple forest (a graph with fewer edges than vertices is
-tested for one by a union-find over its pairs) has k-density k - j, where
+One kernel, ``_densest``, answers the k-subset density queries.  Three
+cases have closed forms.  For k = 1 the density is 0, as there are no
+loops, and for k = 2 it is the largest pair multiplicity.  A simple
+forest (a graph with fewer edges than vertices is tested for one by a
+union-find over the vertices on its pairs) has k-density k - j, where
 j is the fewest components, largest first, whose orders add up to at
 least k: a k-set S spans |S| minus the number of components it meets, and
 a tree has subtrees of every smaller order.  Every other query takes a
@@ -139,10 +140,13 @@ class Multigraph:
 
     def is_almost_regular(self) -> bool:
         """True when all vertex degrees differ by at most one."""
-        if self.order == 0:
-            return True
-        degs = self.degrees()
-        return max(degs) - min(degs) <= 1
+        degs: dict[int, int] = {}
+        for (u, v), m in self._pairs.items():
+            degs[u] = degs.get(u, 0) + m
+            degs[v] = degs.get(v, 0) + m
+        # a vertex on no pair has degree 0
+        low = min(degs.values(), default=0) if len(degs) == self.order else 0
+        return max(degs.values(), default=0) - low <= 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -169,13 +173,13 @@ def _matrix(g: Multigraph) -> list[list[int]]:
 def _forest_density(g: Multigraph, k: int) -> int | None:
     """k-density of ``g`` if it is a simple forest, else None.
 
-    A union-find over the pairs finds the components and rejects a
-    repeated pair or a pair inside one component (a cycle).  Isolated
-    vertices are components of order 1.  The density is k - j for the
-    fewest components j, largest first, that hold k vertices.
+    A union-find over the vertices on a pair finds the components and
+    rejects a repeated pair or a pair inside one component (a cycle).
+    Every other vertex is a component of order 1.  The density is k - j
+    for the fewest components j, largest first, that hold k vertices.
     """
-    root = list(range(g.order))
-    comp = [1] * g.order  # the order of the component at each root
+    root = {v: v for pair, _ in g.pair_multiplicities() for v in pair}
+    comp = dict.fromkeys(root, 1)  # the order of the component at each root
 
     def find(v: int) -> int:
         while root[v] != v:
@@ -190,12 +194,13 @@ def _forest_density(g: Multigraph, k: int) -> int | None:
             u, v = v, u
         root[v] = u
         comp[u] += comp[v]
-    orders = sorted((comp[v] for v in range(g.order) if root[v] == v), reverse=True)
+    orders = sorted((comp[v] for v, r in root.items() if r == v), reverse=True)
     j = covered = 0
-    while covered < k:
+    while covered < k and j < len(orders):
         covered += orders[j]
         j += 1
-    return k - j
+    # the k - covered vertices still wanted come one per component of order 1
+    return k - j - max(k - covered, 0)
 
 
 def _enumerate(g: Multigraph, k: int, cap: int | None = None) -> int:
@@ -241,14 +246,16 @@ def _densest(g: Multigraph, k: int, cap: int | None = None) -> int:
 
     With ``cap`` set the answer may stop short: it is above ``cap``
     whenever the maximum is, and it is the exact maximum whenever that
-    maximum is at most ``cap``.  The closed forms for k = 2 and for
-    simple forests are always exact; every other graph takes the walk of
+    maximum is at most ``cap``.  The closed forms for k = 1, for k = 2 and
+    for simple forests are always exact; every other graph takes the walk of
     ``_enumerate``, which stops at the first subset above ``cap``.  Only
     a graph with fewer edges than vertices can be a forest, so denser
     graphs skip the forest test.  A walk over more than ``SUBSET_BUDGET``
     subsets raises ``EnvelopeExceeded``; C(n, j) grows with j up to n / 2,
     so j is capped at ``_BUDGET_SIDE`` and no huge C(n, k) is formed.
     """
+    if k == 1:
+        return 0
     if k == 2:
         return max((m for _, m in g.pair_multiplicities()), default=0)
     if g.size < g.order:
@@ -263,8 +270,8 @@ def _densest(g: Multigraph, k: int, cap: int | None = None) -> int:
 def k_density(g: Multigraph, k: int) -> int:
     """Maximum induced size over all k-vertex subsets.
 
-    Exact by ``_densest``: in closed form for k = 2 and for simple
-    forests, by enumerating the k-subsets otherwise (``EnvelopeExceeded``
+    Exact by ``_densest``: in closed form for k = 1, for k = 2 and for
+    simple forests, by enumerating the k-subsets otherwise (``EnvelopeExceeded``
     past ``SUBSET_BUDGET`` of them).
     """
     if not is_int(k) or not 1 <= k <= g.order:

@@ -173,17 +173,22 @@ def test_oracle_commands(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("eX", "--vertices", "6", "--forbid-order", "4", "--forbid-size", "5"),
-    ("eX", "--vertices", "3", "--forbid-order", "2", "--forbid-size", "3"),
-    ("ex", "--vertices", "4", "--forbid-order", "2", "--forbid-size", "0"),
-    ("ex", "--vertices", "5", "--forbid-order", "3", "--forbid-size", "0"),
-    ("girth-ex", "--vertices", "7", "--girth-k", "4"),
+    ("oracle", "eX", "--vertices", "6", "--forbid-order", "4", "--forbid-size", "5"),
+    ("oracle", "eX", "--vertices", "3", "--forbid-order", "2", "--forbid-size", "3"),
+    ("oracle", "ex", "--vertices", "4", "--forbid-order", "2", "--forbid-size", "0"),
+    ("oracle", "ex", "--vertices", "5", "--forbid-order", "3", "--forbid-size", "0"),
+    ("oracle", "girth-ex", "--vertices", "7", "--girth-k", "4"),
+    ("decide", "--n", "16", "--k", "9", "--r", "4"),
+    ("decide", "--n", "89", "--k", "45", "--r", "10", "--oracle-limit", "8"),
+    ("decide", "--n", "10", "--k", "4", "--r", "2"),
+    ("decide", "--n", "221", "--k", "41", "--r", "10"),
 ])
 def test_oracle_output_is_the_indented_json_dump(capsys, argv):
     # the edge list is written by hand, byte for byte as json.dumps writes it:
-    # repeated pairs, a one-edge-per-pair witness and the empty list
-    code, out, _ = run(capsys, "oracle", *argv)
-    assert code == 0
+    # repeated pairs, a one-edge-per-pair witness and the empty list; a decide
+    # record also has a witness, an unresolved interval, no witness, or a note
+    code, out, _ = run(capsys, *argv)
+    assert code == (3 if json.loads(out).get("status") == "unresolved" else 0)
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
@@ -309,6 +314,18 @@ def test_decide_forest_and_cycle_rules_need_no_subset_sweep():
         assert payload["status"] == "exact"
         assert payload["value"] == payload["d_star"]
         assert payload["rule"] == rule
+    # n1 near 10^11 with n2 <= 10: every witness, its self-check and its
+    # regularity flag must cost O(n2), one key for each rule that reaches them
+    cases = ((10, 10, "k1_eq_1"), (11, 10, "k1_eq_2"), (12, 11, "n2_le_k2"), (21, 10, "forest_n2_lt_n1"),
+             (28, 10, "mantel"), (29, 10, "forest_k2_lt_k1m1"), (35, 10, "turan_sufficient"))
+    for k, r, rule in cases:
+        done = run_subprocess("decide", "--n", str(10**12), "--k", str(k), "--r", str(r),
+                              timeout=30, max_memory=2**30)
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)
+        assert (payload["status"], payload["rule"], payload["notes"]) == ("exact", rule, [])
+        assert payload["value"] == payload["d_star"]
+        assert len(payload["witness"]["edges"]) == payload["n2"]
 
 
 def test_decide_skips_the_self_check_without_printing_a_huge_binomial():

@@ -12,10 +12,11 @@ from lrcdist.constructions import (
     realize,
     saturated_pair_graph,
     turan_graph,
+    turan_pairs,
 )
 from lrcdist.decider import forest_component_min
 from lrcdist.errors import BadArgs, NotGraphic
-from lrcdist.multigraph import ForbiddenFamily, is_family_free, k_density
+from lrcdist.multigraph import ForbiddenFamily, Multigraph, is_family_free, k_density
 
 
 def brute_realizable(degrees):
@@ -206,3 +207,32 @@ def test_balanced_forest_freeness_matches_component_bound():
                 for c in range(1, n1 + 1):
                     free = is_family_free(balanced_forest(n1, c), fam)
                     assert free == (c >= c_min), (n1, k1, k2, c, c_min)
+
+
+def test_builders_match_their_whole_order_forms():
+    # the builders skip the vertices that carry no edge; these references
+    # visit every vertex, and must give the same pairs in the same order
+    def forest_over_every_component(order, components):
+        base, extra = divmod(order, components)
+        edges, start = [], 0
+        for i in range(components):
+            length = base + (1 if i < extra else 0)
+            edges += [(v, v + 1) for v in range(start, start + length - 1)]
+            start += length
+        return Multigraph.from_edges(order, edges)
+
+    def turan_pairs_by_block_ends(order, parts):
+        base, extra = divmod(order, parts)
+        block_end = []
+        for i in range(parts):
+            length = base + (1 if i < extra else 0)
+            block_end.extend([len(block_end) + length] * length)
+        return [((u, v), 1) for u in reversed(range(order)) for v in reversed(range(block_end[u], order))]
+
+    for order in range(1, 40):
+        for size in range(1, 3 * order) if order > 1 else ():
+            hi, lo, t = -(-2 * size // order), 2 * size // order, (2 * size) % order
+            assert almost_regular(order, size) == realize(DegreeSequence([hi] * t + [lo] * (order - t)))
+        for parts in range(1, order + 1):
+            assert balanced_forest(order, parts) == forest_over_every_component(order, parts)
+            assert list(turan_pairs(order, parts)) == turan_pairs_by_block_ends(order, parts)

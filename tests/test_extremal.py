@@ -213,6 +213,20 @@ def test_t_bound_examples():
         t_bound(4, 3, 5)
 
 
+def test_t_bound_matches_the_peel_from_n1():
+    # the loop starts at min(n1, 2 * n2): above that a step removes nothing
+    def peel_from_n1(n1, n2, k1):
+        t = n2
+        for m in range(n1, k1, -1):
+            t -= (2 * t) // m
+        return t
+
+    for n1 in range(1, 30):
+        for n2 in range(80):
+            for k1 in range(1, n1 + 1):
+                assert t_bound(n1, n2, k1) == peel_from_n1(n1, n2, k1), (n1, n2, k1)
+
+
 def test_t_bound_soundness_random():
     rng = random.Random(11)
     pairs = None

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrcdist import multigraph
-from lrcdist.constructions import balanced_forest, cycle_graph, saturated_pair_graph
+from lrcdist.constructions import almost_regular, balanced_forest, cycle_graph, saturated_pair_graph
 from lrcdist.errors import BadArgs, BadK, EnvelopeExceeded, UnknownVertex
 from lrcdist.multigraph import (
     SUBSET_BUDGET,
@@ -245,6 +245,49 @@ def test_forest_closed_form_matches_the_walk():
                 assert d == _densest(g, k) == _enumerate(g, k), (orders, k)
                 for s in range(max(d - 1, 0), d + 1):
                     assert is_family_free(g, ForbiddenFamily(k, s)) == (d <= s)
+
+
+def test_checks_match_their_whole_order_forms():
+    # the checks read only the vertices on a pair; these references index
+    # every vertex, as the checks did before
+    def regular_by_degree_list(g):
+        degs = g.degrees()
+        return max(degs) - min(degs) <= 1
+
+    def forest_density_over_every_vertex(g, k):
+        root, comp = list(range(g.order)), [1] * g.order
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for (u, v), m in g.pair_multiplicities():
+            u, v = find(u), find(v)
+            if m > 1 or u == v:
+                return None
+            if comp[u] < comp[v]:
+                u, v = v, u
+            root[v] = u
+            comp[u] += comp[v]
+        orders = sorted((comp[v] for v in range(g.order) if root[v] == v), reverse=True)
+        j = covered = 0
+        while covered < k:
+            covered += orders[j]
+            j += 1
+        return k - j
+
+    rng = random.Random(24)
+    for order in range(1, 40):
+        graphs = [balanced_forest(order, c) for c in range(1, order + 1)]
+        graphs += [almost_regular(order, size) for size in range(1, 2 * order)] if order > 1 else []
+        graphs += [random_multigraph(rng, order, rng.randint(0, order)) for _ in range(5)] if order > 1 else []
+        for g in graphs:
+            assert g.is_almost_regular() == regular_by_degree_list(g)
+            assert _densest(g, 1) == _enumerate(g, 1) == 0
+            for k in range(1, order + 1):
+                assert _forest_density(g, k) == forest_density_over_every_vertex(g, k), (g, k)
+    assert Multigraph.empty(0).is_almost_regular()
 
 
 def test_pair_closed_form_matches_the_walk():
