@@ -10,7 +10,8 @@ import argparse
 import csv
 import json
 import sys
-from itertools import chain, islice
+from itertools import chain, groupby, islice
+from operator import itemgetter
 
 from . import codec, extremal
 from .decider import DEFAULT_ORACLE_LIMIT, Decision, decide
@@ -150,13 +151,20 @@ def _csv_row(row: tuple) -> tuple:
 
 def cmd_sweep(args) -> int:
     rows = map(_decision_row, _sweep_decisions(args.n_max, args.r_max, args.oracle_limit))
+    rows = chain(list(islice(rows, 1)), rows)  # decided before any output: a bad limit prints nothing
     if args.format == "json":
-        print(json.dumps([dict(zip(_RECORD_FIELDS, row)) for row in rows], indent=2))
+        # json.dumps(records, indent=2) a length's records at a time, each slice without
+        # its "[" and "\n]"; one dumps call per record took a quarter longer
+        opening = "["
+        for _, group in groupby(rows, key=itemgetter(0)):
+            records = [dict(zip(_RECORD_FIELDS, row)) for row in group]
+            sys.stdout.write(opening + json.dumps(records, indent=2)[1:-2])
+            opening = ","
+        print("[]" if opening == "[" else "\n]")
     else:
-        first = list(islice(rows, 1))  # decided before the header: a bad limit prints nothing
         writer = csv.writer(sys.stdout)
         writer.writerow(_RECORD_FIELDS)
-        writer.writerows(map(_csv_row, chain(first, rows)))
+        writer.writerows(map(_csv_row, rows))
     return EXIT_OK
 
 

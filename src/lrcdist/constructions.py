@@ -2,13 +2,16 @@
 
 Every builder returns a Multigraph whose k-density is known (or easily
 checkable), so the decider can attach it as an explicit witness that the
-distance bound d* is attained.
+distance bound d* is attained.  ``realize``, the greedy pairing of a graphic
+``DegreeSequence``, has no caller here: it is the tests' reference for the
+pairs that ``almost_regular`` lists in closed form.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterator
 
 from .errors import BadArgs, NotGraphic, SelfCheckFailed
@@ -42,8 +45,8 @@ def balanced_forest(order: int, components: int) -> Multigraph:
 
     Size is always order - components.
     """
-    if not 1 <= components <= order:
-        raise BadArgs(f"need 1 <= components <= order, got ({order}, {components})")
+    if not (is_int(order) and is_int(components) and 1 <= components <= order):
+        raise BadArgs(f"need integers 1 <= components <= order, got ({order!r}, {components!r})")
     base, extra = divmod(order, components)
     edges = []
     start = 0
@@ -58,17 +61,17 @@ def balanced_forest(order: int, components: int) -> Multigraph:
 
 def cycle_graph(order: int) -> Multigraph:
     """Cycle on `order` vertices; order 2 gives the multigraph 2-cycle (a double edge)."""
-    if order < 2:
-        raise BadArgs(f"cycle needs order >= 2, got {order}")
+    if not is_int(order) or order < 2:
+        raise BadArgs(f"cycle needs an integer order >= 2, got {order!r}")
     return Multigraph.from_edges(order, [(v, (v + 1) % order) for v in range(order)])
 
 
 def saturated_pairs(order: int, pair_multiplicity: int) -> Iterator[tuple[tuple[int, int], int]]:
     """Pairs of ``saturated_pair_graph`` with their multiplicities, in descending order."""
-    if order < 2:
-        raise BadArgs(f"need order >= 2, got {order}")
-    if pair_multiplicity < 0:
-        raise BadArgs(f"need pair_multiplicity >= 0, got {pair_multiplicity}")
+    if not is_int(order) or order < 2:
+        raise BadArgs(f"need an integer order >= 2, got {order!r}")
+    if not is_int(pair_multiplicity) or pair_multiplicity < 0:
+        raise BadArgs(f"need an integer pair_multiplicity >= 0, got {pair_multiplicity!r}")
     for u in reversed(range(order)):
         for v in reversed(range(u + 1, order)):
             yield (u, v), pair_multiplicity
@@ -86,8 +89,8 @@ def turan_pairs(order: int, parts: int) -> Iterator[tuple[tuple[int, int], int]]
     vertex after the end of its own block.  The first ``extra`` blocks hold
     base + 1 vertices and the rest base; the last block has no later vertex.
     """
-    if not 1 <= parts <= order:
-        raise BadArgs(f"need 1 <= parts <= order, got ({order}, {parts})")
+    if not (is_int(order) and is_int(parts) and 1 <= parts <= order):
+        raise BadArgs(f"need integers 1 <= parts <= order, got ({order!r}, {parts!r})")
     base, extra = divmod(order, parts)
     big = extra * (base + 1)  # the vertices in the larger blocks
     for u in reversed(range(order - base)):
@@ -118,10 +121,9 @@ def is_graphic(d: DegreeSequence) -> bool:
 def realize(d: DegreeSequence) -> Multigraph:
     """Realize a graphic sequence by repeatedly joining the two largest residual degrees.
 
-    The output degree sequence matches ``d`` exactly (vertex i gets degree
-    d.degrees[i]).  Pairing the two current maxima preserves the realizability
-    condition at every step, so the greedy loop cannot get stuck; the
-    exhaustive round-trip test is the safety net for that argument.
+    Vertex i gets degree d.degrees[i].  Pairing the two current maxima keeps
+    the realizability condition, so the greedy loop cannot get stuck.  No
+    caller in the package: the tests check ``almost_regular`` against it.
     """
     if not is_graphic(d):
         raise NotGraphic(f"{d.degrees} fails the even-sum/max-degree condition")
@@ -144,21 +146,18 @@ def realize(d: DegreeSequence) -> Multigraph:
 def almost_regular(order: int, size: int) -> Multigraph:
     """Multigraph of the given order and size whose degrees differ by at most one.
 
-    The degree sequence is 2*size mod order vertices of ceil(2*size/order)
-    and the rest at floor(2*size/order).
+    With 2*size = lo*order + t, the edge ends are listed in lap order:
+    vertices 0..t-1 once, then lo laps over 0..order-1, so vertex v gets
+    lo + (v < t) ends; they are joined two by two in that order.  Two equal
+    ends would meet only where the prefix's 0 runs into the first lap's 0
+    (t = 1), so that lap starts 1, 0 instead, and no pair is a loop.  The
+    pairs are those of ``realize``'s greedy pairing of the same degrees.
     """
-    if size == 0:
-        if order < 1:
-            raise BadArgs(f"need order >= 1, got {order}")
-        return Multigraph.empty(order)
-    if order < 2:
-        raise BadArgs(f"need order >= 2 when size > 0, got order {order}")
-    if size < 0:
-        raise BadArgs(f"need size >= 0, got {size}")
-    if 2 * size < order:
-        # degrees 1 and 0: ``realize`` pairs the degree-1 vertices in order
-        return Multigraph(order, {(v, v + 1): 1 for v in range(0, 2 * size, 2)})
-    hi = -(-2 * size // order)
-    lo = 2 * size // order
-    t = (2 * size) % order
-    return realize(DegreeSequence([hi] * t + [lo] * (order - t)))
+    if not (is_int(order) and is_int(size)) or size < 0 or order < 1 + (size > 0):
+        raise BadArgs(f"need integer size >= 0 and order >= 2 (1 when size is 0), got ({order!r}, {size!r})")
+    lo, t = divmod(2 * size, order)
+    ends = [*range(t), *chain.from_iterable(repeat(range(order), lo))]
+    if t == 1:
+        ends[1:3] = 1, 0
+    ends = iter(ends)  # two by two; the list is freed once read
+    return Multigraph.from_edges(order, zip(ends, ends))

@@ -288,6 +288,20 @@ def test_sweep_json_agrees_with_decide(capsys):
         assert d["rule"] == t["rule"]
 
 
+def test_sweep_json_is_the_indented_dump_written_a_length_at_a_time(capsys):
+    # 29 lengths, with unresolved intervals and every regularity flag among the records
+    code, out, _ = run(capsys, "sweep", "--n-max", "30", "--r-max", "6", "--oracle-limit", "0", "--format", "json")
+    assert code == 0
+    assert "unresolved" in {row["status"] for row in json.loads(out)}
+    # line by line: pytest takes minutes to explain a mismatch between two long strings
+    assert out.split("\n") == (json.dumps(json.loads(out), indent=2) + "\n").split("\n")
+    assert run(capsys, "sweep", "--n-max", "1", "--r-max", "1", "--format", "json") == (0, "[]\n", "")
+    # the first row is decided before anything is written
+    code, out, err = run(capsys, "sweep", "--n-max", "5", "--r-max", "2", "--format", "json", "--oracle-limit", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "oracle limit" in err
+
+
 def run_subprocess(*argv, timeout=60, max_memory=None):
     # a separate interpreter, so a hang fails the test instead of stalling the
     # suite; max_memory (bytes of address space) makes a runaway allocation fail it too

@@ -11,6 +11,7 @@ from lrcdist.constructions import (
     is_graphic,
     realize,
     saturated_pair_graph,
+    saturated_pairs,
     turan_graph,
     turan_pairs,
 )
@@ -185,6 +186,25 @@ def test_almost_regular_random():
         assert g.is_almost_regular()
 
 
+@pytest.mark.parametrize("build, args", [
+    (almost_regular, (10, True)),
+    (almost_regular, (10, 2.0)),
+    (almost_regular, (5, 2.5)),
+    (almost_regular, (1, -1)),
+    (balanced_forest, (5, True)),
+    (balanced_forest, (5.0, 2)),
+    (cycle_graph, (3.0,)),
+    (saturated_pairs, (3, True)),
+    (turan_pairs, (4, True)),
+    (turan_pairs, (4.0, 2)),
+])
+def test_builders_reject_a_bool_or_a_non_integer(build, args):
+    # True is not the integer 1 and 2.0 is no count; the error names the refused value
+    with pytest.raises(BadArgs) as refused:
+        list(build(*args)) if build in (saturated_pairs, turan_pairs) else build(*args)
+    assert repr(args[-1]) in str(refused.value)
+
+
 def test_constructed_degree_sequences_are_graphic():
     for g in [
         balanced_forest(7, 2),
@@ -229,10 +249,17 @@ def test_builders_match_their_whole_order_forms():
             block_end.extend([len(block_end) + length] * length)
         return [((u, v), 1) for u in reversed(range(order)) for v in reversed(range(block_end[u], order))]
 
+    # almost_regular against the greedy heap: every order < 40, random orders
+    # to 400 with sizes to 30 * order, and t = 1 (odd order, 2 * size = 1 mod
+    # order), where the prefix's 0 would meet the first lap's 0
+    rng = random.Random(27)
+    cases = [(order, size) for order in range(2, 40) for size in range(1, 3 * order)]
+    cases += [(order, rng.randint(1, 30 * order)) for order in (rng.randint(2, 400) for _ in range(100))]
+    cases += [(order, (lo * order + 1) // 2) for order in (3, 5, 9, 41, 399) for lo in (1, 3, 29)]
+    for order, size in cases:
+        hi, lo, t = -(-2 * size // order), 2 * size // order, (2 * size) % order
+        assert almost_regular(order, size) == realize(DegreeSequence([hi] * t + [lo] * (order - t)))
     for order in range(1, 40):
-        for size in range(1, 3 * order) if order > 1 else ():
-            hi, lo, t = -(-2 * size // order), 2 * size // order, (2 * size) % order
-            assert almost_regular(order, size) == realize(DegreeSequence([hi] * t + [lo] * (order - t)))
         for parts in range(1, order + 1):
             assert balanced_forest(order, parts) == forest_over_every_component(order, parts)
             assert list(turan_pairs(order, parts)) == turan_pairs_by_block_ends(order, parts)
