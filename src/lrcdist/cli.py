@@ -57,13 +57,7 @@ def cmd_decide(args) -> int:
 def cmd_construct(args) -> int:
     params = derive_params(args.n, args.k, args.r)
     field = codec.PrimeField(args.field) if args.field is not None else None
-    code = codec.construct_optimal_lrc(
-        params,
-        field=field,
-        seed=args.seed,
-        max_retries=args.retries,
-        oracle_limit=args.oracle_limit,
-    )
+    code = codec.construct_optimal_lrc(params, field=field, seed=args.seed, max_retries=args.retries)
     out = args.out or f"lrc_{args.n}_{args.k}_{args.r}.json"
     with open(out, "w") as fh:
         json.dump(codec.code_to_json(code), fh)
@@ -100,10 +94,17 @@ def _print_record(record: dict):
 
     The edge list is written a pair at a time, one formatted edge repeated
     by the pair's multiplicity: the indenting encoder is pure Python and
-    took seconds and hundreds of MB on a witness of 600,000 edges.
+    took seconds and hundreds of MB on a witness of 600,000 edges.  A witness
+    of more than ``extremal.WITNESS_EDGE_LIMIT`` edges raises EnvelopeExceeded
+    before anything is written.
     """
     w = record["witness"]
-    if w is not None:  # "\0", encoded "\u0000", marks the edge list: no other field holds it
+    if w is not None:
+        if w.size > extremal.WITNESS_EDGE_LIMIT:
+            raise EnvelopeExceeded(
+                f"a witness of {w.size} edges exceeds the limit of {extremal.WITNESS_EDGE_LIMIT} edges"
+            )
+        # "\0", encoded "\u0000", marks the edge list: no other field holds it
         record = {**record, "witness": {"order": w.order, "edges": "\0"}}
     head, _, tail = json.dumps(record, indent=2).partition(json.dumps("\0"))
     out = sys.stdout
@@ -200,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--seed", type=int, default=0)
     p_con.add_argument("--retries", type=int, default=16)
     p_con.add_argument("--out", type=str, default=None, help="output code JSON path")
-    add_limit(p_con)
     p_con.set_defaults(func=cmd_construct)
 
     p_ver = sub.add_parser("verify", help="re-verify a code file")

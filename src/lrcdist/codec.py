@@ -37,7 +37,7 @@ from math import comb, isqrt
 import numpy as np
 
 from . import gf
-from .decider import DEFAULT_ORACLE_LIMIT, decide
+from .decider import decide
 from .errors import (
     BadArgs,
     DegenerateCode,
@@ -165,7 +165,6 @@ def construct_optimal_lrc(
     field: PrimeField | None = None,
     seed: int = 0,
     max_retries: int = 16,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> LinearCode:
     """Decide the instance, and when the answer is d*, build and verify a code.
 
@@ -183,7 +182,7 @@ def construct_optimal_lrc(
     if not is_int(max_retries) or max_retries < 1:
         raise BadArgs(f"max_retries must be an integer >= 1, got {max_retries!r}")
     _check_distance_envelope(p, p.d_star)
-    decision = decide(p, oracle_limit=oracle_limit)
+    decision = decide(p)
     if decision.status != "exact":
         raise NotAchievable(
             f"decision unresolved for (n={p.n}, k={p.k}, r={p.r}); no witness to build from"

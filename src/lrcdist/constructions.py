@@ -10,8 +10,9 @@ pairs that ``almost_regular`` lists in closed form.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import cycle, islice
 from typing import Iterator
 
 from .errors import BadArgs, NotGraphic, SelfCheckFailed
@@ -152,12 +153,25 @@ def almost_regular(order: int, size: int) -> Multigraph:
     ends would meet only where the prefix's 0 runs into the first lap's 0
     (t = 1), so that lap starts 1, 0 instead, and no pair is a loop.  The
     pairs are those of ``realize``'s greedy pairing of the same degrees.
+
+    Only the head, the prefix and the first lap (and the next lap's 0 when
+    they end mid-pair), and the tail are paired end by end.  Past the head
+    the ends repeat every two laps, so the whole two-lap blocks in between
+    are one block's pairs times their number, and the tail is the next
+    block's first ends: O(order) work whatever the size.
     """
     if not (is_int(order) and is_int(size)) or size < 0 or order < 1 + (size > 0):
         raise BadArgs(f"need integer size >= 0 and order >= 2 (1 when size is 0), got ({order!r}, {size!r})")
     lo, t = divmod(2 * size, order)
-    ends = [*range(t), *chain.from_iterable(repeat(range(order), lo))]
+    head = t + order + (t + order) % 2 if lo else t
+    whole, tail = divmod(2 * size - head, 2 * order)
+    ends = [*range(t), *islice(cycle(range(order)), head + tail - t)]
     if t == 1:
         ends[1:3] = 1, 0
     ends = iter(ends)  # two by two; the list is freed once read
-    return Multigraph.from_edges(order, zip(ends, ends))
+    pairs = Counter(zip(ends, ends))
+    if whole:  # a block starts where the head ends, head - t ends into the laps
+        block = islice(cycle(range(order)), head - t, head - t + 2 * order)
+        for pair, m in Counter(zip(block, block)).items():
+            pairs[pair] += m * whole
+    return Multigraph(order, pairs)

@@ -73,7 +73,8 @@ from .multigraph import ForbiddenFamily, Multigraph
 from .params import is_int
 
 SEARCH_ENVELOPE = 10
-# most edges a maximum-size query may answer with: its witness is listed edge by edge
+# most edges of any printed witness, a maximum-size query's or decide's: it is
+# listed edge by edge
 WITNESS_EDGE_LIMIT = 1_000_000
 _SEED_RESTARTS = 60
 # most circulant vectors one search looks at; over every family key with

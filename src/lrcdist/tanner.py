@@ -16,7 +16,12 @@ canonical shape (h = n1 checks, m = n2 variables, all of degree two)
 without ever lowering the minimum distance; a degree-two variable is
 just an edge between two checks, which is where the multigraph appears.
 ``f2p`` and ``reduce_check_nodes`` end in the same prune: degree-one
-variables are dropped and the rest renumbered in order.
+variables are dropped and the rest renumbered in order.  ``p2f`` goes
+back: it fills the checks in order, each taking the next fresh degree-one
+variables until it has r + 1.  The checks have exactly n - m free slots
+between them, one for each fresh variable, so every way of attaching them
+fills every check and differs from this one only in which fresh label sits
+in which slot: a relabelling, which keeps every neighbourhood size.
 
 ``tanner_min_distance`` needs the smallest neighbourhood of every size of
 local-check subset; one depth-first walk over those subsets finds them.
@@ -27,8 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, islice
 from operator import or_
-from typing import AbstractSet, Callable, Sequence
+from typing import AbstractSet, Sequence
 
 from .errors import (
     EnvelopeExceeded,
@@ -41,16 +47,6 @@ from .multigraph import Multigraph
 from .params import CodeParams, is_int
 
 CHECK_ENVELOPE = 24
-
-# strategy: given the spare-capacity check indices and the ordinal of the
-# fresh variable being attached, return the chosen check index
-AttachStrategy = Callable[[list[int], int], int]
-
-BUILTIN_STRATEGIES: dict[str, AttachStrategy] = {
-    "first": lambda cands, i: cands[0],
-    "last": lambda cands, i: cands[-1],
-    "cycle": lambda cands, i: cands[i % len(cands)],
-}
 
 
 @dataclass(frozen=True)
@@ -159,31 +155,22 @@ def f2p(t: FullTannerGraph) -> PrunedGraph:
     return _prune(t, t.local_checks)
 
 
-def p2f(p: PrunedGraph, strategy: str | AttachStrategy = "first") -> FullTannerGraph:
-    """Rebuild a full Tanner graph: attach fresh degree-one variables until
-    every check reaches degree r + 1, then top up with global checks.
+def p2f(p: PrunedGraph) -> FullTannerGraph:
+    """Rebuild a full Tanner graph: fill the checks in order with fresh
+    degree-one variables m, m + 1, ... until each has degree r + 1, then top
+    up with global checks.
 
     The spare capacity over all checks is exactly n - m, the number of fresh
-    variables, so any attachment policy succeeds and every check ends at
-    degree exactly r + 1.
+    variables, so every check ends at degree exactly r + 1 and any other
+    attachment only relabels the fresh variables, which changes no
+    neighbourhood size and so no distance.
     """
-    if isinstance(strategy, str) and strategy not in BUILTIN_STRATEGIES:
-        raise InvalidTanner(
-            f"unknown strategy {strategy!r}; built-in strategies: {', '.join(BUILTIN_STRATEGIES)}"
-        )
-    pick = BUILTIN_STRATEGIES[strategy] if isinstance(strategy, str) else strategy
-    checks = [set(c) for c in p.checks]
-    for i, v in enumerate(range(p.m, p.n)):
-        candidates = [ci for ci, c in enumerate(checks) if len(c) < p.r + 1]
-        chosen = pick(candidates, i)
-        if chosen not in candidates:
-            raise InvalidTanner(f"strategy chose check {chosen} without spare capacity")
-        checks[chosen].add(v)
+    fresh = iter(range(p.m, p.n))
     return FullTannerGraph(
         n=p.n,
         k=p.k,
         r=p.r,
-        local_checks=tuple(frozenset(c) for c in checks),
+        local_checks=tuple(frozenset(chain(c, islice(fresh, p.r + 1 - len(c)))) for c in p.checks),
         global_count=(p.n - p.k) - p.h,
     )
 

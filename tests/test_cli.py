@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrcdist
+from lrcdist import extremal
 from lrcdist.cli import main
 from lrcdist.errors import EnvelopeExceeded
 from lrcdist.extremal import max_size_multigraph
@@ -411,6 +412,24 @@ def test_verify_mistyped_code_json_exit_2(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_decide_refuses_a_witness_past_the_edge_limit():
+    # one pair of 10^21 - 18 edges, and 19,999,982 edges on two vertices: the
+    # witness costs its pairs, but its edge list would not fit in memory or
+    # would take seconds and hundreds of MB to write
+    for n, k in ((10**21, 10**21 - 10), (20_000_000, 19_999_990)):
+        done = run_subprocess("decide", "--n", str(n), "--k", str(k), "--r", str(k),
+                              timeout=20, max_memory=2**30)
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr.startswith("error:")
+        assert f"limit of {extremal.WITNESS_EDGE_LIMIT} edges" in done.stderr
+
+
+def test_construct_has_no_oracle_limit_option():
+    done = run_subprocess("construct", "--n", "16", "--k", "9", "--r", "4", "--oracle-limit", "8")
+    assert done.returncode == 2
+    assert "--oracle-limit" in done.stderr
 
 
 def test_oracle_missing_required_option_exit_2():

@@ -27,6 +27,7 @@ from lrcdist.errors import (
     BadArgs,
     DegenerateCode,
     EnvelopeExceeded,
+    InvalidParams,
     NotAchievable,
     RetriesExhausted,
 )
@@ -487,6 +488,27 @@ def test_construct_checks_envelope_before_deciding(monkeypatch):
     monkeypatch.setattr(codec, "decide", refuse)
     with pytest.raises(EnvelopeExceeded):
         construct_optimal_lrc(derive_params(92, 65, 12))
+
+
+def test_construct_envelope_needs_no_family_search():
+    # construct decides at the default search limit; that is sound only while
+    # a closed-form rule settles every instance it admits, with or without
+    # the search.  The first triple that needs the search is named here.
+    walked = 0
+    for n in range(2, codec.DISTANCE_LENGTH_ENVELOPE + 1):
+        for k in range(1, n):
+            for r in range(1, k + 1):
+                try:
+                    p = derive_params(n, k, r)
+                except InvalidParams:
+                    continue
+                if p.d_star > codec.DISTANCE_CLAIM_ENVELOPE:
+                    continue
+                d = decide(p)
+                assert d.rule not in ("oracle", "unresolved"), (n, k, r, d.rule)
+                assert decide(p, 0) == d, (n, k, r)
+                walked += 1
+    assert walked == 735  # n <= 20 and d* <= 8
 
 
 @st.composite

@@ -176,6 +176,14 @@ def test_almost_regular_examples():
         almost_regular(1, 2)
 
 
+def test_almost_regular_costs_its_pairs_not_its_edges():
+    # 2 * 10**21 edge ends: only a head, one two-lap block and a tail are listed
+    assert dict(almost_regular(2, 10**21).pair_multiplicities()) == {(0, 1): 10**21}
+    g = almost_regular(3, 10**20)
+    assert g.size == 10**20
+    assert g.is_almost_regular()
+
+
 def test_almost_regular_random():
     rng = random.Random(3)
     for _ in range(50):
@@ -250,12 +258,16 @@ def test_builders_match_their_whole_order_forms():
         return [((u, v), 1) for u in reversed(range(order)) for v in reversed(range(block_end[u], order))]
 
     # almost_regular against the greedy heap: every order < 40, random orders
-    # to 400 with sizes to 30 * order, and t = 1 (odd order, 2 * size = 1 mod
-    # order), where the prefix's 0 would meet the first lap's 0
+    # to 400 with sizes to 30 * order, t = 1 (odd order, 2 * size = 1 mod
+    # order), where the prefix's 0 would meet the first lap's 0, and lo >= 4
     rng = random.Random(27)
     cases = [(order, size) for order in range(2, 40) for size in range(1, 3 * order)]
     cases += [(order, rng.randint(1, 30 * order)) for order in (rng.randint(2, 400) for _ in range(100))]
     cases += [(order, (lo * order + 1) // 2) for order in (3, 5, 9, 41, 399) for lo in (1, 3, 29)]
+    # lo >= 4: whole two-lap blocks past the head, with and without a tail,
+    # at even and odd orders and with the head ending on either end of a pair
+    cases += [(order, (lo * order + t) // 2) for order in (2, 3, 6, 7, 40, 41) for lo in (4, 5, 7, 12)
+              for t in range(0, order, 1 + order // 8) if (lo * order + t) % 2 == 0]
     for order, size in cases:
         hi, lo, t = -(-2 * size // order), 2 * size // order, (2 * size) % order
         assert almost_regular(order, size) == realize(DegreeSequence([hi] * t + [lo] * (order - t)))

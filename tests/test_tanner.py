@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -132,18 +132,9 @@ def test_p2f_structure():
     assert t.global_count == (p.n - p.k) - p.n1
     assert all(len(c) == p.r + 1 for c in t.local_checks)
     pr = f2p(t)
-    full = p2f(pr, "last")
+    full = p2f(pr)
     assert full.global_count == t.global_count
     assert tanner_min_distance(full) == tanner_min_distance(t)
-
-
-def test_p2f_rejects_bad_strategy_choice():
-    p, d, t = witness_tanner(16, 9, 4)
-    pr = f2p(t)
-    with pytest.raises(InvalidTanner):
-        p2f(pr, lambda cands, i: -1)
-    with pytest.raises(InvalidTanner, match="'bogus'.*first, last, cycle"):
-        p2f(pr, "bogus")
 
 
 def test_neighborhood_size_examples():
@@ -252,19 +243,30 @@ def test_non_witness_graph_scores_below_d_star():
     assert tanner_min_distance(t) < p.d_star
 
 
+def attach(pr, fresh):
+    """Full Tanner graph whose checks, in order, fill their free slots from
+    ``fresh``; its constructor checks every full-graph invariant."""
+    fresh = iter(fresh)
+    checks = tuple(frozenset([*c, *islice(fresh, pr.r + 1 - len(c))]) for c in pr.checks)
+    return FullTannerGraph(n=pr.n, k=pr.k, r=pr.r, local_checks=checks, global_count=pr.n - pr.k - pr.h)
+
+
+def assert_attachments_agree(pr, rng):
+    """The fresh variables m..n-1 handed to the check slots in five orders,
+    p2f's own, reversed, rotated, shuffled and strided, each give a full
+    Tanner graph that prunes back to ``pr``, and all five one distance."""
+    fresh = list(range(pr.m, pr.n))
+    orders = [fresh, fresh[::-1], fresh[1:] + fresh[:1], rng.sample(fresh, len(fresh)), fresh[::2] + fresh[1::2]]
+    fulls = [attach(pr, order) for order in orders]
+    assert fulls[0] == p2f(pr)
+    assert all(f2p(full) == pr for full in fulls)
+    assert len({tanner_min_distance(full) for full in fulls}) == 1
+
+
 def test_p2f_strategy_invariance():
     rng = random.Random(17)
-    strategies = [
-        "first",
-        "last",
-        "cycle",
-        lambda cands, i: rng.choice(cands),
-        lambda cands, i: cands[(7 * i + 3) % len(cands)],
-    ]
     for _ in range(12):
-        pr = random_pruned(rng)
-        distances = {tanner_min_distance(p2f(pr, s)) for s in strategies}
-        assert len(distances) == 1
+        assert_attachments_agree(random_pruned(rng), rng)
 
 
 def test_reduce_check_nodes():
