@@ -8,8 +8,18 @@ is the smallest prime above (d* - 1) * C(n, d* - 1), the point where the
 union-bound failure estimate drops below one (observed first-attempt
 success is the norm).  Verification is never probabilistic: ``verify_code``
 checks rank, locality and minimum distance exhaustively, and it is the one
-verifier behind both ``construct_optimal_lrc`` and ``lrcdist verify``.  The
-rank is computed once, inside ``min_distance``.
+verifier behind both ``construct_optimal_lrc`` and ``lrcdist verify``.
+
+Every reader of H checks it first: it must be an integer array of shape
+(n - k, n) with entries in [0, q), else BadArgs.  What depends on H alone
+is computed once per matrix, in H's plan: the entry check, the rank from
+one row reduction, the pivot and free columns, the parity block that
+solves the pivot symbols, and for each coordinate the light row that
+repairs it.  The plans are cached on H's contents, so a built code is row
+reduced once: ``min_distance`` takes the rank from the plan, and the
+encodes and repairs that follow take the rest.  Each call still checks
+H's type and shape and its own input, and ``encode`` still checks
+H c = 0 on every word.
 
 The distance is the smallest w such that some w columns of H are dependent.
 ``min_distance`` first asks whether any (g - 1)-subset is dependent, for the
@@ -33,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,11 +100,12 @@ def build_parity_check(t: FullTannerGraph, field: PrimeField, seed: int) -> Line
     p = derive_params(t.n, t.k, t.r)
     rng = np.random.default_rng(seed)
     h = np.zeros((t.n - t.k, t.n), dtype=np.int64)
-    for i, check in enumerate(t.local_checks):
-        for j in sorted(check):
-            h[i, j] = int(rng.integers(1, field.q))
-    for i in range(len(t.local_checks), t.n - t.k):
-        h[i, :] = rng.integers(1, field.q, size=t.n)
+    local = len(t.local_checks)
+    rows = np.repeat(np.arange(local), [len(check) for check in t.local_checks])
+    columns = [j for check in t.local_checks for j in sorted(check)]
+    # one draw of many entries reads the generator's stream as one draw per entry does
+    h[rows, columns] = rng.integers(1, field.q, size=len(columns))
+    h[local:] = rng.integers(1, field.q, size=(t.n - t.k - local, t.n))
     return LinearCode(params=p, field=field, H=h)
 
 
@@ -114,6 +126,78 @@ def _has_dependent_columns(h: np.ndarray, q: int, w: int) -> bool:
     return not gf.batch_columns_independent(h, q, np.empty(0, dtype=np.int64), w)
 
 
+def _integer_matrix(c: LinearCode) -> np.ndarray:
+    """c.H as int64 if it is an integer array of shape (n - k, n), else BadArgs.
+
+    ``_check_entries`` is the other half of the check of H: H's plan runs
+    it once per matrix, ``verify_locality`` and ``code_from_json`` on every
+    call.
+    """
+    h, p = c.H, c.params
+    if not isinstance(h, np.ndarray) or h.dtype.kind not in "iu":
+        got = h.dtype if isinstance(h, np.ndarray) else type(h).__name__
+        raise BadArgs(f"H must be an integer array, got {got}")
+    if h.shape != (p.n - p.k, p.n):
+        raise BadArgs(f"H must be {(p.n - p.k, p.n)}, got {h.shape}")
+    # an unsigned entry past int64 turns negative here, which _check_entries refuses
+    return h.astype(np.int64, copy=False)
+
+
+def _check_entries(h: np.ndarray, q: int) -> np.ndarray:
+    """h if every entry lies in [0, q), else BadArgs: an entry is then
+    nonzero exactly when it is nonzero mod q."""
+    if ((h < 0) | (h >= q)).any():
+        raise BadArgs("matrix entries must lie in [0, q)")
+    return h
+
+
+class _Plan(NamedTuple):
+    """What the rank check, ``encode`` and ``repair_symbol`` read of one H."""
+
+    h: np.ndarray  # H as int64
+    rank: int
+    pivots: np.ndarray  # pivot columns of the row-reduced H, ascending
+    frees: np.ndarray  # the other columns, which hold a message's symbols
+    parity: np.ndarray  # (-R[:, frees]) % q: pivot symbol i is row i times the message
+    # per coordinate j, from the lowest-index row of weight <= r + 1 that is
+    # nonzero on j: its other columns, their entries and the inverse of its
+    # entry on j; None if no such row exists
+    covers: tuple[tuple[tuple[int, ...], tuple[int, ...], int] | None, ...]
+
+
+def _plan(c: LinearCode) -> _Plan:
+    """The plan of c's parity-check matrix, else BadArgs."""
+    h = _integer_matrix(c)
+    return _plan_of(h.tobytes(), h.shape, c.field.q, c.params.r)
+
+
+@lru_cache(maxsize=4)
+def _plan_of(h: bytes, shape: tuple[int, int], q: int, r: int) -> _Plan:
+    """The entry check, one ``gf.rref_mod`` and one scan of the rows, keyed
+    on the matrix's contents, so a replaced or overwritten H is never served
+    stale.  A matrix that fails the check raises on every call: lru_cache
+    keeps no exception."""
+    # read-only, like every array of the plan
+    a = _check_entries(np.frombuffer(h, dtype=np.int64).reshape(shape), q)
+    reduced, pivots = gf.rref_mod(a, q)
+    pivot_set = set(pivots)
+    frees = np.array([j for j in range(shape[1]) if j not in pivot_set], dtype=np.intp)
+    parity = -reduced[:, frees] % q
+    pivots = np.array(pivots, dtype=np.intp)
+    for array in (pivots, frees, parity):
+        array.setflags(write=False)  # shared by every call on this H
+    covers = [None] * shape[1]
+    for row in a.tolist():
+        support = [j for j, x in enumerate(row) if x]
+        if len(support) > r + 1:
+            continue
+        for j in support:
+            if covers[j] is None:
+                others = tuple(l for l in support if l != j)
+                covers[j] = (others, tuple(row[l] for l in others), pow(row[j], -1, q))
+    return _Plan(a, len(pivots), pivots, frees, parity, tuple(covers))
+
+
 def min_distance(c: LinearCode) -> int:
     """Exact minimum distance: the smallest w for which some w columns of H
     are linearly dependent over GF(q).
@@ -126,25 +210,24 @@ def min_distance(c: LinearCode) -> int:
     """
     p = c.params
     _check_distance_envelope(p, c.claimed_distance)
+    plan = _plan(c)
     q = c.field.q
     m = p.n - p.k
-    if gf.rank_mod(c.H, q) != m:
+    if plan.rank != m:
         raise DegenerateCode("parity-check matrix does not have full row rank")
     g = c.claimed_distance
-    from_claim = g is not None and 2 <= g <= m + 1 and not _has_dependent_columns(c.H, q, g - 1)
+    from_claim = g is not None and 2 <= g <= m + 1 and not _has_dependent_columns(plan.h, q, g - 1)
     for w in range(g if from_claim else 1, m + 1):
-        if _has_dependent_columns(c.H, q, w):
+        if _has_dependent_columns(plan.h, q, w):
             return w
     return m + 1
 
 
 def verify_locality(c: LinearCode) -> bool:
     """Every coordinate must carry a nonzero entry in some row of weight <= r + 1."""
-    weights = (c.H != 0).sum(axis=1)
-    local_rows = c.H[weights <= c.params.r + 1]
-    if local_rows.size == 0:
-        return False
-    return bool(((local_rows != 0).any(axis=0)).all())
+    h = _check_entries(_integer_matrix(c), c.field.q)
+    local_rows = h[(h != 0).sum(axis=1) <= c.params.r + 1]
+    return bool(local_rows.any(axis=0).all())
 
 
 def verify_code(c: LinearCode) -> tuple[bool, bool, int | None]:
@@ -209,14 +292,6 @@ def construct_optimal_lrc(
     )
 
 
-@lru_cache(maxsize=4)
-def _row_reduced(h: bytes, shape: tuple[int, int], q: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``gf.rref_mod`` keyed on the matrix's contents, so a changed H is never served stale."""
-    reduced, pivots = gf.rref_mod(np.frombuffer(h, dtype=np.int64).reshape(shape), q)
-    reduced.setflags(write=False)  # shared by every encode of this H
-    return reduced, tuple(pivots)
-
-
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
 
@@ -242,21 +317,22 @@ def _symbols(values, length: int, what: str) -> np.ndarray:
 def encode(c: LinearCode, message: list[int] | np.ndarray) -> np.ndarray:
     """Systematic encoding: message symbols sit on the non-pivot columns of
     the row-reduced parity-check matrix, pivot columns are solved from them.
+
+    The row reduction and its parity block come from H's plan, made once
+    per H.  Each call checks H and the message and takes two products mod
+    q: one solves the pivot symbols, the other checks H c = 0.
     """
     p = c.params
     q = c.field.q
+    plan = _plan(c)
     msg = _symbols(message, p.k, "message") % q
-    h = np.ascontiguousarray(c.H, dtype=np.int64)
-    reduced, pivots = _row_reduced(h.tobytes(), h.shape, q)
-    if len(pivots) != p.n - p.k:
+    if plan.rank != p.n - p.k:
         raise DegenerateCode("parity-check matrix does not have full row rank")
-    pivot_set = set(pivots)
-    frees = [j for j in range(p.n) if j not in pivot_set]
-    word = np.zeros(p.n, dtype=np.int64)
-    word[frees] = msg
+    word = np.empty(p.n, dtype=np.int64)
+    word[plan.frees] = msg
     # every product is reduced before summing: q**2 alone nearly fills int64
-    word[list(pivots)] = -((reduced[:, frees] * msg % q).sum(axis=1) % q) % q
-    if ((c.H * word % q).sum(axis=1) % q).any():
+    word[plan.pivots] = (plan.parity * msg % q).sum(axis=1) % q
+    if ((plan.h * word % q).sum(axis=1) % q).any():
         raise SelfCheckFailed("encoded word fails the parity check H c = 0")
     return word
 
@@ -265,10 +341,14 @@ def repair_symbol(c: LinearCode, word: list[int | None]) -> int:
     """Recover the single erased coordinate through a covering local row.
 
     Reads at most r other coordinates: the lowest-index row of weight
-    <= r + 1 that is nonzero on the erased position.
+    <= r + 1 that is nonzero on the erased position.  H's plan, made once
+    per H, holds that row's other columns and entries and the inverse of
+    its erased entry.  Each call checks H and the word, looks the cover up
+    and takes one dot product in Python integers.
     """
     p = c.params
     q = c.field.q
+    plan = _plan(c)
     if len(word) != p.n:
         raise BadArgs(f"word must have length n = {p.n}, got {len(word)}")
     erased = [j for j, x in enumerate(word) if x is None]
@@ -276,15 +356,11 @@ def repair_symbol(c: LinearCode, word: list[int | None]) -> int:
         raise BadArgs(f"expected exactly one erasure, got {len(erased)}")
     j = erased[0]
     _symbols([*word[:j], *word[j + 1:]], p.n - 1, "the word's other symbols")
-    weights = (c.H != 0).sum(axis=1)
-    for i in range(c.H.shape[0]):
-        if weights[i] <= p.r + 1 and c.H[i, j] != 0:
-            acc = 0
-            for l in np.nonzero(c.H[i])[0]:
-                if l != j:
-                    acc = (acc + int(c.H[i, l]) * int(word[l])) % q
-            return (-acc * pow(int(c.H[i, j]), -1, q)) % q
-    raise NoLocalCover(f"no row of weight <= r + 1 covers coordinate {j}")
+    cover = plan.covers[j]
+    if cover is None:
+        raise NoLocalCover(f"no row of weight <= r + 1 covers coordinate {j}")
+    others, entries, inverse = cover
+    return -sum(a * int(word[l]) for l, a in zip(others, entries)) * inverse % q
 
 
 def code_to_json(c: LinearCode) -> dict:
@@ -312,8 +388,6 @@ def code_from_json(data: dict) -> LinearCode:
         raise BadArgs(f"malformed code JSON: {exc}") from exc
     if not (claimed is None or is_int(claimed)) or not isinstance(verified, bool):
         raise BadArgs("claimed_distance must be an integer or null, verified a boolean")
-    if h.shape != (p.n - p.k, p.n):
-        raise BadArgs(f"H must be {(p.n - p.k, p.n)}, got {h.shape}")
-    if ((h < 0) | (h >= field.q)).any():
-        raise BadArgs("matrix entries must lie in [0, q)")
-    return LinearCode(params=p, field=field, H=h, claimed_distance=claimed, verified=verified)
+    code = LinearCode(params=p, field=field, H=h, claimed_distance=claimed, verified=verified)
+    _check_entries(_integer_matrix(code), field.q)
+    return code

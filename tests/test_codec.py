@@ -1,4 +1,5 @@
 import json
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -28,6 +29,7 @@ from lrcdist.errors import (
     DegenerateCode,
     EnvelopeExceeded,
     InvalidParams,
+    NoLocalCover,
     NotAchievable,
     RetriesExhausted,
 )
@@ -259,6 +261,63 @@ def test_repair_gf2():
     assert repair_symbol(code, erased) == int(word[3])
 
 
+def test_repair_without_a_light_cover_raises_no_local_cover():
+    # coordinates 2 and 3 lie only in the heavy row 1: the plan holds no cover
+    # for them, while 0 and 1 repair through the light row 0
+    h = np.array([[1, 1, 0, 0], [1, 2, 3, 4]], dtype=np.int64)
+    code = LinearCode(params=derive_params(4, 2, 1), field=PrimeField(5), H=h)
+    assert not verify_locality(code)
+    word = encode(code, [2, 3])
+    for j in range(4):
+        received: list = word.tolist()
+        received[j] = None
+        if j < 2:
+            assert repair_symbol(code, received) == word[j]
+        else:
+            with pytest.raises(NoLocalCover):
+                repair_symbol(code, received)
+
+
+def test_every_reader_of_the_parity_check_matrix_rejects_a_malformed_one():
+    # an entry equal to q is zero mod q, yet it used to count as a light-row
+    # cover; a matrix of the wrong shape got a rank and a distance; a float
+    # matrix was truncated.  Each reader of H, and code_from_json, refuses them
+    rng = np.random.default_rng(2)
+    p4, p16, gf5 = derive_params(4, 2, 1), derive_params(16, 9, 4), PrimeField(5)
+    malformed = [
+        (p4, gf5, np.array([[1, 5, 0, 0], [0, 0, 1, 1]])),
+        (p4, gf5, np.array([[1, -1, 0, 0], [0, 0, 1, 1]])),
+        (p16, PrimeField(21841), rng.integers(1, 21841, size=(7, 20))),
+        (p4, gf5, np.array([[1.5, 1, 0, 0], [0, 0, 1, 1]])),
+        (p4, gf5, np.array([[True, True, False, False], [False, False, True, True]])),
+    ]
+    readers = (
+        verify_code,
+        verify_locality,
+        min_distance,
+        lambda c: encode(c, [1] * c.params.k),
+        lambda c: repair_symbol(c, [None] + [1] * (c.params.n - 1)),
+    )
+    for params, field, h in malformed:
+        for read in readers:
+            with pytest.raises(BadArgs):
+                read(LinearCode(params=params, field=field, H=h))
+        data = {"n": params.n, "k": params.k, "r": params.r, "q": field.q, "H": h.tolist(),
+                "claimed_distance": None, "verified": False}
+        with pytest.raises(BadArgs):
+            code_from_json(data)
+    # a nested list has no dtype to check
+    for read in readers:
+        with pytest.raises(BadArgs):
+            read(LinearCode(params=p4, field=gf5, H=[[1, 1, 0, 0], [0, 0, 1, 1]]))
+    # an unsigned or narrower integer H is read as the same int64 matrix
+    code = construct_optimal_lrc(derive_params(12, 7, 3), seed=0)
+    msg = [3, 1, 4, 1, 5, 9, 2]
+    narrow = LinearCode(params=code.params, field=code.field, H=code.H.astype(np.uint16))
+    assert verify_code(narrow) == verify_code(code)
+    assert (encode(narrow, msg) == encode(code, msg)).all()
+
+
 def test_repair_input_validation():
     code = construct_optimal_lrc(derive_params(12, 7, 3), seed=0)
     for word in ([0] * 12, [None, 0, 0, 0], [None] + [0] * 12, [None] * 2 + [0] * 10,
@@ -472,12 +531,103 @@ def test_verify_code_reports_rank_locality_and_distance():
 
 
 def test_construct_computes_the_rank_once_per_attempt(monkeypatch):
+    # one row reduction per attempt; the last one's plan then serves 16
+    # encodes and 16 repairs with no other.  The plan cache is cleared first,
+    # since an earlier test may have built the same code
     calls = []
-    rank_mod = gf.rank_mod
-    monkeypatch.setattr(gf, "rank_mod", lambda *a: calls.append(a) or rank_mod(*a))
-    code = construct_optimal_lrc(derive_params(16, 9, 4), seed=0)
-    assert code.verified
-    assert len(calls) == code.attempts
+    rref_mod = gf.rref_mod
+    monkeypatch.setattr(gf, "rref_mod", lambda *a: calls.append(a) or rref_mod(*a))
+    rng = np.random.default_rng(4)
+    for field, attempts in ((None, 1), (PrimeField(101), 3)):
+        codec._plan_of.cache_clear()
+        calls.clear()
+        code = construct_optimal_lrc(derive_params(16, 9, 4), field=field, seed=0)
+        assert code.verified and code.attempts == attempts
+        assert len(calls) == attempts
+        for _ in range(16):
+            word = encode(code, rng.integers(0, code.field.q, size=code.params.k))
+            received: list = word.tolist()
+            j = int(rng.integers(0, code.params.n))
+            received[j] = None
+            assert repair_symbol(code, received) == word[j]
+        assert len(calls) == attempts
+
+
+def envelope_params():
+    """Every (n, k, r) inside construct_optimal_lrc's distance envelope:
+    n <= 20 and d* <= 8."""
+    for n in range(2, codec.DISTANCE_LENGTH_ENVELOPE + 1):
+        for k in range(1, n):
+            for r in range(1, k + 1):
+                try:
+                    p = derive_params(n, k, r)
+                except InvalidParams:
+                    continue
+                if p.d_star <= codec.DISTANCE_CLAIM_ENVELOPE:
+                    yield p
+
+
+@lru_cache(maxsize=1)
+def admitted_tanner_graphs():
+    """(params, full Tanner graph) of every (n, k, r) that construct_optimal_lrc
+    builds: those of the envelope whose decision is d*."""
+    graphs = []
+    for p in envelope_params():
+        d = decide(p)
+        if d.value == p.d_star:
+            graphs.append((p, p2f(graph_to_pruned(d.witness, p))))
+    return graphs
+
+
+def per_entry_fill(t, q, seed):
+    """build_parity_check's fill as one draw per local entry, then one per global row."""
+    rng = np.random.default_rng(seed)
+    h = np.zeros((t.n - t.k, t.n), dtype=np.int64)
+    for i, check in enumerate(t.local_checks):
+        for j in sorted(check):
+            h[i, j] = int(rng.integers(1, q))
+    for i in range(len(t.local_checks), t.n - t.k):
+        h[i, :] = rng.integers(1, q, size=t.n)
+    return h
+
+
+def row_scan_repair(h, q, r, word, j):
+    """repair_symbol as a scan of the rows on every call: the lowest-index row
+    of weight <= r + 1 that is nonzero on j, and the symbol it gives."""
+    weights = (h != 0).sum(axis=1)
+    for i in range(h.shape[0]):
+        if weights[i] <= r + 1 and h[i, j] != 0:
+            acc = 0
+            for l in np.nonzero(h[i])[0]:
+                if l != j:
+                    acc = (acc + int(h[i, l]) * int(word[l])) % q
+            return i, (-acc * pow(int(h[i, j]), -1, q)) % q
+    return None, None
+
+
+@pytest.mark.parametrize("q", [None, 2, 2**31 - 1])
+def test_parity_fill_and_repair_match_their_per_entry_references(q):
+    # the fill draws many entries at once: a NumPy release whose bounded
+    # integers read the stream differently would change every code.  Repair
+    # reads its row from the plan; on a word that is no codeword another row
+    # would give another symbol, and the plan's cover must be the scan's row
+    field = None if q is None else PrimeField(q)
+    rng = np.random.default_rng(q)
+    graphs = admitted_tanner_graphs()
+    assert len(graphs) == 626
+    for p, t in graphs:
+        fld = field or default_field(p)
+        for seed in range(3):
+            code = build_parity_check(t, fld, seed)
+            assert (code.H == per_entry_fill(t, fld.q, seed)).all(), (p, seed)
+            word = rng.integers(0, fld.q, size=p.n).tolist()
+            covers = codec._plan(code).covers
+            for j in range(p.n):
+                received = [*word[:j], None, *word[j + 1:]]
+                i, symbol = row_scan_repair(code.H, fld.q, p.r, word, j)
+                assert repair_symbol(code, received) == symbol, (p, seed, j)
+                others = tuple(int(l) for l in np.flatnonzero(code.H[i]) if l != j)
+                assert covers[j][:2] == (others, tuple(int(code.H[i, l]) for l in others)), (p, seed, j)
 
 
 def test_construct_checks_envelope_before_deciding(monkeypatch):
@@ -495,19 +645,11 @@ def test_construct_envelope_needs_no_family_search():
     # a closed-form rule settles every instance it admits, with or without
     # the search.  The first triple that needs the search is named here.
     walked = 0
-    for n in range(2, codec.DISTANCE_LENGTH_ENVELOPE + 1):
-        for k in range(1, n):
-            for r in range(1, k + 1):
-                try:
-                    p = derive_params(n, k, r)
-                except InvalidParams:
-                    continue
-                if p.d_star > codec.DISTANCE_CLAIM_ENVELOPE:
-                    continue
-                d = decide(p)
-                assert d.rule not in ("oracle", "unresolved"), (n, k, r, d.rule)
-                assert decide(p, 0) == d, (n, k, r)
-                walked += 1
+    for p in envelope_params():
+        d = decide(p)
+        assert d.rule not in ("oracle", "unresolved"), (p.n, p.k, p.r, d.rule)
+        assert decide(p, 0) == d, (p.n, p.k, p.r)
+        walked += 1
     assert walked == 735  # n <= 20 and d* <= 8
 
 
