@@ -16,18 +16,30 @@ is computed once per matrix, in H's plan: the entry check, the rank from
 one row reduction, the pivot and free columns, the parity block that
 solves the pivot symbols, and for each coordinate the light row that
 repairs it.  The plans are cached on H's contents, so a built code is row
-reduced once: ``min_distance`` takes the rank from the plan, and the
-encodes and repairs that follow take the rest.  Each call still checks
-H's type and shape and its own input, and ``encode`` still checks
-H c = 0 on every word.
+reduced once: ``min_distance`` takes the rank from the plan,
+``verify_locality`` its covers, and the encodes and repairs that follow
+take the rest.  Each call still checks H's type and shape and its own
+input, and ``encode`` still checks H c = 0 on every word.
 
 The distance is the smallest w such that some w columns of H are dependent.
 ``min_distance`` first asks whether any (g - 1)-subset is dependent, for the
 claimed distance g (``construct_optimal_lrc`` always claims d*).  If none
 is, no smaller subset is dependent either, because independence is
-hereditary, and the scan starts at w = g; otherwise it starts at w = 1.
-Either way the result is the exact distance; a wrong claim costs one extra
-level.  A level is one call of ``gf.batch_columns_independent`` that
+hereditary, so the distance is at least g.  Level g then needs no field
+arithmetic when H's zero pattern settles it, as it does for every code
+``construct_optimal_lrc`` builds: eta rows that are nonzero on fewer than
+eta + k columns leave at least m - eta + 1 columns inside the other
+m - eta rows, and those are dependent over any field (the counting behind
+the Singleton-like bound of Gopalan, Huang, Simitci and Yekhanin, which
+``tanner.tanner_min_distance`` computes for a Tanner graph).  With
+eta >= m - g + 1 that is a dependent set of at most g columns, so the
+distance is g.  A depth-first walk over the non-dense rows looks for such
+a row set; when it finds none, the scan starts at w = g.  When some
+(g - 1)-subset is dependent, or there is no claim, it starts at w = 1.
+Either way the result is the exact distance for every H and q; a claim
+below the distance costs extra levels, one above it a restart.
+
+A scanned level is one call of ``gf.batch_columns_independent`` that
 builds the w-subsets one column at a time from the empty prefix and
 returns one flag for them all: level 1 is the zero-column test, and from
 w = 2 on adding a column is one fraction-free pivot step, shared by every
@@ -71,7 +83,7 @@ class PrimeField:
     q: int
 
     def __post_init__(self):
-        # the range test precedes primality: it keeps trial division short
+        # the range test precedes primality, which refuses a q past its exact range
         if not is_int(self.q) or not 2 <= self.q <= FIELD_ORDER_ENVELOPE or not gf.is_prime(self.q):
             raise BadArgs(f"field order must be a prime <= {FIELD_ORDER_ENVELOPE} (int64), got {self.q}")
 
@@ -130,8 +142,7 @@ def _integer_matrix(c: LinearCode) -> np.ndarray:
     """c.H as int64 if it is an integer array of shape (n - k, n), else BadArgs.
 
     ``_check_entries`` is the other half of the check of H: H's plan runs
-    it once per matrix, ``verify_locality`` and ``code_from_json`` on every
-    call.
+    it once per matrix, ``code_from_json`` on every call.
     """
     h, p = c.H, c.params
     if not isinstance(h, np.ndarray) or h.dtype.kind not in "iu":
@@ -198,15 +209,53 @@ def _plan_of(h: bytes, shape: tuple[int, int], q: int, r: int) -> _Plan:
     return _Plan(a, len(pivots), pivots, frees, parity, tuple(covers))
 
 
+def _pattern_forces(h: np.ndarray, k: int, g: int) -> bool:
+    """Whether h's zero pattern alone makes some g columns dependent, over
+    every field: whether some eta >= m - g + 1 of its m rows have fewer than
+    eta + k columns in their union.
+
+    The other columns, at least m - eta + 1 of them, are zero in those eta
+    rows, so they lie in an (m - eta)-dimensional space, and any m - eta + 1
+    of them are dependent.  A dense row never helps (its union has all n =
+    m + k columns), so the walk takes the other rows as column bitmasks and
+    adds them depth first in order.  A branch is cut once it cannot reach
+    m - g + 1 rows, or once its union size minus its rows minus the rows
+    still to come reaches k: each row still to come lowers union size minus
+    rows by one at most.
+    """
+    m, n = h.shape
+    full = (1 << n) - 1
+    masks = [mask for mask in ((h != 0) @ (1 << np.arange(n))).tolist() if mask != full]
+    need = m - g + 1
+    count = len(masks)
+
+    def walk(start: int, union: int, eta: int) -> bool:
+        if eta >= need and union.bit_count() < eta + k:
+            return True
+        for i in range(start, count):
+            left = count - i - 1
+            if eta + 1 + left < need:
+                return False
+            u = union | masks[i]
+            if u.bit_count() - eta - 1 - left < k and walk(i + 1, u, eta + 1):
+                return True
+        return False
+
+    return walk(0, 0, 0)
+
+
 def min_distance(c: LinearCode) -> int:
     """Exact minimum distance: the smallest w for which some w columns of H
     are linearly dependent over GF(q).
 
     Independence is hereditary (a subset of independent columns is
     independent), so when no (g - 1)-subset is dependent for the claimed
-    distance g, no smaller subset is either and the scan starts at w = g.
-    Otherwise, or without a claim, it starts at w = 1.  Any n - k + 1
-    columns of the n - k rows are dependent, so that level needs no scan.
+    distance g, no smaller subset is either, and the distance is at least
+    g.  It is exactly g when H's zero pattern forces a dependent set of at
+    most g columns (``_pattern_forces``), which needs no field arithmetic;
+    otherwise the scan starts at w = g.  Without a claim, or when some
+    (g - 1)-subset is dependent, it starts at w = 1.  Any n - k + 1 columns
+    of the n - k rows are dependent, so that level needs no scan.
     """
     p = c.params
     _check_distance_envelope(p, c.claimed_distance)
@@ -216,18 +265,21 @@ def min_distance(c: LinearCode) -> int:
     if plan.rank != m:
         raise DegenerateCode("parity-check matrix does not have full row rank")
     g = c.claimed_distance
-    from_claim = g is not None and 2 <= g <= m + 1 and not _has_dependent_columns(plan.h, q, g - 1)
-    for w in range(g if from_claim else 1, m + 1):
+    start = 1
+    if g is not None and 2 <= g <= m + 1 and not _has_dependent_columns(plan.h, q, g - 1):
+        if _pattern_forces(plan.h, p.k, g):
+            return g
+        start = g
+    for w in range(start, m + 1):
         if _has_dependent_columns(plan.h, q, w):
             return w
     return m + 1
 
 
 def verify_locality(c: LinearCode) -> bool:
-    """Every coordinate must carry a nonzero entry in some row of weight <= r + 1."""
-    h = _check_entries(_integer_matrix(c), c.field.q)
-    local_rows = h[(h != 0).sum(axis=1) <= c.params.r + 1]
-    return bool(local_rows.any(axis=0).all())
+    """Every coordinate must carry a nonzero entry in some row of weight <= r + 1:
+    every coordinate has a cover in H's plan."""
+    return None not in _plan(c).covers
 
 
 def verify_code(c: LinearCode) -> tuple[bool, bool, int | None]:

@@ -19,20 +19,58 @@ from math import comb
 
 import numpy as np
 
+from .errors import EnvelopeExceeded
+
 _ENTRY_BUDGET = 1 << 17  # int64 entries in one array of the distance scan
 _SMALL_LAYOUT = 32  # most nodes of a ``_pivot`` step whose index arrays are cached
+# Miller-Rabin bases, and for each the least composite that is a strong
+# probable prime to it and every base before it
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
 
 
 def is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin: exact for every q below the last entry
+    of ``_PSEUDOPRIMES``, and EnvelopeExceeded above it.
+
+    Trial division by the bases settles every q that shares a factor with
+    them.  Past them, q must be a strong probable prime to each base in
+    turn; once it has passed the first i and lies below the least
+    composite that passes them all, it is prime.
+    """
+    if q >= _PSEUDOPRIMES[-1]:
+        raise EnvelopeExceeded(f"primality test limited to q < {_PSEUDOPRIMES[-1]}")
     if q < 2:
         return False
-    if q % 2 == 0:
-        return q == 2
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 2
+    for a in _WITNESSES:
+        if q % a == 0:
+            return q == a
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2**s with d odd
+    d = (q - 1) >> s
+    for a, pseudoprime in zip(_WITNESSES, _PSEUDOPRIMES):
+        x = pow(a, d, q)
+        if x != 1 and x != q - 1:
+            for _ in range(s - 1):
+                x = x * x % q
+                if x == q - 1:
+                    break
+            else:
+                return False
+        if q < pseudoprime:  # true by the last base at the latest
+            break
     return True
 
 

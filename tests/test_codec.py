@@ -1,4 +1,5 @@
 import json
+import time
 from functools import lru_cache
 from itertools import combinations
 
@@ -266,7 +267,7 @@ def test_repair_without_a_light_cover_raises_no_local_cover():
     # for them, while 0 and 1 repair through the light row 0
     h = np.array([[1, 1, 0, 0], [1, 2, 3, 4]], dtype=np.int64)
     code = LinearCode(params=derive_params(4, 2, 1), field=PrimeField(5), H=h)
-    assert not verify_locality(code)
+    assert not verify_locality(code) and not row_scan_locality(h, 1)
     word = encode(code, [2, 3])
     for j in range(4):
         received: list = word.tolist()
@@ -605,12 +606,20 @@ def row_scan_repair(h, q, r, word, j):
     return None, None
 
 
+def row_scan_locality(h, r):
+    """verify_locality as a scan of the rows: every column is nonzero in some
+    row of weight <= r + 1."""
+    light = (h != 0).sum(axis=1) <= r + 1
+    return bool((h[light] != 0).any(axis=0).all())
+
+
 @pytest.mark.parametrize("q", [None, 2, 2**31 - 1])
 def test_parity_fill_and_repair_match_their_per_entry_references(q):
     # the fill draws many entries at once: a NumPy release whose bounded
     # integers read the stream differently would change every code.  Repair
-    # reads its row from the plan; on a word that is no codeword another row
-    # would give another symbol, and the plan's cover must be the scan's row
+    # and verify_locality read the plan's covers; on a word that is no
+    # codeword another row would give another symbol, and the plan's cover
+    # must be the scan's row
     field = None if q is None else PrimeField(q)
     rng = np.random.default_rng(q)
     graphs = admitted_tanner_graphs()
@@ -620,6 +629,7 @@ def test_parity_fill_and_repair_match_their_per_entry_references(q):
         for seed in range(3):
             code = build_parity_check(t, fld, seed)
             assert (code.H == per_entry_fill(t, fld.q, seed)).all(), (p, seed)
+            assert verify_locality(code) == row_scan_locality(code.H, p.r), (p, seed)
             word = rng.integers(0, fld.q, size=p.n).tolist()
             covers = codec._plan(code).covers
             for j in range(p.n):
@@ -701,7 +711,7 @@ def test_min_distance_starts_at_the_claimed_level(monkeypatch):
     scan = codec._has_dependent_columns
     monkeypatch.setattr(codec, "_has_dependent_columns", lambda h, q, w: levels.append(w) or scan(h, q, w))
     expected = {
-        d: [d - 1, d],  # no dependent (d-1)-subset: start at d
+        d: [d - 1],  # no dependent (d-1)-subset, and H's zero pattern forces a d-set
         d - 1: [d - 2, d - 1, d],
         d + 1: [d, *range(1, d + 1)],  # a dependent d-subset: fall back to w = 1
         None: list(range(1, d + 1)),
@@ -711,6 +721,105 @@ def test_min_distance_starts_at_the_claimed_level(monkeypatch):
         code.claimed_distance = claim
         assert min_distance(code) == d
         assert levels == want
+
+
+def rank_distance(h, q):
+    """Smallest w with some w columns of h of rank below w, by one rank_mod per subset."""
+    m, n = h.shape
+    return next(
+        (w for w in range(1, m + 1) if any(gf.rank_mod(h[:, list(s)], q) < w for s in combinations(range(n), w))),
+        m + 1,
+    )
+
+
+def test_min_distance_matches_per_subset_ranks_under_any_claim():
+    # sparse H, sparse H with a planted zero or parallel column (the pattern
+    # may force a level that the values undercut) and dense H (the pattern
+    # forces nothing below m + 1); every claim near the distance, and none
+    rng = np.random.default_rng(30)
+    checked = 0
+    for trial in range(240):
+        q = int(rng.choice([2, 3, 5, 7, 11]))
+        m = int(rng.integers(1, 7))
+        n = int(rng.integers(m + 1, 10))
+        kind = trial % 3
+        if kind == 2:
+            h = rng.integers(1, q, size=(m, n))
+        else:
+            h = rng.integers(1, q, size=(m, n)) * (rng.random((m, n)) < 0.5)
+            if kind == 1:
+                i, j = rng.choice(n, size=2, replace=False)
+                h[:, j] = h[:, i] * int(rng.integers(0, q)) % q
+        h = h.astype(np.int64)
+        if gf.rank_mod(h, q) < m:
+            continue
+        want = rank_distance(h, q)
+        for g in range(1, m + 2):
+            forced = codec._pattern_forces(h, n - m, g)
+            assert want <= g or not forced, (h.tolist(), q, g)
+            assert kind != 2 or forced == (g == m + 1), (h.tolist(), q, g)
+        code = LinearCode(params=derive_params(n, n - m, n - m), field=PrimeField(q), H=h)
+        for claim in (want - 1, want, want + 1, None):
+            code.claimed_distance = claim
+            assert min_distance(code) == want, (h.tolist(), q, claim)
+        checked += 1
+    assert checked > 150
+
+
+def test_pattern_walk_matches_every_row_subset():
+    # the walk's cuts may only skip branches with no answer: on random zero
+    # patterns of up to 12 rows it must find a row set exactly when one of
+    # the 2**m subsets has at least m - g + 1 rows and fewer than rows + k
+    # columns in its union
+    rng = np.random.default_rng(31)
+    for trial in range(80):
+        m = int(rng.integers(1, 13))
+        k = int(rng.integers(1, 9))
+        h = (rng.random((m, m + k)) < rng.uniform(0.1, 0.9)).astype(np.int64)
+        h[rng.random(m) < 0.2] = 1  # some dense rows
+        masks = [int("".join(map(str, row[::-1])), 2) for row in h]
+        slack = {}  # fewest union columns minus rows, per row count
+        for subset in range(1 << m):
+            rows = [masks[i] for i in range(m) if subset >> i & 1]
+            union = 0
+            for mask in rows:
+                union |= mask
+            eta = len(rows)
+            slack[eta] = min(slack.get(eta, m + k), union.bit_count() - eta)
+        for g in range(1, m + 2):
+            want = any(slack[eta] < k for eta in range(max(m - g + 1, 0), m + 1))
+            assert codec._pattern_forces(h, k, g) == want, (h.tolist(), k, g)
+
+
+def test_every_population_code_takes_the_fast_path(monkeypatch):
+    # claimed d*, each verified code that construct_optimal_lrc builds scans
+    # level d* - 1 only: H's zero pattern settles level d*
+    codes = [construct_optimal_lrc(p, seed=0) for p, _ in admitted_tanner_graphs()]
+    levels = []
+    scan = codec._has_dependent_columns
+    monkeypatch.setattr(codec, "_has_dependent_columns", lambda h, q, w: levels.append(w) or scan(h, q, w))
+    for code in codes:
+        p = code.params
+        levels.clear()
+        assert min_distance(code) == p.d_star, (p.n, p.k, p.r)
+        assert levels == [p.d_star - 1], (p.n, p.k, p.r)
+
+
+def test_min_distance_below_the_true_distance_on_a_sparse_19_by_20_matrix():
+    # a diagonal 19 x 19 block beside a column u of weight 8, columns
+    # shuffled: the one codeword (up to scale) is (-u, 1) of weight 9.
+    # Claimed 8, the zero-pattern walk must find among its 19 sparse rows
+    # no eta >= 12 of them nonzero on at most eta columns, and give up quickly
+    rng = np.random.default_rng(7)
+    q = 101
+    h = np.zeros((19, 20), dtype=np.int64)
+    h[np.arange(19), np.arange(19)] = rng.integers(1, q, size=19)
+    h[rng.permutation(19)[:8], 19] = rng.integers(1, q, size=8)
+    h = h[:, rng.permutation(20)]
+    code = LinearCode(params=derive_params(20, 1, 1), field=PrimeField(q), H=h, claimed_distance=8)
+    start = time.perf_counter()
+    assert min_distance(code) == 9
+    assert time.perf_counter() - start < 1.0
 
 
 def test_min_distance_over_the_largest_field():
@@ -729,8 +838,4 @@ def test_min_distance_over_the_largest_field():
             a, b = (int(x) for x in rng.integers(1, q, size=2))
             h[:, 2] = (h[:, 0].astype(object) * a + h[:, 1].astype(object) * b) % q
         code = LinearCode(params=derive_params(n, k, k), field=PrimeField(q), H=h)
-        want = next(
-            w for w in range(1, n + 1)
-            if any(gf.rank_mod(h[:, list(s)], q) < w for s in combinations(range(n), w))
-        )
-        assert min_distance(code) == want
+        assert min_distance(code) == rank_distance(h, q)

@@ -1,9 +1,11 @@
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
+import pytest
 
 from lrcdist import gf
+from lrcdist.errors import EnvelopeExceeded
 
 
 def test_prime_helpers():
@@ -16,6 +18,57 @@ def test_prime_helpers():
     assert gf.next_prime_above(660) == 661
     assert gf.next_prime_above(1) == 2
     assert gf.next_prime_above(2) == 3
+
+
+def strong_probable_prime(q, a):
+    """Whether odd q > 2 passes one Miller-Rabin round to base a."""
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, q)
+    return x in (1, q - 1) or any(pow(x, 2**i, q) == q - 1 for i in range(1, s))
+
+
+def test_is_prime_matches_trial_division():
+    qs = np.arange(200_000)
+    composite = qs < 2
+    for d in range(2, 448):  # 447**2 < 200,000 < 448**2
+        composite |= (qs % d == 0) & (qs != d)
+    assert [gf.is_prime(q) for q in range(200_000)] == (~composite).tolist()
+    carmichaels = [561, 1105, 1729, 2465, 2821, 6601, 41041, 825265, 321197185, 5394826801, 232250619601]
+    for q in carmichaels:
+        assert not gf.is_prime(q), q
+    assert gf.is_prime(2**31 - 1) and gf.is_prime(3037000493) and gf.is_prime(2**61 - 1)
+    assert not gf.is_prime(3037000493 * (2**31 - 1))
+
+
+def test_is_prime_pseudoprime_table():
+    # each entry is composite and fools the bases up to its own, so the
+    # bases after it are needed from there on; the last fools them all,
+    # and from it on is_prime refuses to answer
+    factors = [
+        (23, 89),
+        (829, 1657),
+        (2251, 11251),
+        (151, 751, 28351),
+        (6763, 10627, 29947),
+        (1303, 16927, 157543),
+        (10670053, 32010157),
+        (10670053, 32010157),
+        (149491, 747451, 34233211),
+        (149491, 747451, 34233211),
+        (149491, 747451, 34233211),
+        (399165290221, 798330580441),
+    ]
+    assert len(factors) == len(gf._PSEUDOPRIMES) == len(gf._WITNESSES)
+    for i, (q, fs) in enumerate(zip(gf._PSEUDOPRIMES, factors)):
+        assert prod(fs) == q
+        assert all(strong_probable_prime(q, a) for a in gf._WITNESSES[: i + 1]), q
+        if q < gf._PSEUDOPRIMES[-1]:
+            assert not gf.is_prime(q), q
+    assert {2047, 1373653, 25326001, 3215031751, 3825123056546413051} <= set(gf._PSEUDOPRIMES)
+    with pytest.raises(EnvelopeExceeded):
+        gf.is_prime(gf._PSEUDOPRIMES[-1])
 
 
 def test_rref_properties():
