@@ -30,10 +30,10 @@ arithmetic when H's zero pattern settles it, as it does for every code
 ``construct_optimal_lrc`` builds: eta rows that are nonzero on fewer than
 eta + k columns leave at least m - eta + 1 columns inside the other
 m - eta rows, and those are dependent over any field (the counting behind
-the Singleton-like bound of Gopalan, Huang, Simitci and Yekhanin, which
-``tanner.tanner_min_distance`` computes for a Tanner graph).  With
+the Singleton-like bound of Gopalan, Huang, Simitci and Yekhanin).  With
 eta >= m - g + 1 that is a dependent set of at most g columns, so the
-distance is g.  A depth-first walk over the non-dense rows looks for such
+distance is g.  ``tanner.failing_checks``, the depth-first walk behind
+``tanner.tanner_min_distance``, looks among the non-dense rows for such
 a row set; when it finds none, the scan starts at w = g.  When some
 (g - 1)-subset is dependent, or there is no claim, it starts at w = 1.
 Either way the result is the exact distance for every H and q; a claim
@@ -71,7 +71,7 @@ from .errors import (
     SelfCheckFailed,
 )
 from .params import CodeParams, derive_params, is_int
-from .tanner import FullTannerGraph, graph_to_pruned, p2f
+from .tanner import FullTannerGraph, failing_checks, graph_to_pruned, p2f
 
 DISTANCE_LENGTH_ENVELOPE = 20
 DISTANCE_CLAIM_ENVELOPE = 8
@@ -217,31 +217,13 @@ def _pattern_forces(h: np.ndarray, k: int, g: int) -> bool:
     The other columns, at least m - eta + 1 of them, are zero in those eta
     rows, so they lie in an (m - eta)-dimensional space, and any m - eta + 1
     of them are dependent.  A dense row never helps (its union has all n =
-    m + k columns), so the walk takes the other rows as column bitmasks and
-    adds them depth first in order.  A branch is cut once it cannot reach
-    m - g + 1 rows, or once its union size minus its rows minus the rows
-    still to come reaches k: each row still to come lowers union size minus
-    rows by one at most.
+    m + k columns), so the other rows, as column bitmasks, go to
+    ``tanner.failing_checks``, the walk behind ``tanner_min_distance``.
     """
     m, n = h.shape
     full = (1 << n) - 1
     masks = [mask for mask in ((h != 0) @ (1 << np.arange(n))).tolist() if mask != full]
-    need = m - g + 1
-    count = len(masks)
-
-    def walk(start: int, union: int, eta: int) -> bool:
-        if eta >= need and union.bit_count() < eta + k:
-            return True
-        for i in range(start, count):
-            left = count - i - 1
-            if eta + 1 + left < need:
-                return False
-            u = union | masks[i]
-            if u.bit_count() - eta - 1 - left < k and walk(i + 1, u, eta + 1):
-                return True
-        return False
-
-    return walk(0, 0, 0)
+    return failing_checks(masks, k, m - g + 1) is not None
 
 
 def min_distance(c: LinearCode) -> int:

@@ -4,8 +4,9 @@ A full Tanner graph for (n, k, r) has n variable nodes and n - k check
 nodes; every check is either local (degree exactly r + 1) or global
 (adjacent to all n variables), and every variable touches at least one
 local check.  Such a graph fixes the zero pattern of a parity-check
-matrix, and its combinatorial minimum distance (largest d such that
-every eta checks, eta in [n-k-d+2, n-k], see at least eta + k variables)
+matrix, and its combinatorial minimum distance (largest d in
+[1, n-k+1] such that every eta checks, eta in [n-k-d+2, n-k], see at
+least eta + k variables; n-k+1 when no set of checks sees fewer)
 matches the best distance a code with that zero pattern can reach.
 
 Pruned graphs are the reduced object the multigraph equivalence works
@@ -23,17 +24,17 @@ between them, one for each fresh variable, so every way of attaching them
 fills every check and differs from this one only in which fresh label sits
 in which slot: a relabelling, which keeps every neighbourhood size.
 
-``tanner_min_distance`` needs the smallest neighbourhood of every size of
-local-check subset; one depth-first walk over those subsets finds them.
+``tanner_min_distance`` needs the largest set of local checks that sees
+fewer variables than its size plus k.  ``failing_checks`` is the one
+depth-first walk over check bitmasks that finds it, and
+``codec._pattern_forces`` asks the same walk about the rows of H.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, islice
-from operator import or_
 from typing import AbstractSet, Sequence
 
 from .errors import (
@@ -175,46 +176,51 @@ def p2f(p: PrunedGraph) -> FullTannerGraph:
     )
 
 
-def _local_min_neighborhoods(masks: list[int]) -> list[int]:
-    """Minimum |N(S)| over all-local subsets S, indexed by subset size.
+def failing_checks(masks: Sequence[int], k: int, need: int = 1) -> tuple[int, ...] | None:
+    """Indices of a largest set S of at least ``need`` masks whose union has
+    fewer than |S| + k bits, or None when there is no such set.
 
-    One depth-first walk over the subsets in lexicographic order, carrying
-    the running union of the chosen checks' variable masks: O(L) memory for
-    L local checks.
+    One depth-first walk adds the masks in order, carrying the running union.
+    A branch is cut once it cannot reach ``need`` masks, where ``need`` rises
+    past each set found, or once its union size minus its masks minus the
+    masks still to come reaches k: each mask still to come lowers union size
+    minus masks by one at most.
     """
     count = len(masks)
-    mins = [0] + [reduce(or_, masks, 0).bit_count()] * count  # no union is larger
+    chosen = [0] * count
+    best: tuple[int, ...] | None = None
 
     def walk(start: int, union: int, eta: int) -> None:
+        nonlocal best, need
+        if eta >= need and union.bit_count() < eta + k:
+            best = tuple(chosen[:eta])
+            need = eta + 1
         for i in range(start, count):
+            left = count - i - 1
+            if eta + 1 + left < need:
+                return
             u = union | masks[i]
-            size = u.bit_count()
-            if size < mins[eta]:
-                mins[eta] = size
-            if i + 1 < count:
+            if u.bit_count() - eta - 1 - left < k:
+                chosen[eta] = i
                 walk(i + 1, u, eta + 1)
 
-    walk(0, 0, 1)
-    return mins
+    walk(0, 0, 0)
+    return best
 
 
 def tanner_min_distance(t: FullTannerGraph) -> int:
-    """Largest d in [1, n - k] such that every eta checks, for every eta in
-    [n - k - d + 2, n - k], are adjacent to at least eta + k variables.
+    """Largest d in [1, n - k + 1] such that every eta checks, for every eta
+    in [n - k - d + 2, n - k], are adjacent to at least eta + k variables:
+    (n - k) + 1 minus the size of the largest failing set of checks.
 
-    Any subset containing a global check sees all n variables, so only
-    all-local subsets can fail; those are enumerated exhaustively.
+    Any set containing a global check sees all n variables, so only
+    all-local sets can fail; ``failing_checks`` finds the largest.
     """
     n, k = t.n, t.k
     if n - k > CHECK_ENVELOPE:
         raise EnvelopeExceeded(f"check-subset enumeration limited to n - k <= {CHECK_ENVELOPE}")
-    masks = [sum(1 << v for v in c) for c in t.local_checks]
-    mins = _local_min_neighborhoods(masks)
-    worst_failing = 0
-    for eta in range(1, len(masks) + 1):
-        if mins[eta] < eta + k:
-            worst_failing = eta
-    return (n - k) - worst_failing + 1 if worst_failing else n - k
+    failing = failing_checks([sum(1 << v for v in c) for c in t.local_checks], k)
+    return (n - k) + 1 - len(failing or ())
 
 
 def reduce_check_nodes(p: PrunedGraph) -> PrunedGraph:

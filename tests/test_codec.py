@@ -35,7 +35,7 @@ from lrcdist.errors import (
     RetriesExhausted,
 )
 from lrcdist.params import derive_params
-from lrcdist.tanner import graph_to_pruned, p2f
+from lrcdist.tanner import graph_to_pruned, p2f, tanner_min_distance
 
 
 def brute_min_weight(code):
@@ -803,6 +803,13 @@ def test_every_population_code_takes_the_fast_path(monkeypatch):
         levels.clear()
         assert min_distance(code) == p.d_star, (p.n, p.k, p.r)
         assert levels == [p.d_star - 1], (p.n, p.k, p.r)
+
+
+def test_tanner_distance_matches_every_admitted_code():
+    # the counting distance of each witness's full Tanner graph is d*, the
+    # distance of the code construct_optimal_lrc builds on it
+    for p, t in admitted_tanner_graphs():
+        assert tanner_min_distance(t) == p.d_star, (p.n, p.k, p.r)
 
 
 def test_min_distance_below_the_true_distance_on_a_sparse_19_by_20_matrix():

@@ -1,10 +1,13 @@
 import random
 from itertools import combinations, islice
 
+import numpy as np
 import pytest
 
+from lrcdist.codec import LinearCode, PrimeField, min_distance
 from lrcdist.decider import decide
 from lrcdist.errors import (
+    EnvelopeExceeded,
     InvalidTanner,
     NothingToReduce,
     ShapeMismatch,
@@ -15,6 +18,7 @@ from lrcdist.tanner import (
     FullTannerGraph,
     PrunedGraph,
     f2p,
+    failing_checks,
     graph_to_pruned,
     p2f,
     reduce_check_nodes,
@@ -207,10 +211,10 @@ def test_neighborhood_identity_for_graph_built_tanner():
 
 def test_tanner_min_distance_witness_codes():
     # the decided value always matches the witness graph's Tanner distance,
-    # capped at n - k (the cap binds exactly when k1 = 1)
+    # n - k + 1 included (k1 = 1)
     for (n, k, r) in [(6, 3, 3), (16, 9, 4), (12, 7, 3), (13, 7, 3)]:
         p, d, t = witness_tanner(n, k, r)
-        assert tanner_min_distance(t) == min(p.d_star, p.n - p.k)
+        assert tanner_min_distance(t) == p.d_star
 
 
 def test_tanner_min_distance_beyond_twenty_local_checks():
@@ -221,18 +225,70 @@ def test_tanner_min_distance_beyond_twenty_local_checks():
     assert tanner_min_distance(t) == p.d_star == 4
 
 
+def test_failing_checks_matches_every_subset():
+    # the walk's cuts may only skip branches with no larger answer: on random
+    # masks its set must fail, hold at least `need` masks, and be as large as
+    # the largest failing set among all 2**L subsets
+    rng = random.Random(37)
+    for _ in range(300):
+        count = rng.randint(0, 11)
+        bits = rng.randint(1, 14)
+        density = rng.uniform(0.05, 0.9)
+        masks = [sum(1 << b for b in range(bits) if rng.random() < density) for _ in range(count)]
+        k = rng.randint(1, 8)
+        need = rng.randint(0, count + 1)
+        largest = None
+        for subset in range(1 << count):
+            rows = [i for i in range(count) if subset >> i & 1]
+            union = 0
+            for i in rows:
+                union |= masks[i]
+            if len(rows) >= need and union.bit_count() < len(rows) + k:
+                largest = max(largest or 0, len(rows))
+        found = failing_checks(masks, k, need)
+        if largest is None:
+            assert found is None, (masks, k, need)
+            continue
+        assert found is not None and len(found) == largest, (masks, k, need, found)
+        assert list(found) == sorted(set(found)) and all(0 <= i < count for i in found)
+        union = 0
+        for i in found:
+            union |= masks[i]
+        assert len(found) >= need and union.bit_count() < len(found) + k
+
+
+def test_tanner_min_distance_at_the_envelope_edge():
+    # (48, 24, 1): n - k = 24 = CHECK_ENVELOPE, 24 disjoint local checks;
+    # any 23 of them fail, so the distance is 2
+    p, d, t = witness_tanner(48, 24, 1)
+    assert p.n - p.k == 24 and len(t.local_checks) == 24
+    assert tanner_min_distance(t) == p.d_star == 2
+    past = FullTannerGraph(
+        n=50,
+        k=25,
+        r=1,
+        local_checks=tuple(frozenset({2 * i, 2 * i + 1}) for i in range(25)),
+        global_count=0,
+    )
+    with pytest.raises(EnvelopeExceeded):
+        tanner_min_distance(past)
+
+
 def test_tanner_min_distance_vacuous_cap():
     # r = n - 1: the single local check sees every variable, all conditions
-    # hold, and the distance reports exactly n - k
+    # hold, and the distance reports n - k + 1, the distance of the one-row
+    # weight-4 code with that zero pattern
     t = FullTannerGraph(
         n=4, k=3, r=3, local_checks=(frozenset({0, 1, 2, 3}),), global_count=0
     )
-    assert tanner_min_distance(t) == 1
+    assert tanner_min_distance(t) == 2
+    code = LinearCode(params=derive_params(4, 3, 3), field=PrimeField(5), H=np.array([[1, 2, 3, 4]]))
+    assert min_distance(code) == 2
     # k1 = 1 instances have d* = n - k + 1; the witness graph satisfies every
-    # condition and the cap binds at n - k
+    # condition and reaches it
     p, d, t = witness_tanner(6, 3, 3)
     assert p.d_star == 4
-    assert tanner_min_distance(t) == 3
+    assert tanner_min_distance(t) == 4
 
 
 def test_non_witness_graph_scores_below_d_star():
@@ -320,7 +376,7 @@ def brute_tanner_distance(t):
                     return False
         return True
 
-    return max(d for d in range(1, n - k + 1) if holds(d))
+    return max(d for d in range(1, n - k + 2) if holds(d))
 
 
 def test_tanner_min_distance_matches_brute_definition():
