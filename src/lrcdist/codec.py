@@ -22,22 +22,20 @@ take the rest.  Each call still checks H's type and shape and its own
 input, and ``encode`` still checks H c = 0 on every word.
 
 The distance is the smallest w such that some w columns of H are dependent.
-``min_distance`` first asks whether any (g - 1)-subset is dependent, for the
-claimed distance g (``construct_optimal_lrc`` always claims d*).  If none
-is, no smaller subset is dependent either, because independence is
-hereditary, so the distance is at least g.  Level g then needs no field
-arithmetic when H's zero pattern settles it, as it does for every code
-``construct_optimal_lrc`` builds: eta rows that are nonzero on fewer than
-eta + k columns leave at least m - eta + 1 columns inside the other
-m - eta rows, and those are dependent over any field (the counting behind
-the Singleton-like bound of Gopalan, Huang, Simitci and Yekhanin).  With
-eta >= m - g + 1 that is a dependent set of at most g columns, so the
-distance is g.  ``tanner.failing_checks``, the depth-first walk behind
-``tanner.tanner_min_distance``, looks among the non-dense rows for such
-a row set; when it finds none, the scan starts at w = g.  When some
-(g - 1)-subset is dependent, or there is no claim, it starts at w = 1.
-Either way the result is the exact distance for every H and q; a claim
-below the distance costs extra levels, one above it a restart.
+``min_distance`` reads no claim: H's zero pattern picks the one level it
+checks.  eta rows that are nonzero on fewer than eta + k columns leave at
+least m - eta + 1 columns inside the other m - eta rows, and those are
+dependent over any field (the counting behind the Singleton-like bound of
+Gopalan, Huang, Simitci and Yekhanin).  ``tanner.failing_checks``, the
+depth-first walk behind ``tanner.tanner_min_distance``, finds the largest
+such row set among the non-dense rows, so some b = m + 1 - eta columns are
+dependent.  When no b - 1 columns are dependent, no fewer are either,
+because independence is hereditary, so the distance is b: on every code
+``construct_optimal_lrc`` builds, b is d* and level d* - 1 is the only
+level scanned.  Otherwise the scan goes up from w = 1 and stops at the
+first dependent level, or at b - 1.  The result is the exact distance for
+every H and q; ``claimed_distance`` is only a label that ``verify``
+compares the result against.
 
 A scanned level is one call of ``gf.batch_columns_independent`` that
 builds the w-subsets one column at a time from the empty prefix and
@@ -121,12 +119,10 @@ def build_parity_check(t: FullTannerGraph, field: PrimeField, seed: int) -> Line
     return LinearCode(params=p, field=field, H=h)
 
 
-def _check_distance_envelope(p: CodeParams, claimed: int | None) -> None:
+def _check_distance_envelope(p: CodeParams) -> None:
     """Reject a code whose exhaustive distance search lies outside the envelope."""
     if p.n > DISTANCE_LENGTH_ENVELOPE:
         raise EnvelopeExceeded(f"distance search limited to n <= {DISTANCE_LENGTH_ENVELOPE}")
-    if claimed is not None and claimed > DISTANCE_CLAIM_ENVELOPE:
-        raise EnvelopeExceeded(f"distance search limited to claimed distance <= {DISTANCE_CLAIM_ENVELOPE}")
 
 
 def _has_dependent_columns(h: np.ndarray, q: int, w: int) -> bool:
@@ -141,8 +137,7 @@ def _has_dependent_columns(h: np.ndarray, q: int, w: int) -> bool:
 def _integer_matrix(c: LinearCode) -> np.ndarray:
     """c.H as int64 if it is an integer array of shape (n - k, n), else BadArgs.
 
-    ``_check_entries`` is the other half of the check of H: H's plan runs
-    it once per matrix, ``code_from_json`` on every call.
+    H's plan checks the entries, once per matrix.
     """
     h, p = c.H, c.params
     if not isinstance(h, np.ndarray) or h.dtype.kind not in "iu":
@@ -150,16 +145,8 @@ def _integer_matrix(c: LinearCode) -> np.ndarray:
         raise BadArgs(f"H must be an integer array, got {got}")
     if h.shape != (p.n - p.k, p.n):
         raise BadArgs(f"H must be {(p.n - p.k, p.n)}, got {h.shape}")
-    # an unsigned entry past int64 turns negative here, which _check_entries refuses
+    # an unsigned entry past int64 turns negative here, which H's plan refuses
     return h.astype(np.int64, copy=False)
-
-
-def _check_entries(h: np.ndarray, q: int) -> np.ndarray:
-    """h if every entry lies in [0, q), else BadArgs: an entry is then
-    nonzero exactly when it is nonzero mod q."""
-    if ((h < 0) | (h >= q)).any():
-        raise BadArgs("matrix entries must lie in [0, q)")
-    return h
 
 
 class _Plan(NamedTuple):
@@ -189,7 +176,10 @@ def _plan_of(h: bytes, shape: tuple[int, int], q: int, r: int) -> _Plan:
     stale.  A matrix that fails the check raises on every call: lru_cache
     keeps no exception."""
     # read-only, like every array of the plan
-    a = _check_entries(np.frombuffer(h, dtype=np.int64).reshape(shape), q)
+    a = np.frombuffer(h, dtype=np.int64).reshape(shape)
+    # an entry in [0, q) is nonzero exactly when it is nonzero mod q
+    if ((a < 0) | (a >= q)).any():
+        raise BadArgs("matrix entries must lie in [0, q)")
     reduced, pivots = gf.rref_mod(a, q)
     pivot_set = set(pivots)
     frees = np.array([j for j in range(shape[1]) if j not in pivot_set], dtype=np.intp)
@@ -209,53 +199,32 @@ def _plan_of(h: bytes, shape: tuple[int, int], q: int, r: int) -> _Plan:
     return _Plan(a, len(pivots), pivots, frees, parity, tuple(covers))
 
 
-def _pattern_forces(h: np.ndarray, k: int, g: int) -> bool:
-    """Whether h's zero pattern alone makes some g columns dependent, over
-    every field: whether some eta >= m - g + 1 of its m rows have fewer than
-    eta + k columns in their union.
-
-    The other columns, at least m - eta + 1 of them, are zero in those eta
-    rows, so they lie in an (m - eta)-dimensional space, and any m - eta + 1
-    of them are dependent.  A dense row never helps (its union has all n =
-    m + k columns), so the other rows, as column bitmasks, go to
-    ``tanner.failing_checks``, the walk behind ``tanner_min_distance``.
-    """
-    m, n = h.shape
-    full = (1 << n) - 1
-    masks = [mask for mask in ((h != 0) @ (1 << np.arange(n))).tolist() if mask != full]
-    return failing_checks(masks, k, m - g + 1) is not None
-
-
 def min_distance(c: LinearCode) -> int:
     """Exact minimum distance: the smallest w for which some w columns of H
     are linearly dependent over GF(q).
 
+    H's zero pattern gives the bound b = m + 1 - eta, for the largest eta
+    of its m rows that are nonzero on fewer than eta + k columns (0 if no
+    rows are): some b columns are then dependent over every field.
     Independence is hereditary (a subset of independent columns is
-    independent), so when no (g - 1)-subset is dependent for the claimed
-    distance g, no smaller subset is either, and the distance is at least
-    g.  It is exactly g when H's zero pattern forces a dependent set of at
-    most g columns (``_pattern_forces``), which needs no field arithmetic;
-    otherwise the scan starts at w = g.  Without a claim, or when some
-    (g - 1)-subset is dependent, it starts at w = 1.  Any n - k + 1 columns
-    of the n - k rows are dependent, so that level needs no scan.
+    independent), so when no b - 1 columns are dependent, the distance is
+    b; otherwise the scan goes up from w = 1 and stops at the first
+    dependent level, or at b - 1.
     """
     p = c.params
-    _check_distance_envelope(p, c.claimed_distance)
+    _check_distance_envelope(p)
     plan = _plan(c)
-    q = c.field.q
-    m = p.n - p.k
+    m, n = plan.h.shape
     if plan.rank != m:
         raise DegenerateCode("parity-check matrix does not have full row rank")
-    g = c.claimed_distance
-    start = 1
-    if g is not None and 2 <= g <= m + 1 and not _has_dependent_columns(plan.h, q, g - 1):
-        if _pattern_forces(plan.h, p.k, g):
-            return g
-        start = g
-    for w in range(start, m + 1):
-        if _has_dependent_columns(plan.h, q, w):
-            return w
-    return m + 1
+    # a row set holding a dense row never fails: its union has all n = m + k columns
+    full = (1 << n) - 1
+    masks = [mask for mask in ((plan.h != 0) @ (1 << np.arange(n))).tolist() if mask != full]
+    b = m + 1 - len(failing_checks(masks, p.k) or ())
+    q = c.field.q
+    if b == 1 or not _has_dependent_columns(plan.h, q, b - 1):
+        return b
+    return next((w for w in range(1, b - 1) if _has_dependent_columns(plan.h, q, w)), b - 1)
 
 
 def verify_locality(c: LinearCode) -> bool:
@@ -298,7 +267,9 @@ def construct_optimal_lrc(
         raise BadArgs(f"seed must be an integer >= 0, got {seed!r}")
     if not is_int(max_retries) or max_retries < 1:
         raise BadArgs(f"max_retries must be an integer >= 1, got {max_retries!r}")
-    _check_distance_envelope(p, p.d_star)
+    _check_distance_envelope(p)
+    if p.d_star > DISTANCE_CLAIM_ENVELOPE:
+        raise EnvelopeExceeded(f"distance search limited to claimed distance <= {DISTANCE_CLAIM_ENVELOPE}")
     decision = decide(p)
     if decision.status != "exact":
         raise NotAchievable(
@@ -423,5 +394,5 @@ def code_from_json(data: dict) -> LinearCode:
     if not (claimed is None or is_int(claimed)) or not isinstance(verified, bool):
         raise BadArgs("claimed_distance must be an integer or null, verified a boolean")
     code = LinearCode(params=p, field=field, H=h, claimed_distance=claimed, verified=verified)
-    _check_entries(_integer_matrix(code), field.q)
+    _plan(code)
     return code

@@ -27,7 +27,7 @@ in which slot: a relabelling, which keeps every neighbourhood size.
 ``tanner_min_distance`` needs the largest set of local checks that sees
 fewer variables than its size plus k.  ``failing_checks`` is the one
 depth-first walk over check bitmasks that finds it, and
-``codec._pattern_forces`` asks the same walk about the rows of H.
+``codec.min_distance`` runs the same walk over the rows of H.
 """
 
 from __future__ import annotations
@@ -176,19 +176,20 @@ def p2f(p: PrunedGraph) -> FullTannerGraph:
     )
 
 
-def failing_checks(masks: Sequence[int], k: int, need: int = 1) -> tuple[int, ...] | None:
-    """Indices of a largest set S of at least ``need`` masks whose union has
-    fewer than |S| + k bits, or None when there is no such set.
+def failing_checks(masks: Sequence[int], k: int) -> tuple[int, ...] | None:
+    """Indices of a largest nonempty set S of masks whose union has fewer
+    than |S| + k bits, or None when there is no such set.
 
     One depth-first walk adds the masks in order, carrying the running union.
-    A branch is cut once it cannot reach ``need`` masks, where ``need`` rises
-    past each set found, or once its union size minus its masks minus the
-    masks still to come reaches k: each mask still to come lowers union size
-    minus masks by one at most.
+    A branch is cut once it cannot beat the largest set found so far, or
+    once its union size minus its masks minus the masks still to come
+    reaches k: each mask still to come lowers union size minus masks by one
+    at most.
     """
     count = len(masks)
     chosen = [0] * count
     best: tuple[int, ...] | None = None
+    need = 1  # the size a set must reach to be the answer
 
     def walk(start: int, union: int, eta: int) -> None:
         nonlocal best, need

@@ -141,6 +141,28 @@ def test_verify_malformed_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_non_utf8_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    code, out, err = run(capsys, "verify", "--code", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_measures_a_claim_past_eight(tmp_path, capsys):
+    # a claim above 8 is measured like any other: (20, 8, 1) has distance 6
+    out_path = tmp_path / "code.json"
+    run(capsys, "construct", "--n", "20", "--k", "8", "--r", "1", "--out", str(out_path))
+    data = json.loads(out_path.read_text())
+    data["claimed_distance"] = 9
+    out_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--code", str(out_path))
+    assert code == 1
+    assert "distance_matches_claim: FAIL" in out
+    assert "measured_distance: 6" in out
+
+
 def test_verify_float_field_order_exit_2(tmp_path, capsys):
     out_path = tmp_path / "code.json"
     run(capsys, "construct", "--n", "12", "--k", "7", "--r", "3", "--out", str(out_path))
@@ -370,6 +392,16 @@ def test_construct_outside_distance_envelope_exit_2(tmp_path):
     )
     assert done.returncode == 2
     assert done.stderr.startswith("error:") and "n <= 20" in done.stderr
+    assert not out_path.exists()
+
+
+def test_construct_past_distance_eight_exit_2(capsys, tmp_path):
+    # (20, 4, 4) has n <= 20 but d* = 17: construct refuses it by its claim
+    out_path = tmp_path / "x.json"
+    code, out, err = run(capsys, "construct", "--n", "20", "--k", "4", "--r", "4", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "claimed distance <= 8" in err
     assert not out_path.exists()
 
 

@@ -128,6 +128,12 @@ def test_min_distance_envelope():
     code = LinearCode(params=params, field=PrimeField(2), H=np.zeros((12, 24), dtype=np.int64))
     with pytest.raises(EnvelopeExceeded):
         min_distance(code)
+    # n alone bounds the search; the claim is only a label, so a (20, 8, 1)
+    # code claimed at 9 is measured
+    code = construct_optimal_lrc(derive_params(20, 8, 1), seed=0)
+    code.claimed_distance = 9
+    assert min_distance(code) == 6
+    assert verify_code(code) == (True, True, 6)
 
 
 def brute_weight_codes():
@@ -427,8 +433,6 @@ def test_min_distance_with_split_levels(monkeypatch):
     # which no code of length <= 20 needs at the real budget; every distance
     # must stay the same, and some level must have been split
     codes = [*random_full_rank_codes(), *brute_weight_codes()]
-    for code in codes:
-        code.claimed_distance = None
     calls = count_pivot_steps(monkeypatch)
     whole = [min_distance(code) for code in codes]
     unsplit = len(calls)
@@ -460,8 +464,6 @@ def test_min_distance_finds_a_set_in_either_half_of_a_split(monkeypatch, planted
     calls.clear()
     assert min_distance(code) == 3
     assert (len(calls) > unsplit) == last_half
-    code.claimed_distance = 3
-    assert min_distance(code) == 3
 
 
 def test_distance_never_exceeds_bound():
@@ -665,8 +667,7 @@ def test_construct_envelope_needs_no_family_search():
 
 @st.composite
 def small_codes(draw):
-    # q**k stays enumerable for brute_min_weight; n <= 7 keeps a claim one
-    # above the distance inside the claim envelope; half of the matrices get a
+    # q**k stays enumerable for brute_min_weight; half of the matrices get a
     # repeated row, so rank-deficient H shows up over every field
     q = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(2, 7))
@@ -682,8 +683,8 @@ def small_codes(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_codes(), st.sampled_from([None, 0, 1, -1]))
 def test_min_distance_matches_brute_weight_under_any_claim(code, offset):
-    # the claim (None, right, one above, one below) may only change where
-    # the scan starts, never the distance
+    # the claim (None, right, one above, one below) changes nothing: it is
+    # a label that verify compares against
     if gf.rank_mod(code.H, code.field.q) < code.params.n - code.params.k:
         with pytest.raises(DegenerateCode):
             min_distance(code)
@@ -704,23 +705,27 @@ def test_json_round_trip_keeps_every_field(code, claimed, verified):
     assert back.H.dtype == np.int64 and (back.H == code.H).all()
 
 
-def test_min_distance_starts_at_the_claimed_level(monkeypatch):
+def test_min_distance_scans_the_same_levels_under_any_claim(monkeypatch):
+    # H's zero pattern picks the level, not the claim: one below, right, one
+    # above, 9 (above 8) and none all scan level d* - 1 only
     code = construct_optimal_lrc(derive_params(16, 9, 4), seed=0)
     d = code.params.d_star
     levels = []
     scan = codec._has_dependent_columns
     monkeypatch.setattr(codec, "_has_dependent_columns", lambda h, q, w: levels.append(w) or scan(h, q, w))
-    expected = {
-        d: [d - 1],  # no dependent (d-1)-subset, and H's zero pattern forces a d-set
-        d - 1: [d - 2, d - 1, d],
-        d + 1: [d, *range(1, d + 1)],  # a dependent d-subset: fall back to w = 1
-        None: list(range(1, d + 1)),
-    }
-    for claim, want in expected.items():
+    for claim in (d - 1, d, d + 1, 9, None):
         levels.clear()
         code.claimed_distance = claim
         assert min_distance(code) == d
-        assert levels == want
+        assert levels == [d - 1], claim
+
+
+def pattern_bound(code, monkeypatch):
+    """The bound min_distance reads off H's zero pattern: with every scanned
+    level stubbed to hold no dependent set, min_distance returns it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "_has_dependent_columns", lambda h, q, w: False)
+        return min_distance(code)
 
 
 def rank_distance(h, q):
@@ -732,10 +737,10 @@ def rank_distance(h, q):
     )
 
 
-def test_min_distance_matches_per_subset_ranks_under_any_claim():
-    # sparse H, sparse H with a planted zero or parallel column (the pattern
-    # may force a level that the values undercut) and dense H (the pattern
-    # forces nothing below m + 1); every claim near the distance, and none
+def test_min_distance_matches_per_subset_ranks_under_any_claim(monkeypatch):
+    # sparse H, sparse H with a planted zero or parallel column (the values
+    # may undercut the pattern's bound) and dense H (the bound is m + 1);
+    # every claim near the distance, and none
     rng = np.random.default_rng(30)
     checked = 0
     for trial in range(240):
@@ -754,11 +759,10 @@ def test_min_distance_matches_per_subset_ranks_under_any_claim():
         if gf.rank_mod(h, q) < m:
             continue
         want = rank_distance(h, q)
-        for g in range(1, m + 2):
-            forced = codec._pattern_forces(h, n - m, g)
-            assert want <= g or not forced, (h.tolist(), q, g)
-            assert kind != 2 or forced == (g == m + 1), (h.tolist(), q, g)
         code = LinearCode(params=derive_params(n, n - m, n - m), field=PrimeField(q), H=h)
+        bound = pattern_bound(code, monkeypatch)
+        assert bound >= want, (h.tolist(), q, bound)
+        assert kind != 2 or bound == m + 1, (h.tolist(), q, bound)
         for claim in (want - 1, want, want + 1, None):
             code.claimed_distance = claim
             assert min_distance(code) == want, (h.tolist(), q, claim)
@@ -766,34 +770,40 @@ def test_min_distance_matches_per_subset_ranks_under_any_claim():
     assert checked > 150
 
 
-def test_pattern_walk_matches_every_row_subset():
+def test_pattern_walk_matches_every_row_subset(monkeypatch):
     # the walk's cuts may only skip branches with no answer: on random zero
-    # patterns of up to 12 rows it must find a row set exactly when one of
-    # the 2**m subsets has at least m - g + 1 rows and fewer than rows + k
-    # columns in its union
+    # patterns of up to 12 rows, filled over a large field and of full rank,
+    # the bound must be m + 1 minus the most rows among the 2**m subsets
+    # that have fewer than rows + k columns in their union
     rng = np.random.default_rng(31)
-    for trial in range(80):
+    q = 2**31 - 1
+    checked = 0
+    for trial in range(160):
         m = int(rng.integers(1, 13))
         k = int(rng.integers(1, 9))
         h = (rng.random((m, m + k)) < rng.uniform(0.1, 0.9)).astype(np.int64)
         h[rng.random(m) < 0.2] = 1  # some dense rows
-        masks = [int("".join(map(str, row[::-1])), 2) for row in h]
-        slack = {}  # fewest union columns minus rows, per row count
-        for subset in range(1 << m):
+        h *= rng.integers(1, q, size=h.shape)
+        if gf.rank_mod(h, q) < m:
+            continue
+        masks = [int("".join(map(str, (row != 0).astype(int)[::-1])), 2) for row in h]
+        largest = 0
+        for subset in range(1, 1 << m):
             rows = [masks[i] for i in range(m) if subset >> i & 1]
             union = 0
             for mask in rows:
                 union |= mask
-            eta = len(rows)
-            slack[eta] = min(slack.get(eta, m + k), union.bit_count() - eta)
-        for g in range(1, m + 2):
-            want = any(slack[eta] < k for eta in range(max(m - g + 1, 0), m + 1))
-            assert codec._pattern_forces(h, k, g) == want, (h.tolist(), k, g)
+            if union.bit_count() < len(rows) + k:
+                largest = max(largest, len(rows))
+        code = LinearCode(params=derive_params(m + k, k, k), field=PrimeField(q), H=h)
+        assert pattern_bound(code, monkeypatch) == m + 1 - largest, (h.tolist(), k)
+        checked += 1
+    assert checked > 120
 
 
 def test_every_population_code_takes_the_fast_path(monkeypatch):
-    # claimed d*, each verified code that construct_optimal_lrc builds scans
-    # level d* - 1 only: H's zero pattern settles level d*
+    # each verified code that construct_optimal_lrc builds scans level
+    # d* - 1 only: the bound H's zero pattern gives is d*
     codes = [construct_optimal_lrc(p, seed=0) for p, _ in admitted_tanner_graphs()]
     levels = []
     scan = codec._has_dependent_columns
@@ -815,8 +825,8 @@ def test_tanner_distance_matches_every_admitted_code():
 def test_min_distance_below_the_true_distance_on_a_sparse_19_by_20_matrix():
     # a diagonal 19 x 19 block beside a column u of weight 8, columns
     # shuffled: the one codeword (up to scale) is (-u, 1) of weight 9.
-    # Claimed 8, the zero-pattern walk must find among its 19 sparse rows
-    # no eta >= 12 of them nonzero on at most eta columns, and give up quickly
+    # The zero-pattern walk must find, among its 19 sparse rows, the 11 off
+    # u's support (nonzero on 11 columns) quickly, so only level 8 is scanned
     rng = np.random.default_rng(7)
     q = 101
     h = np.zeros((19, 20), dtype=np.int64)

@@ -227,8 +227,8 @@ def test_tanner_min_distance_beyond_twenty_local_checks():
 
 def test_failing_checks_matches_every_subset():
     # the walk's cuts may only skip branches with no larger answer: on random
-    # masks its set must fail, hold at least `need` masks, and be as large as
-    # the largest failing set among all 2**L subsets
+    # masks its set must fail, be nonempty, and be as large as the largest
+    # failing set among all 2**L subsets
     rng = random.Random(37)
     for _ in range(300):
         count = rng.randint(0, 11)
@@ -236,25 +236,24 @@ def test_failing_checks_matches_every_subset():
         density = rng.uniform(0.05, 0.9)
         masks = [sum(1 << b for b in range(bits) if rng.random() < density) for _ in range(count)]
         k = rng.randint(1, 8)
-        need = rng.randint(0, count + 1)
         largest = None
-        for subset in range(1 << count):
+        for subset in range(1, 1 << count):
             rows = [i for i in range(count) if subset >> i & 1]
             union = 0
             for i in rows:
                 union |= masks[i]
-            if len(rows) >= need and union.bit_count() < len(rows) + k:
+            if union.bit_count() < len(rows) + k:
                 largest = max(largest or 0, len(rows))
-        found = failing_checks(masks, k, need)
+        found = failing_checks(masks, k)
         if largest is None:
-            assert found is None, (masks, k, need)
+            assert found is None, (masks, k)
             continue
-        assert found is not None and len(found) == largest, (masks, k, need, found)
+        assert found is not None and len(found) == largest, (masks, k, found)
         assert list(found) == sorted(set(found)) and all(0 <= i < count for i in found)
         union = 0
         for i in found:
             union |= masks[i]
-        assert len(found) >= need and union.bit_count() < len(found) + k
+        assert found and union.bit_count() < len(found) + k
 
 
 def test_tanner_min_distance_at_the_envelope_edge():
