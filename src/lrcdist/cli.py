@@ -72,7 +72,7 @@ def cmd_verify(args) -> int:
         with open(args.code) as fh:
             data = json.load(fh)
         code = codec.code_from_json(data)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, LrcError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError, LrcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -72,7 +72,6 @@ from .params import CodeParams, derive_params, is_int
 from .tanner import FullTannerGraph, failing_checks, graph_to_pruned, p2f
 
 DISTANCE_LENGTH_ENVELOPE = 20
-DISTANCE_CLAIM_ENVELOPE = 8
 FIELD_ORDER_ENVELOPE = isqrt(2**63 - 1) + 1  # largest q with (q - 1)**2 inside int64
 
 
@@ -254,22 +253,21 @@ def construct_optimal_lrc(
 ) -> LinearCode:
     """Decide the instance, and when the answer is d*, build and verify a code.
 
-    The distance envelope is checked first, since it needs only p.  Attempt i
-    uses seed + i; ``verify_code`` checks each attempt exhaustively (full row
-    rank, locality, exact minimum distance equal to the decided value).  A
-    single attempt fails with probability at most (d*-1)*C(n, d*-1)/q by the
-    union bound, so over the default field (q just above that product) the
-    bound is under one and the observed rate is far lower; with a
-    user-supplied small field, success decays like (1 - failure_rate) per
-    attempt and ``max_retries`` caps the spend before RetriesExhausted.
+    The distance envelope, ``verify``'s n <= 20 at any d*, is checked first,
+    since it needs only p.  Attempt i uses seed + i; ``verify_code`` checks
+    each attempt exhaustively (full row rank, locality, exact minimum
+    distance equal to the decided value).  A single attempt fails with
+    probability at most (d*-1)*C(n, d*-1)/q by the union bound, so over the
+    default field (q just above that product) the bound is under one and the
+    observed rate is far lower; with a user-supplied small field, success
+    decays like (1 - failure_rate) per attempt and ``max_retries`` caps the
+    spend before RetriesExhausted.
     """
     if not is_int(seed) or seed < 0:
         raise BadArgs(f"seed must be an integer >= 0, got {seed!r}")
     if not is_int(max_retries) or max_retries < 1:
         raise BadArgs(f"max_retries must be an integer >= 1, got {max_retries!r}")
     _check_distance_envelope(p)
-    if p.d_star > DISTANCE_CLAIM_ENVELOPE:
-        raise EnvelopeExceeded(f"distance search limited to claimed distance <= {DISTANCE_CLAIM_ENVELOPE}")
     decision = decide(p)
     if decision.status != "exact":
         raise NotAchievable(

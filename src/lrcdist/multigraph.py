@@ -297,8 +297,8 @@ def multigraph_to_json(g: Multigraph) -> dict:
 
 
 def multigraph_from_json(data: dict) -> Multigraph:
-    if not isinstance(data, dict) or "order" not in data or "edges" not in data:
-        raise BadArgs("graph JSON must have 'order' and 'edges' keys")
+    if not isinstance(data, dict) or "order" not in data or not isinstance(data.get("edges"), (list, tuple)):
+        raise BadArgs("graph JSON must have an 'order' key and an 'edges' list")
     edges = []
     for item in data["edges"]:
         if not (isinstance(item, (list, tuple)) and len(item) == 2 and all(map(is_int, item))):

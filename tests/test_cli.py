@@ -150,6 +150,16 @@ def test_verify_non_utf8_file_exit_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_verify_deeply_nested_json_exit_2(tmp_path, capsys):
+    # json.load gives up on nesting past the recursion limit with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, "verify", "--code", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_measures_a_claim_past_eight(tmp_path, capsys):
     # a claim above 8 is measured like any other: (20, 8, 1) has distance 6
     out_path = tmp_path / "code.json"
@@ -395,14 +405,16 @@ def test_construct_outside_distance_envelope_exit_2(tmp_path):
     assert not out_path.exists()
 
 
-def test_construct_past_distance_eight_exit_2(capsys, tmp_path):
-    # (20, 4, 4) has n <= 20 but d* = 17: construct refuses it by its claim
+def test_construct_past_distance_eight(capsys, tmp_path):
+    # (20, 4, 4) has d* = 17: construct builds it, and verify measures 17
     out_path = tmp_path / "x.json"
-    code, out, err = run(capsys, "construct", "--n", "20", "--k", "4", "--r", "4", "--out", str(out_path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "claimed distance <= 8" in err
-    assert not out_path.exists()
+    code, out, _ = run(capsys, "construct", "--n", "20", "--k", "4", "--r", "4", "--out", str(out_path))
+    assert code == 0
+    assert "distance=17" in out
+    code, out, _ = run(capsys, "verify", "--code", str(out_path))
+    assert code == 0
+    assert "distance_matches_claim: pass" in out
+    assert "measured_distance: 17" in out
 
 
 def test_construct_field_beyond_int64_exit_2(capsys, tmp_path):

@@ -557,17 +557,14 @@ def test_construct_computes_the_rank_once_per_attempt(monkeypatch):
 
 
 def envelope_params():
-    """Every (n, k, r) inside construct_optimal_lrc's distance envelope:
-    n <= 20 and d* <= 8."""
+    """Every (n, k, r) inside construct_optimal_lrc's distance envelope, n <= 20."""
     for n in range(2, codec.DISTANCE_LENGTH_ENVELOPE + 1):
         for k in range(1, n):
             for r in range(1, k + 1):
                 try:
-                    p = derive_params(n, k, r)
+                    yield derive_params(n, k, r)
                 except InvalidParams:
                     continue
-                if p.d_star <= codec.DISTANCE_CLAIM_ENVELOPE:
-                    yield p
 
 
 @lru_cache(maxsize=1)
@@ -624,7 +621,8 @@ def test_parity_fill_and_repair_match_their_per_entry_references(q):
     # must be the scan's row
     field = None if q is None else PrimeField(q)
     rng = np.random.default_rng(q)
-    graphs = admitted_tanner_graphs()
+    # the bench's codes population: the admitted triples with d* <= 8
+    graphs = [(p, t) for p, t in admitted_tanner_graphs() if p.d_star <= 8]
     assert len(graphs) == 626
     for p, t in graphs:
         fld = field or default_field(p)
@@ -662,7 +660,7 @@ def test_construct_envelope_needs_no_family_search():
         assert d.rule not in ("oracle", "unresolved"), (p.n, p.k, p.r, d.rule)
         assert decide(p, 0) == d, (p.n, p.k, p.r)
         walked += 1
-    assert walked == 735  # n <= 20 and d* <= 8
+    assert walked == 986  # n <= 20
 
 
 @st.composite
@@ -802,17 +800,21 @@ def test_pattern_walk_matches_every_row_subset(monkeypatch):
 
 
 def test_every_population_code_takes_the_fast_path(monkeypatch):
-    # each verified code that construct_optimal_lrc builds scans level
-    # d* - 1 only: the bound H's zero pattern gives is d*
-    codes = [construct_optimal_lrc(p, seed=0) for p, _ in admitted_tanner_graphs()]
-    levels = []
-    scan = codec._has_dependent_columns
-    monkeypatch.setattr(codec, "_has_dependent_columns", lambda h, q, w: levels.append(w) or scan(h, q, w))
-    for code in codes:
-        p = code.params
-        levels.clear()
-        assert min_distance(code) == p.d_star, (p.n, p.k, p.r)
-        assert levels == [p.d_star - 1], (p.n, p.k, p.r)
+    # construct_optimal_lrc builds 839 codes, and the attempt it keeps scans
+    # level d* - 1 only: the bound H's zero pattern gives is d*.  The levels
+    # are read from construct's own verification, one list per min_distance
+    # call, so no code is measured twice
+    runs = []
+    measure, scan = codec.min_distance, codec._has_dependent_columns
+    monkeypatch.setattr(codec, "min_distance", lambda c: runs.append([]) or measure(c))
+    monkeypatch.setattr(codec, "_has_dependent_columns", lambda h, q, w: runs[-1].append(w) or scan(h, q, w))
+    graphs = admitted_tanner_graphs()
+    assert len(graphs) == 839
+    for p, _ in graphs:
+        runs.clear()
+        code = construct_optimal_lrc(p, seed=0)
+        assert len(runs) == code.attempts, (p.n, p.k, p.r)
+        assert runs[-1] == [p.d_star - 1], (p.n, p.k, p.r)
 
 
 def test_tanner_distance_matches_every_admitted_code():

@@ -342,6 +342,9 @@ def test_json_malformed():
         {"order": True, "edges": []},
         {"order": 2, "edges": [[0, True]]},
         {"order": 2, "edges": [[0, 1.0]]},
+        # edges that are not a list
+        {"order": 3, "edges": 5},
+        {"order": 3, "edges": None},
     ):
         with pytest.raises(BadArgs):
             multigraph_from_json(bad)
