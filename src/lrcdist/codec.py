@@ -45,7 +45,11 @@ subset that extends the columns chosen so far, and a column whose image
 modulo their span reads zero closes a dependent set.  The kernel splits a
 level into halves whenever it would hold more than ``gf._ENTRY_BUDGET``
 int64 entries, so memory stays flat however many subsets a level has, and
-it stops at the first dependent set.
+it stops at the first dependent set.  It computes in work arrays that it
+keeps between pivot steps and calls, one set per thread: one per depth of
+the scan and two for a step's products, each within the budget, so a
+thread whose deepest scan reached level w holds at most (w + 1) x
+``gf._ENTRY_BUDGET`` x 8 bytes (9 MiB at level 8).
 """
 
 from __future__ import annotations
@@ -198,7 +202,7 @@ def _plan_of(h: bytes, shape: tuple[int, int], q: int, r: int) -> _Plan:
     return _Plan(a, len(pivots), pivots, frees, parity, tuple(covers))
 
 
-def min_distance(c: LinearCode) -> int:
+def min_distance(c: LinearCode, floor: int = 0) -> int:
     """Exact minimum distance: the smallest w for which some w columns of H
     are linearly dependent over GF(q).
 
@@ -209,7 +213,14 @@ def min_distance(c: LinearCode) -> int:
     independent), so when no b - 1 columns are dependent, the distance is
     b; otherwise the scan goes up from w = 1 and stops at the first
     dependent level, or at b - 1.
+
+    With ``floor``, the result is max(distance, floor), and no level below
+    ``floor`` is scanned: a distance at or below ``floor`` reads ``floor``
+    at the first dependent set of that level, which is all that a check of
+    "distance = floor + 1" needs.
     """
+    if not is_int(floor) or floor < 0:
+        raise BadArgs(f"floor must be an integer >= 0, got {floor!r}")
     p = c.params
     _check_distance_envelope(p)
     plan = _plan(c)
@@ -221,9 +232,12 @@ def min_distance(c: LinearCode) -> int:
     masks = [mask for mask in ((plan.h != 0) @ (1 << np.arange(n))).tolist() if mask != full]
     b = m + 1 - len(failing_checks(masks, p.k) or ())
     q = c.field.q
+    if b <= floor:
+        return floor
     if b == 1 or not _has_dependent_columns(plan.h, q, b - 1):
         return b
-    return next((w for w in range(1, b - 1) if _has_dependent_columns(plan.h, q, w)), b - 1)
+    levels = range(max(floor, 1), b - 1)
+    return next((w for w in levels if _has_dependent_columns(plan.h, q, w)), b - 1)
 
 
 def verify_locality(c: LinearCode) -> bool:
@@ -232,15 +246,15 @@ def verify_locality(c: LinearCode) -> bool:
     return None not in _plan(c).covers
 
 
-def verify_code(c: LinearCode) -> tuple[bool, bool, int | None]:
+def verify_code(c: LinearCode, floor: int = 0) -> tuple[bool, bool, int | None]:
     """Exact checks of a code: (full row rank, locality, minimum distance).
 
     The distance is None when H lacks full row rank; ``min_distance`` checks
-    the rank itself, so it is computed once.
+    the rank itself, so it is computed once.  ``floor`` is passed on to it.
     """
     locality = verify_locality(c)
     try:
-        return True, locality, min_distance(c)
+        return True, locality, min_distance(c, floor)
     except DegenerateCode:
         return False, locality, None
 
@@ -256,7 +270,9 @@ def construct_optimal_lrc(
     The distance envelope, ``verify``'s n <= 20 at any d*, is checked first,
     since it needs only p.  Attempt i uses seed + i; ``verify_code`` checks
     each attempt exhaustively (full row rank, locality, exact minimum
-    distance equal to the decided value).  A single attempt fails with
+    distance equal to the decided value).  Its floor is d* - 1, so an
+    attempt whose distance falls short stops at the first dependent set of
+    level d* - 1 and is not measured further.  A single attempt fails with
     probability at most (d*-1)*C(n, d*-1)/q by the union bound, so over the
     default field (q just above that product) the bound is under one and the
     observed rate is far lower; with a user-supplied small field, success
@@ -283,7 +299,8 @@ def construct_optimal_lrc(
     for attempt in range(1, max_retries + 1):
         code = build_parity_check(t, fld, seed + attempt - 1)
         code.claimed_distance = p.d_star
-        if verify_code(code) != (True, True, p.d_star):
+        # a distance below d* reads d* - 1 at the first dependent set of level d* - 1
+        if verify_code(code, p.d_star - 1) != (True, True, p.d_star):
             continue
         code.verified = True
         code.attempts = attempt

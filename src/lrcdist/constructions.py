@@ -49,15 +49,15 @@ def balanced_forest(order: int, components: int) -> Multigraph:
     if not (is_int(order) and is_int(components) and 1 <= components <= order):
         raise BadArgs(f"need integers 1 <= components <= order, got ({order!r}, {components!r})")
     base, extra = divmod(order, components)
-    edges = []
+    pairs = []
     start = 0
     # a component of one vertex has no edge; with base 1 only the first extra have one
     for i in range(extra if base == 1 else components):
         length = base + (1 if i < extra else 0)
         for v in range(start, start + length - 1):
-            edges.append((v, v + 1))
+            pairs.append(((v, v + 1), 1))
         start += length
-    return Multigraph.from_edges(order, edges)
+    return Multigraph._of_pairs(order, pairs)
 
 
 def cycle_graph(order: int) -> Multigraph:
@@ -80,7 +80,7 @@ def saturated_pairs(order: int, pair_multiplicity: int) -> Iterator[tuple[tuple[
 
 def saturated_pair_graph(order: int, pair_multiplicity: int) -> Multigraph:
     """Every unordered vertex pair carries exactly `pair_multiplicity` edges."""
-    return Multigraph(order, dict(saturated_pairs(order, pair_multiplicity)))
+    return Multigraph._of_pairs(order, saturated_pairs(order, pair_multiplicity))
 
 
 def turan_pairs(order: int, parts: int) -> Iterator[tuple[tuple[int, int], int]]:
@@ -110,7 +110,7 @@ def turan_graph(order: int, parts: int) -> Multigraph:
     floor(order^2 / 4); with `parts` parts it is the densest simple graph
     containing no clique on parts + 1 vertices.
     """
-    return Multigraph(order, dict(turan_pairs(order, parts)))
+    return Multigraph._of_pairs(order, turan_pairs(order, parts))
 
 
 def is_graphic(d: DegreeSequence) -> bool:
@@ -174,4 +174,7 @@ def almost_regular(order: int, size: int) -> Multigraph:
         block = islice(cycle(range(order)), head - t, head - t + 2 * order)
         for pair, m in Counter(zip(block, block)).items():
             pairs[pair] += m * whole
-    return Multigraph(order, pairs)
+    # a lap's wrap and the prefix's end give pairs with u > v
+    for u, v in [pair for pair in pairs if pair[0] > pair[1]]:
+        pairs[v, u] += pairs.pop((u, v))
+    return Multigraph._of_pairs(order, pairs.items())

@@ -88,7 +88,7 @@ def _take(order: int, pairs: Iterable[tuple[tuple[int, int], int]], size: int) -
             break
         kept[pair] = min(m, size)
         size -= kept[pair]
-    return Multigraph(order, kept)
+    return Multigraph._of_pairs(order, kept.items())
 
 
 def _turan_size(order: int, parts: int) -> int:

@@ -10,10 +10,24 @@ extension of a subset shares that step.  A column whose image reads zero
 closes a dependent set, so no image is ever normalised or sorted.  Each
 step runs for all subsets of one level at once, and a level that would
 outgrow ``_ENTRY_BUDGET`` int64 entries is split into halves.
+
+The scan computes in work arrays that outlive a call: one for the images
+of each depth (the number of pivot steps that made them) and two for the
+pivot columns and products of a step.  Each thread has its own, in a
+``threading.local``, so concurrent scans share nothing.  They are made at
+a thread's first scan, replaced by a larger array when a step needs more,
+and kept, so a heavy scan does not free and fault in fresh pages at every
+step.  Each holds at most ``_ENTRY_BUDGET`` entries (a level of one node,
+which cannot be split, may need up to m * C(n, 2)), so a thread whose
+deepest scan reached level w keeps w + 1 of them: at most (w + 1) x
+``_ENTRY_BUDGET`` x 8 bytes, 9 MiB for w = 8 at the default budget.  The
+heaviest code that ``codec.construct_optimal_lrc`` builds at d* <= 8
+leaves 1.6 MiB.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from math import comb
 
@@ -23,6 +37,9 @@ from .errors import EnvelopeExceeded
 
 _ENTRY_BUDGET = 1 << 17  # int64 entries in one array of the distance scan
 _SMALL_LAYOUT = 32  # most nodes of a ``_pivot`` step whose index arrays are cached
+# slots of a thread's work arrays: the pivot columns and the products of one
+# ``_pivot`` step, then the images of each depth from 1 on
+_PIVOT_COLUMNS, _PRODUCTS, _IMAGES = 0, 1, 2
 # Miller-Rabin bases, and for each the least composite that is a strong
 # probable prime to it and every base before it
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -146,7 +163,29 @@ def _small_layout(widths: tuple[int, ...], count: tuple[int, ...]) -> tuple[np.n
     return layout
 
 
-def _pivot(a: np.ndarray, widths: np.ndarray, count: np.ndarray, q: int):
+class _WorkArrays(threading.local):
+    """The distance scan's int64 work arrays of one thread, by slot; each
+    thread starts with none."""
+
+    def __init__(self):
+        self.arrays: list[np.ndarray] = []
+
+
+_work = _WorkArrays()
+
+
+def _work_array(slot: int, rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) view of this thread's work array ``slot``: made on
+    first use, replaced by a larger one when too small, and kept."""
+    size, arrays = rows * cols, _work.arrays
+    if slot >= len(arrays):
+        arrays.extend(np.empty(0, dtype=np.int64) for _ in range(slot + 1 - len(arrays)))
+    if arrays[slot].size < size:
+        arrays[slot] = np.empty(size, dtype=np.int64)
+    return arrays[slot][:size].reshape(rows, cols)
+
+
+def _pivot(a: np.ndarray, widths: np.ndarray, count: np.ndarray, q: int, depth: int):
     """One fraction-free pivot step of every node on each of its first
     ``count`` columns, all nodes and columns at once.
 
@@ -160,24 +199,35 @@ def _pivot(a: np.ndarray, widths: np.ndarray, count: np.ndarray, q: int):
     pivot row under each image and each child's width.  The products stay
     below q**2, which fits in int64 for every q that ``codec.PrimeField``
     accepts.
+
+    ``depth`` is the number of pivot steps that made ``a``.  The children's
+    images are written into this thread's work array of depth + 1, which
+    holds them until the next step at this depth, and the products into
+    two work arrays that every depth shares.  ``take`` runs with
+    mode="wrap", which writes straight into its ``out`` (under the default
+    "raise" it fills a fresh buffer first); ``_layout``'s indices are in
+    range, so the wrap never applies.
     """
     if len(widths) <= _SMALL_LAYOUT:
         pivot, child_widths, x, child = _small_layout(tuple(widths.tolist()), tuple(count.tolist()))
     else:
         pivot, child_widths, x, child = _layout(widths, count)
+    m = a.shape[0]
     # take is several times faster than fancy indexing along axis 1
-    col = a.take(pivot, axis=1)
+    col = a.take(pivot, axis=1, out=_work_array(_PIVOT_COLUMNS, m, len(pivot)), mode="wrap")
     rows = (col != 0).argmax(axis=0)
     lead = col[rows, np.arange(len(pivot))]
     rows = rows[child]
-    out = a.take(x, axis=1)
+    out = a.take(x, axis=1, out=_work_array(_IMAGES + depth, m, len(x)), mode="wrap")
     out *= lead[child]
-    subtrahend = col.take(child, axis=1)
+    subtrahend = col.take(child, axis=1, out=_work_array(_PRODUCTS, m, len(x)), mode="wrap")
     subtrahend *= a[rows, x]
     out -= subtrahend
     # NumPy divides by a scalar through a multiply and a shift, which is
     # several times faster than % on the negative entries
-    out -= out // q * q
+    quotient = np.floor_divide(out, q, out=subtrahend)
+    quotient *= q
+    out -= quotient
     return out, rows, child_widths
 
 
@@ -209,7 +259,7 @@ def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: 
     if s + extra > m:  # s + extra columns in m rows are dependent
         return False
 
-    def dependent(a, widths, extra, chunk):
+    def dependent(a, widths, extra, chunk, depth):
         """Whether adding ``extra`` >= 2 more columns to some node closes a
         dependent set.
 
@@ -230,20 +280,20 @@ def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: 
         if len(widths) > 1 and a.shape[0] * _binomials(n)[widths][:, [2, extra]].sum() > chunk:
             half = len(widths) // 2
             cut = int(widths[:half].sum())
-            return dependent(a[:, cut:], widths[half:], extra, chunk) or dependent(
-                a[:, :cut], widths[:half], extra, min(2 * chunk, _ENTRY_BUDGET)
+            return dependent(a[:, cut:], widths[half:], extra, chunk, depth) or dependent(
+                a[:, :cut], widths[:half], extra, min(2 * chunk, _ENTRY_BUDGET), depth
             )
-        out, rows, widths = _pivot(a, widths, widths - extra + 1, q)
+        out, rows, widths = _pivot(a, widths, widths - extra + 1, q, depth)
         if not out.any(axis=0).all():
             return True
-        return extra > 2 and dependent(_drop_pivot_rows(out, rows), widths, extra - 1, chunk)
+        return extra > 2 and dependent(_drop_pivot_rows(out, rows), widths, extra - 1, chunk, depth + 1)
 
     first = int(prefix[-1]) + 1 if s else 0
     a = np.asarray(h, dtype=np.int64).take(np.concatenate((prefix, np.arange(first, n))), axis=1) % q
     widths = np.array([a.shape[1]])
-    for _ in range(s):
-        out, rows, widths = _pivot(a, widths, np.ones_like(widths), q)
+    for depth in range(s):
+        out, rows, widths = _pivot(a, widths, np.ones_like(widths), q, depth)
         a = _drop_pivot_rows(out, rows)
     if extra == 1:
         return not (a == 0).all(axis=0).any()
-    return not dependent(a, widths, extra, _ENTRY_BUDGET // 8)
+    return not dependent(a, widths, extra, _ENTRY_BUDGET // 8, s)

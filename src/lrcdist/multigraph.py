@@ -93,6 +93,19 @@ class Multigraph:
         self._size = sum(self._pairs.values())
 
     @classmethod
+    def _of_pairs(cls, order: int, pairs: Iterable[tuple[tuple[int, int], int]]) -> "Multigraph":
+        """A builder's graph, with none of ``__init__``'s checks: each pair
+        (u, v) comes once, with integers 0 <= u < v < order and an integer
+        multiplicity >= 0, by construction.  Zero multiplicities are
+        dropped and the pairs sorted, which takes one pass over a stream
+        already in either lexicographic order."""
+        g = cls.__new__(cls)
+        g.order = order
+        g._pairs = dict(sorted((pair, m) for pair, m in pairs if m))
+        g._size = sum(g._pairs.values())
+        return g
+
+    @classmethod
     def empty(cls, order: int) -> "Multigraph":
         return cls(order, {})
 

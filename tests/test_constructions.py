@@ -15,7 +15,7 @@ from lrcdist.constructions import (
     turan_graph,
     turan_pairs,
 )
-from lrcdist.decider import forest_component_min
+from lrcdist.decider import _take, forest_component_min
 from lrcdist.errors import BadArgs, NotGraphic
 from lrcdist.multigraph import ForbiddenFamily, Multigraph, is_family_free, k_density
 
@@ -237,6 +237,21 @@ def test_balanced_forest_freeness_matches_component_bound():
                     assert free == (c >= c_min), (n1, k1, k2, c, c_min)
 
 
+def almost_regular_cases():
+    """(order, size) inputs of almost_regular: every order < 40, random orders
+    to 400 with sizes to 30 * order, t = 1 (odd order, 2 * size = 1 mod
+    order), where the prefix's 0 would meet the first lap's 0, and lo >= 4."""
+    rng = random.Random(27)
+    cases = [(order, size) for order in range(2, 40) for size in range(1, 3 * order)]
+    cases += [(order, rng.randint(1, 30 * order)) for order in (rng.randint(2, 400) for _ in range(100))]
+    cases += [(order, (lo * order + 1) // 2) for order in (3, 5, 9, 41, 399) for lo in (1, 3, 29)]
+    # lo >= 4: whole two-lap blocks past the head, with and without a tail,
+    # at even and odd orders and with the head ending on either end of a pair
+    cases += [(order, (lo * order + t) // 2) for order in (2, 3, 6, 7, 40, 41) for lo in (4, 5, 7, 12)
+              for t in range(0, order, 1 + order // 8) if (lo * order + t) % 2 == 0]
+    return cases
+
+
 def test_builders_match_their_whole_order_forms():
     # the builders skip the vertices that carry no edge; these references
     # visit every vertex, and must give the same pairs in the same order
@@ -257,21 +272,35 @@ def test_builders_match_their_whole_order_forms():
             block_end.extend([len(block_end) + length] * length)
         return [((u, v), 1) for u in reversed(range(order)) for v in reversed(range(block_end[u], order))]
 
-    # almost_regular against the greedy heap: every order < 40, random orders
-    # to 400 with sizes to 30 * order, t = 1 (odd order, 2 * size = 1 mod
-    # order), where the prefix's 0 would meet the first lap's 0, and lo >= 4
-    rng = random.Random(27)
-    cases = [(order, size) for order in range(2, 40) for size in range(1, 3 * order)]
-    cases += [(order, rng.randint(1, 30 * order)) for order in (rng.randint(2, 400) for _ in range(100))]
-    cases += [(order, (lo * order + 1) // 2) for order in (3, 5, 9, 41, 399) for lo in (1, 3, 29)]
-    # lo >= 4: whole two-lap blocks past the head, with and without a tail,
-    # at even and odd orders and with the head ending on either end of a pair
-    cases += [(order, (lo * order + t) // 2) for order in (2, 3, 6, 7, 40, 41) for lo in (4, 5, 7, 12)
-              for t in range(0, order, 1 + order // 8) if (lo * order + t) % 2 == 0]
-    for order, size in cases:
+    # almost_regular against the greedy heap
+    for order, size in almost_regular_cases():
         hi, lo, t = -(-2 * size // order), 2 * size // order, (2 * size) % order
         assert almost_regular(order, size) == realize(DegreeSequence([hi] * t + [lo] * (order - t)))
     for order in range(1, 40):
         for parts in range(1, order + 1):
             assert balanced_forest(order, parts) == forest_over_every_component(order, parts)
             assert list(turan_pairs(order, parts)) == turan_pairs_by_block_ends(order, parts)
+
+
+def test_builders_match_the_validated_constructor():
+    # the builders hand their pairs to Multigraph._of_pairs, which checks
+    # nothing; the checked constructor must build the same graph from them,
+    # with the pairs in the same order, on every input of the test above
+    def validated(g):
+        checked = Multigraph(g.order, dict(g.pair_multiplicities()))
+        assert list(checked.pair_multiplicities()) == list(g.pair_multiplicities())
+        assert (checked.size, hash(checked)) == (g.size, hash(g)) and checked == g
+        return g
+
+    for order, size in almost_regular_cases():
+        validated(almost_regular(order, size))
+    for order in range(1, 40):
+        for parts in range(1, order + 1):
+            validated(balanced_forest(order, parts))
+            turan = validated(turan_graph(order, parts))
+            for size in {0, 1, turan.size // 2, turan.size, turan.size + 1}:
+                validated(_take(order, turan_pairs(order, parts), size))
+        for m in range(4) if order >= 2 else ():
+            full = validated(saturated_pair_graph(order, m))
+            for size in {0, 1, full.size // 3, full.size}:
+                validated(_take(order, saturated_pairs(order, m), size))

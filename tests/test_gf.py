@@ -1,3 +1,5 @@
+import sys
+import threading
 from itertools import combinations
 from math import comb, prod
 
@@ -203,9 +205,11 @@ def test_planted_dependencies_are_found_at_their_own_depth():
                 assert found == (w >= size)
 
 
-def test_split_levels_give_the_same_answers(monkeypatch):
+def test_split_levels_give_the_same_answers(monkeypatch, layout_in_range):
     # a budget of a few entries splits every level down to single nodes,
-    # and each split must keep every prefix's answer
+    # and each split must keep every prefix's answer; every index of every
+    # pivot step is in range
+    budget = gf._ENTRY_BUDGET
     rng = np.random.default_rng(5)
     for _ in range(20):
         q = int(rng.choice([3, 101, 3037000493]))
@@ -218,5 +222,86 @@ def test_split_levels_give_the_same_answers(monkeypatch):
                     whole = gf.batch_columns_independent(mat, q, prefix, extra=extra)
                     monkeypatch.setattr(gf, "_ENTRY_BUDGET", 8)
                     split = gf.batch_columns_independent(mat, q, prefix, extra=extra)
-                    monkeypatch.undo()
+                    monkeypatch.setattr(gf, "_ENTRY_BUDGET", budget)
                     assert whole == split
+    assert len(layout_in_range) > 1000
+
+
+def planted_matrices(rng, count):
+    """Random matrices of mixed shapes and fields, half of them with one
+    column a combination of two others."""
+    for i in range(count):
+        q = int(rng.choice([2, 5, 101, 3037000493]))
+        m = int(rng.integers(2, 7))
+        n = int(rng.integers(m, 10))
+        mat = rng.integers(0, q, size=(m, n)).astype(np.int64)
+        if i % 2 and n > 2:
+            a, b = (int(x) for x in rng.integers(1, q, size=2))
+            mat[:, -1] = (mat[:, 0].astype(object) * a + mat[:, 1].astype(object) * b) % q
+        yield mat, q
+
+
+def test_work_arrays_leak_nothing_into_a_later_scan(monkeypatch):
+    # the scan keeps its work arrays between calls: scans of mixed shapes and
+    # fields run in one process at a budget that splits every level, then at
+    # one that splits some, then at the default, each after its work arrays
+    # were filled with entries no step writes, and every answer must equal
+    # rank_mod's, subset by subset
+    rng = np.random.default_rng(12)
+    cases = []
+    for mat, q in planted_matrices(rng, 20):
+        m, n = mat.shape
+        for s in range(2):
+            for extra in range(1, m - s + 1):
+                for last, prefix in prefixes(n, s, extra):
+                    want = independent_with_every_pair(mat, q, prefix.tolist(), last, extra)
+                    cases.append((mat, q, prefix, extra, want))
+    for budget in (8, 300, gf._ENTRY_BUDGET):
+        monkeypatch.setattr(gf, "_ENTRY_BUDGET", budget)
+        for i in rng.permutation(len(cases)):
+            mat, q, prefix, extra, want = cases[i]
+            for array in gf._work.arrays:
+                array.fill(-1)
+            assert gf.batch_columns_independent(mat, q, prefix, extra) == want
+    assert len(cases) > 300 and {want for *_, want in cases} == {True, False}
+    assert len(gf._work.arrays) > gf._IMAGES + 2
+
+
+def test_threads_scan_with_their_own_work_arrays():
+    # four threads (more than the two cores of a small runner) scan four
+    # matrices at once, round after round, with a short switch interval: a
+    # work array that two threads shared would mix their images
+    rng = np.random.default_rng(13)
+    mats = []
+    for m, q in ((6, 101), (7, 10007), (8, 3037000493), (7, 1009)):
+        # the last column is a combination of the first m - 1: levels below m
+        # scan every subset, and level m finds a dependent set
+        mat = rng.integers(0, q, size=(m, 14)).astype(np.int64)
+        weights = rng.integers(1, q, size=m - 1).astype(object)
+        mat[:, -1] = (mat[:, : m - 1].astype(object) @ weights) % q
+        mats.append((mat, q))
+    empty = np.empty(0, dtype=np.int64)
+
+    def scans(mat, q):
+        return [gf.batch_columns_independent(mat, q, empty, w) for w in range(2, mat.shape[0] + 1)]
+
+    serial = [scans(mat, q) for mat, q in mats]
+    assert serial == [[True] * (mat.shape[0] - 2) + [False] for mat, _ in mats]
+    results = [[] for _ in mats]
+
+    def run(i):
+        for _ in range(15):
+            results[i].append(scans(*mats[i]))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(mats))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[answers] * 15 for answers in serial]
