@@ -10,16 +10,19 @@ success is the norm).  Verification is never probabilistic: ``verify_code``
 checks rank, locality and minimum distance exhaustively, and it is the one
 verifier behind both ``construct_optimal_lrc`` and ``lrcdist verify``.
 
-Every reader of H checks it first: it must be an integer array of shape
-(n - k, n) with entries in [0, q), else BadArgs.  What depends on H alone
-is computed once per matrix, in H's plan: the entry check, the rank from
-one row reduction, the pivot and free columns, the parity block that
-solves the pivot symbols, and for each coordinate the light row that
-repairs it.  The plans are cached on H's contents, so a built code is row
-reduced once: ``min_distance`` takes the rank from the plan,
-``verify_locality`` its covers, and the encodes and repairs that follow
-take the rest.  Each call still checks H's type and shape and its own
-input, and ``encode`` still checks H c = 0 on every word.
+A ``LinearCode`` is checked once, when it is made: H must be an integer
+array of shape (n - k, n) with entries in [0, q), else BadArgs.  The code
+keeps H as a read-only int64 array over an immutable buffer, and its
+fields cannot be assigned, so a ``verified`` flag always describes the H
+it sits on; ``dataclasses.replace`` relabels a code as a new one, checked
+again.  What depends on H alone is the code's plan, made at its first read
+and kept on the code: the rank from one row reduction, the pivot and free
+columns, the parity block that solves the pivot symbols, and for each
+coordinate the light row that repairs it.  ``verify_locality`` reads it
+first, ``min_distance`` takes the rank from it, and the encodes and
+repairs that follow take the rest, so a code is row reduced once however
+many codes a caller alternates between.  Each call checks its own input,
+and ``encode`` still checks H c = 0 on every word.
 
 The distance is the smallest w such that some w columns of H are dependent.
 ``min_distance`` reads no claim: H's zero pattern picks the one level it
@@ -49,13 +52,14 @@ it stops at the first dependent set.  It computes in work arrays that it
 keeps between pivot steps and calls, one set per thread: one per depth of
 the scan and two for a step's products, each within the budget, so a
 thread whose deepest scan reached level w holds at most (w + 1) x
-``gf._ENTRY_BUDGET`` x 8 bytes (9 MiB at level 8).
+``gf._ENTRY_BUDGET`` x 8 bytes (9 MiB at level 8); the heaviest code
+``construct_optimal_lrc`` builds, (20, 4, 1) at d* = 14, leaves 2.72 MiB.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from math import comb, isqrt
 from typing import NamedTuple
 
@@ -89,14 +93,79 @@ class PrimeField:
             raise BadArgs(f"field order must be a prime <= {FIELD_ORDER_ENVELOPE} (int64), got {self.q}")
 
 
-@dataclass(eq=False)
+class _Plan(NamedTuple):
+    """What the rank check, ``encode`` and ``repair_symbol`` read of one H."""
+
+    rank: int
+    pivots: np.ndarray  # pivot columns of the row-reduced H, ascending
+    frees: np.ndarray  # the other columns, which hold a message's symbols
+    parity: np.ndarray  # (-R[:, frees]) % q: pivot symbol i is row i times the message
+    # per coordinate j, from the lowest-index row of weight <= r + 1 that is
+    # nonzero on j: its other columns, their entries and the inverse of its
+    # entry on j; None if no such row exists
+    covers: tuple[tuple[tuple[int, ...], tuple[int, ...], int] | None, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class LinearCode:
+    """A code over ``field`` given by its (n - k) x n parity-check matrix H.
+
+    H is checked when the code is made and stored as a read-only int64
+    array, and no field can be assigned, so a code never changes after
+    the check; ``dataclasses.replace`` relabels one as a new code.
+    ``claimed_distance``, ``verified`` and ``attempts`` are labels, which
+    ``verify_code`` never reads: ``construct_optimal_lrc`` returns a code
+    with ``verified=True`` only once ``verify_code`` has accepted that
+    code's own H.  ``plan`` is computed at its first read and kept.
+    """
+
     params: CodeParams
     field: PrimeField
     H: np.ndarray
     claimed_distance: int | None = None
     verified: bool = False
     attempts: int = 0
+
+    def __post_init__(self):
+        h, p = self.H, self.params
+        if not isinstance(h, np.ndarray) or h.dtype.kind not in "iu":
+            got = h.dtype if isinstance(h, np.ndarray) else type(h).__name__
+            raise BadArgs(f"H must be an integer array, got {got}")
+        if h.shape != (p.n - p.k, p.n):
+            raise BadArgs(f"H must be {(p.n - p.k, p.n)}, got {h.shape}")
+        # an unsigned entry past int64 turns negative here, and fails the range check
+        h = h.astype(np.int64, copy=False)
+        # an entry in [0, q) is nonzero exactly when it is nonzero mod q
+        if ((h < 0) | (h >= self.field.q)).any():
+            raise BadArgs("matrix entries must lie in [0, q)")
+        # over immutable bytes, so not even setflags(write=True) makes it writable
+        object.__setattr__(self, "H", np.frombuffer(h.tobytes(), dtype=np.int64).reshape(h.shape))
+
+    def __reduce__(self):
+        # an unpickled or copied code is made, and checked, like any other
+        return LinearCode, tuple(getattr(self, f.name) for f in fields(self))
+
+    @cached_property
+    def plan(self) -> _Plan:
+        """One ``gf.rref_mod`` and one scan of H's rows, made at the first read."""
+        q, r = self.field.q, self.params.r
+        reduced, pivots = gf.rref_mod(self.H, q)
+        pivot_set = set(pivots)
+        frees = np.array([j for j in range(self.params.n) if j not in pivot_set], dtype=np.intp)
+        parity = -reduced[:, frees] % q
+        pivots = np.array(pivots, dtype=np.intp)
+        for array in (pivots, frees, parity):
+            array.setflags(write=False)  # shared by every call on this code
+        covers = [None] * self.params.n
+        for row in self.H.tolist():
+            support = [j for j, x in enumerate(row) if x]
+            if len(support) > r + 1:
+                continue
+            for j in support:
+                if covers[j] is None:
+                    others = tuple(l for l in support if l != j)
+                    covers[j] = (others, tuple(row[l] for l in others), pow(row[j], -1, q))
+        return _Plan(len(pivots), pivots, frees, parity, tuple(covers))
 
 
 def default_field(p: CodeParams) -> PrimeField:
@@ -137,71 +206,6 @@ def _has_dependent_columns(h: np.ndarray, q: int, w: int) -> bool:
     return not gf.batch_columns_independent(h, q, np.empty(0, dtype=np.int64), w)
 
 
-def _integer_matrix(c: LinearCode) -> np.ndarray:
-    """c.H as int64 if it is an integer array of shape (n - k, n), else BadArgs.
-
-    H's plan checks the entries, once per matrix.
-    """
-    h, p = c.H, c.params
-    if not isinstance(h, np.ndarray) or h.dtype.kind not in "iu":
-        got = h.dtype if isinstance(h, np.ndarray) else type(h).__name__
-        raise BadArgs(f"H must be an integer array, got {got}")
-    if h.shape != (p.n - p.k, p.n):
-        raise BadArgs(f"H must be {(p.n - p.k, p.n)}, got {h.shape}")
-    # an unsigned entry past int64 turns negative here, which H's plan refuses
-    return h.astype(np.int64, copy=False)
-
-
-class _Plan(NamedTuple):
-    """What the rank check, ``encode`` and ``repair_symbol`` read of one H."""
-
-    h: np.ndarray  # H as int64
-    rank: int
-    pivots: np.ndarray  # pivot columns of the row-reduced H, ascending
-    frees: np.ndarray  # the other columns, which hold a message's symbols
-    parity: np.ndarray  # (-R[:, frees]) % q: pivot symbol i is row i times the message
-    # per coordinate j, from the lowest-index row of weight <= r + 1 that is
-    # nonzero on j: its other columns, their entries and the inverse of its
-    # entry on j; None if no such row exists
-    covers: tuple[tuple[tuple[int, ...], tuple[int, ...], int] | None, ...]
-
-
-def _plan(c: LinearCode) -> _Plan:
-    """The plan of c's parity-check matrix, else BadArgs."""
-    h = _integer_matrix(c)
-    return _plan_of(h.tobytes(), h.shape, c.field.q, c.params.r)
-
-
-@lru_cache(maxsize=4)
-def _plan_of(h: bytes, shape: tuple[int, int], q: int, r: int) -> _Plan:
-    """The entry check, one ``gf.rref_mod`` and one scan of the rows, keyed
-    on the matrix's contents, so a replaced or overwritten H is never served
-    stale.  A matrix that fails the check raises on every call: lru_cache
-    keeps no exception."""
-    # read-only, like every array of the plan
-    a = np.frombuffer(h, dtype=np.int64).reshape(shape)
-    # an entry in [0, q) is nonzero exactly when it is nonzero mod q
-    if ((a < 0) | (a >= q)).any():
-        raise BadArgs("matrix entries must lie in [0, q)")
-    reduced, pivots = gf.rref_mod(a, q)
-    pivot_set = set(pivots)
-    frees = np.array([j for j in range(shape[1]) if j not in pivot_set], dtype=np.intp)
-    parity = -reduced[:, frees] % q
-    pivots = np.array(pivots, dtype=np.intp)
-    for array in (pivots, frees, parity):
-        array.setflags(write=False)  # shared by every call on this H
-    covers = [None] * shape[1]
-    for row in a.tolist():
-        support = [j for j, x in enumerate(row) if x]
-        if len(support) > r + 1:
-            continue
-        for j in support:
-            if covers[j] is None:
-                others = tuple(l for l in support if l != j)
-                covers[j] = (others, tuple(row[l] for l in others), pow(row[j], -1, q))
-    return _Plan(a, len(pivots), pivots, frees, parity, tuple(covers))
-
-
 def min_distance(c: LinearCode, floor: int = 0) -> int:
     """Exact minimum distance: the smallest w for which some w columns of H
     are linearly dependent over GF(q).
@@ -221,29 +225,27 @@ def min_distance(c: LinearCode, floor: int = 0) -> int:
     """
     if not is_int(floor) or floor < 0:
         raise BadArgs(f"floor must be an integer >= 0, got {floor!r}")
-    p = c.params
+    p, h, q = c.params, c.H, c.field.q
     _check_distance_envelope(p)
-    plan = _plan(c)
-    m, n = plan.h.shape
-    if plan.rank != m:
+    m, n = h.shape
+    if c.plan.rank != m:
         raise DegenerateCode("parity-check matrix does not have full row rank")
     # a row set holding a dense row never fails: its union has all n = m + k columns
     full = (1 << n) - 1
-    masks = [mask for mask in ((plan.h != 0) @ (1 << np.arange(n))).tolist() if mask != full]
+    masks = [mask for mask in ((h != 0) @ (1 << np.arange(n))).tolist() if mask != full]
     b = m + 1 - len(failing_checks(masks, p.k) or ())
-    q = c.field.q
     if b <= floor:
         return floor
-    if b == 1 or not _has_dependent_columns(plan.h, q, b - 1):
+    if b == 1 or not _has_dependent_columns(h, q, b - 1):
         return b
     levels = range(max(floor, 1), b - 1)
-    return next((w for w in levels if _has_dependent_columns(plan.h, q, w)), b - 1)
+    return next((w for w in levels if _has_dependent_columns(h, q, w)), b - 1)
 
 
 def verify_locality(c: LinearCode) -> bool:
     """Every coordinate must carry a nonzero entry in some row of weight <= r + 1:
-    every coordinate has a cover in H's plan."""
-    return None not in _plan(c).covers
+    every coordinate has a cover in the code's plan."""
+    return None not in c.plan.covers
 
 
 def verify_code(c: LinearCode, floor: int = 0) -> tuple[bool, bool, int | None]:
@@ -297,14 +299,12 @@ def construct_optimal_lrc(
     t = p2f(graph_to_pruned(decision.witness, p))
     fld = field if field is not None else default_field(p)
     for attempt in range(1, max_retries + 1):
-        code = build_parity_check(t, fld, seed + attempt - 1)
-        code.claimed_distance = p.d_star
+        # built as the code it returns, so the plan verification makes serves encode and repair
+        code = replace(build_parity_check(t, fld, seed + attempt - 1),
+                       claimed_distance=p.d_star, verified=True, attempts=attempt)
         # a distance below d* reads d* - 1 at the first dependent set of level d* - 1
-        if verify_code(code, p.d_star - 1) != (True, True, p.d_star):
-            continue
-        code.verified = True
-        code.attempts = attempt
-        return code
+        if verify_code(code, p.d_star - 1) == (True, True, p.d_star):
+            return code
     raise RetriesExhausted(
         f"no verified code in {max_retries} attempts over GF({fld.q}); "
         f"a larger field or more retries will succeed",
@@ -338,13 +338,11 @@ def encode(c: LinearCode, message: list[int] | np.ndarray) -> np.ndarray:
     """Systematic encoding: message symbols sit on the non-pivot columns of
     the row-reduced parity-check matrix, pivot columns are solved from them.
 
-    The row reduction and its parity block come from H's plan, made once
-    per H.  Each call checks H and the message and takes two products mod
-    q: one solves the pivot symbols, the other checks H c = 0.
+    The row reduction and its parity block come from the code's plan.  Each
+    call checks the message and takes two products mod q: one solves the
+    pivot symbols, the other checks H c = 0.
     """
-    p = c.params
-    q = c.field.q
-    plan = _plan(c)
+    p, q, plan = c.params, c.field.q, c.plan
     msg = _symbols(message, p.k, "message") % q
     if plan.rank != p.n - p.k:
         raise DegenerateCode("parity-check matrix does not have full row rank")
@@ -352,7 +350,7 @@ def encode(c: LinearCode, message: list[int] | np.ndarray) -> np.ndarray:
     word[plan.frees] = msg
     # every product is reduced before summing: q**2 alone nearly fills int64
     word[plan.pivots] = (plan.parity * msg % q).sum(axis=1) % q
-    if ((plan.h * word % q).sum(axis=1) % q).any():
+    if ((c.H * word % q).sum(axis=1) % q).any():
         raise SelfCheckFailed("encoded word fails the parity check H c = 0")
     return word
 
@@ -361,14 +359,12 @@ def repair_symbol(c: LinearCode, word: list[int | None]) -> int:
     """Recover the single erased coordinate through a covering local row.
 
     Reads at most r other coordinates: the lowest-index row of weight
-    <= r + 1 that is nonzero on the erased position.  H's plan, made once
-    per H, holds that row's other columns and entries and the inverse of
-    its erased entry.  Each call checks H and the word, looks the cover up
-    and takes one dot product in Python integers.
+    <= r + 1 that is nonzero on the erased position.  The code's plan holds
+    that row's other columns and entries and the inverse of its erased
+    entry.  Each call checks the word, looks the cover up and takes one dot
+    product in Python integers.
     """
-    p = c.params
-    q = c.field.q
-    plan = _plan(c)
+    p, q = c.params, c.field.q
     if len(word) != p.n:
         raise BadArgs(f"word must have length n = {p.n}, got {len(word)}")
     erased = [j for j, x in enumerate(word) if x is None]
@@ -376,7 +372,7 @@ def repair_symbol(c: LinearCode, word: list[int | None]) -> int:
         raise BadArgs(f"expected exactly one erasure, got {len(erased)}")
     j = erased[0]
     _symbols([*word[:j], *word[j + 1:]], p.n - 1, "the word's other symbols")
-    cover = plan.covers[j]
+    cover = c.plan.covers[j]
     if cover is None:
         raise NoLocalCover(f"no row of weight <= r + 1 covers coordinate {j}")
     others, entries, inverse = cover
@@ -408,6 +404,4 @@ def code_from_json(data: dict) -> LinearCode:
         raise BadArgs(f"malformed code JSON: {exc}") from exc
     if not (claimed is None or is_int(claimed)) or not isinstance(verified, bool):
         raise BadArgs("claimed_distance must be an integer or null, verified a boolean")
-    code = LinearCode(params=p, field=field, H=h, claimed_distance=claimed, verified=verified)
-    _plan(code)
-    return code
+    return LinearCode(params=p, field=field, H=h, claimed_distance=claimed, verified=verified)

@@ -20,9 +20,10 @@ and kept, so a heavy scan does not free and fault in fresh pages at every
 step.  Each holds at most ``_ENTRY_BUDGET`` entries (a level of one node,
 which cannot be split, may need up to m * C(n, 2)), so a thread whose
 deepest scan reached level w keeps w + 1 of them: at most (w + 1) x
-``_ENTRY_BUDGET`` x 8 bytes, 9 MiB for w = 8 at the default budget.  The
-heaviest code that ``codec.construct_optimal_lrc`` builds at d* <= 8
-leaves 1.6 MiB.
+``_ENTRY_BUDGET`` x 8 bytes, 9 MiB for w = 8 at the default budget.  Of
+the codes ``codec.construct_optimal_lrc`` builds (n <= 20, d* up to 20),
+the heaviest, (20, 4, 1) at d* = 14, leaves 2.72 MiB; at d* <= 8 the
+heaviest is (20, 7, 1), at 1.63 MiB.
 """
 
 from __future__ import annotations

@@ -242,7 +242,6 @@ def test_criterion_7_end_to_end_construction():
         successes = 0
         for seed in range(100):
             code = build_parity_check(t, field, seed)
-            code.claimed_distance = p.d_star
             if (
                 gf.rank_mod(code.H, field.q) == p.n - p.k
                 and verify_locality(code)

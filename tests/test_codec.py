@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import time
 import tracemalloc
 from functools import lru_cache
@@ -131,8 +134,7 @@ def test_min_distance_envelope():
         min_distance(code)
     # n alone bounds the search; the claim is only a label, so a (20, 8, 1)
     # code claimed at 9 is measured
-    code = construct_optimal_lrc(derive_params(20, 8, 1), seed=0)
-    code.claimed_distance = 9
+    code = dataclasses.replace(construct_optimal_lrc(derive_params(20, 8, 1), seed=0), claimed_distance=9)
     assert min_distance(code) == 6
     assert verify_code(code) == (True, True, 6)
 
@@ -231,24 +233,49 @@ def test_encode_row_reduces_once_per_code(monkeypatch):
     assert len(calls) <= 1
 
 
-def test_encode_follows_a_replaced_parity_check_matrix():
-    # the reduced form is keyed on H's contents: replacing H, or overwriting
-    # it in place, must never encode against the old matrix
+def test_a_code_cannot_change_after_it_is_checked():
+    # a verified=True from construct describes the H it sits on: no field can
+    # be assigned, and H cannot be written, in place or after setflags
     code = construct_optimal_lrc(derive_params(16, 9, 4), seed=0)
-    q, shape = code.field.q, code.H.shape
-    rng = np.random.default_rng(8)
-    msg = rng.integers(0, q, size=code.params.k)
-    encode(code, msg)
-    for in_place in (False, True):
-        other = rng.integers(1, q, size=shape).astype(np.int64)
-        assert gf.rank_mod(other, q) == shape[0]
-        if in_place:
-            code.H[:] = other
-        else:
-            code.H = other
-        word = encode(code, msg)
-        assert not (other @ word % q).any()
-        assert (word[np.isin(np.arange(shape[1]), gf.rref_mod(other, q)[1], invert=True)] == msg).all()
+    for name, value in (("H", np.zeros_like(code.H)), ("params", derive_params(12, 7, 3)),
+                        ("field", PrimeField(2)), ("claimed_distance", 5)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(code, name, value)
+    with pytest.raises(ValueError):
+        code.H[0, 0] = 1
+    with pytest.raises(ValueError):
+        code.H.setflags(write=True)
+    with pytest.raises(ValueError):
+        code.H[0, :] = 0
+    assert code.verified and verify_code(code) == (True, True, 6)
+    # an unpickled or copied code is made through the same check
+    for back in (pickle.loads(pickle.dumps(code)), copy.deepcopy(code)):
+        assert not back.H.flags.writeable and (back.H == code.H).all() and back.verified
+    # a relabelled code is a new one, checked again, with the same verify_code result
+    for claim in (None, 5, 6, 7):
+        relabelled = dataclasses.replace(code, claimed_distance=claim)
+        assert relabelled.claimed_distance == claim
+        assert verify_code(relabelled) == verify_code(code)
+
+
+def test_alternating_codes_row_reduce_once_per_code(monkeypatch):
+    # each code keeps its own plan, so six codes used round-robin, each with
+    # 16 encodes and 16 repairs, make one row reduction apiece
+    codes = [construct_optimal_lrc(derive_params(*nkr), seed=0)
+             for nkr in ((16, 9, 4), (12, 7, 3), (13, 7, 3), (6, 3, 3), (20, 12, 5), (4, 2, 1))]
+    calls = []
+    rref_mod = gf.rref_mod
+    monkeypatch.setattr(gf, "rref_mod", lambda *a: calls.append(a) or rref_mod(*a))
+    rng = np.random.default_rng(12)
+    fresh = [dataclasses.replace(code) for code in codes]  # no plan read yet
+    for _ in range(16):
+        for code in fresh:
+            word = encode(code, rng.integers(0, code.field.q, size=code.params.k))
+            received: list = word.tolist()
+            j = int(rng.integers(0, code.params.n))
+            received[j] = None
+            assert repair_symbol(code, received) == word[j]
+    assert len(calls) == 6
 
 
 def test_repair_touches_at_most_r_other_symbols():
@@ -530,20 +557,20 @@ def test_json_rejects_mistyped_values(key, value):
 def test_verify_code_reports_rank_locality_and_distance():
     code = construct_optimal_lrc(derive_params(12, 7, 3), seed=0)
     assert verify_code(code) == (True, True, 4)
-    code.H[1] = code.H[0]
-    assert verify_code(code) == (False, False, None)
+    h = code.H.copy()
+    h[1] = h[0]
+    altered = LinearCode(params=code.params, field=code.field, H=h)
+    assert verify_code(altered) == (False, False, None)
 
 
 def test_construct_computes_the_rank_once_per_attempt(monkeypatch):
     # one row reduction per attempt; the last one's plan then serves 16
-    # encodes and 16 repairs with no other.  The plan cache is cleared first,
-    # since an earlier test may have built the same code
+    # encodes and 16 repairs with no other
     calls = []
     rref_mod = gf.rref_mod
     monkeypatch.setattr(gf, "rref_mod", lambda *a: calls.append(a) or rref_mod(*a))
     rng = np.random.default_rng(4)
     for field, attempts in ((None, 1), (PrimeField(101), 3)):
-        codec._plan_of.cache_clear()
         calls.clear()
         code = construct_optimal_lrc(derive_params(16, 9, 4), field=field, seed=0)
         assert code.verified and code.attempts == attempts
@@ -632,7 +659,7 @@ def test_parity_fill_and_repair_match_their_per_entry_references(q):
             assert (code.H == per_entry_fill(t, fld.q, seed)).all(), (p, seed)
             assert verify_locality(code) == row_scan_locality(code.H, p.r), (p, seed)
             word = rng.integers(0, fld.q, size=p.n).tolist()
-            covers = codec._plan(code).covers
+            covers = code.plan.covers
             for j in range(p.n):
                 received = [*word[:j], None, *word[j + 1:]]
                 i, symbol = row_scan_repair(code.H, fld.q, p.r, word, j)
@@ -689,7 +716,7 @@ def test_min_distance_matches_brute_weight_under_any_claim(code, offset):
             min_distance(code)
         return
     want = brute_min_weight(code)
-    code.claimed_distance = None if offset is None else want + offset
+    code = dataclasses.replace(code, claimed_distance=None if offset is None else want + offset)
     assert min_distance(code) == want
     # a floor reads max(distance, floor), however far the floor is from it
     for floor in range(code.params.n + 2):
@@ -699,7 +726,7 @@ def test_min_distance_matches_brute_weight_under_any_claim(code, offset):
 @settings(max_examples=100, deadline=None)
 @given(small_codes(), st.sampled_from([None, 1, 2, 5]), st.booleans())
 def test_json_round_trip_keeps_every_field(code, claimed, verified):
-    code.claimed_distance, code.verified = claimed, verified
+    code = dataclasses.replace(code, claimed_distance=claimed, verified=verified)
     back = code_from_json(json.loads(json.dumps(code_to_json(code))))
     assert (back.params, back.field, back.claimed_distance, back.verified, back.attempts) == (
         code.params, code.field, code.claimed_distance, code.verified, code.attempts
@@ -717,8 +744,7 @@ def test_min_distance_scans_the_same_levels_under_any_claim(monkeypatch):
     monkeypatch.setattr(codec, "_has_dependent_columns", lambda h, q, w: levels.append(w) or scan(h, q, w))
     for claim in (d - 1, d, d + 1, 9, None):
         levels.clear()
-        code.claimed_distance = claim
-        assert min_distance(code) == d
+        assert min_distance(dataclasses.replace(code, claimed_distance=claim)) == d
         assert levels == [d - 1], claim
 
 
@@ -766,8 +792,7 @@ def test_min_distance_matches_per_subset_ranks_under_any_claim(monkeypatch):
         assert bound >= want, (h.tolist(), q, bound)
         assert kind != 2 or bound == m + 1, (h.tolist(), q, bound)
         for claim in (want - 1, want, want + 1, None):
-            code.claimed_distance = claim
-            assert min_distance(code) == want, (h.tolist(), q, claim)
+            assert min_distance(dataclasses.replace(code, claimed_distance=claim)) == want, (h.tolist(), q, claim)
         checked += 1
     assert checked > 150
 
