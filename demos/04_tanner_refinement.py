@@ -24,7 +24,8 @@ from lrcdist import (
 from lrcdist.tanner import FullTannerGraph
 
 
-def random_full_tanner(rng, n, k, r, locals_count):
+def random_full_tanner(rng, p, locals_count):
+    n, r = p.n, p.r
     while True:
         slots = locals_count * (r + 1)
         fill = list(range(n))
@@ -34,11 +35,7 @@ def random_full_tanner(rng, n, k, r, locals_count):
         rng.shuffle(fill)
         checks = [fill[i * (r + 1):(i + 1) * (r + 1)] for i in range(locals_count)]
         if all(len(set(c)) == r + 1 for c in checks):
-            return FullTannerGraph(
-                n=n, k=k, r=r,
-                local_checks=tuple(frozenset(c) for c in checks),
-                global_count=(n - k) - locals_count,
-            )
+            return FullTannerGraph(p, tuple(frozenset(c) for c in checks))
 
 
 def main():
@@ -47,9 +44,9 @@ def main():
     p = derive_params(n, k, r)
     print(f"(n, k, r) = ({n}, {k}, {r}): n1 = {p.n1}, n2 = {p.n2}, d* = {p.d_star}")
 
-    t = random_full_tanner(rng, n, k, r, locals_count=5)
+    t = random_full_tanner(rng, p, locals_count=5)
     print(f"\nrandom full Tanner graph: {len(t.local_checks)} local checks "
-          f"of degree {r + 1}, {t.global_count} global checks")
+          f"of degree {r + 1}, {n - k - len(t.local_checks)} global checks")
     d0 = tanner_min_distance(t)
     print(f"combinatorial minimum distance: {d0}")
 

@@ -179,15 +179,15 @@ def build_parity_check(t: FullTannerGraph, field: PrimeField, seed: int) -> Line
     Rows are the checks, locals first; a global check row is nonzero in every
     column.  Over GF(2) every adjacency becomes a 1.
     """
-    p = derive_params(t.n, t.k, t.r)
+    p = t.params
     rng = np.random.default_rng(seed)
-    h = np.zeros((t.n - t.k, t.n), dtype=np.int64)
+    h = np.zeros((p.n - p.k, p.n), dtype=np.int64)
     local = len(t.local_checks)
     rows = np.repeat(np.arange(local), [len(check) for check in t.local_checks])
     columns = [j for check in t.local_checks for j in sorted(check)]
     # one draw of many entries reads the generator's stream as one draw per entry does
     h[rows, columns] = rng.integers(1, field.q, size=len(columns))
-    h[local:] = rng.integers(1, field.q, size=(t.n - t.k - local, t.n))
+    h[local:] = rng.integers(1, field.q, size=(p.n - p.k - local, p.n))
     return LinearCode(params=p, field=field, H=h)
 
 
@@ -253,7 +253,9 @@ def verify_code(c: LinearCode, floor: int = 0) -> tuple[bool, bool, int | None]:
 
     The distance is None when H lacks full row rank; ``min_distance`` checks
     the rank itself, so it is computed once.  ``floor`` is passed on to it.
+    The distance envelope is checked first, before the plan's row reduction.
     """
+    _check_distance_envelope(c.params)
     locality = verify_locality(c)
     try:
         return True, locality, min_distance(c, floor)
@@ -277,9 +279,9 @@ def construct_optimal_lrc(
     level d* - 1 and is not measured further.  A single attempt fails with
     probability at most (d*-1)*C(n, d*-1)/q by the union bound, so over the
     default field (q just above that product) the bound is under one and the
-    observed rate is far lower; with a user-supplied small field, success
-    decays like (1 - failure_rate) per attempt and ``max_retries`` caps the
-    spend before RetriesExhausted.
+    observed rate is far lower; over a user-supplied small field success may
+    be rare or impossible, and ``max_retries`` caps the spend before
+    RetriesExhausted.
     """
     if not is_int(seed) or seed < 0:
         raise BadArgs(f"seed must be an integer >= 0, got {seed!r}")
@@ -306,8 +308,7 @@ def construct_optimal_lrc(
         if verify_code(code, p.d_star - 1) == (True, True, p.d_star):
             return code
     raise RetriesExhausted(
-        f"no verified code in {max_retries} attempts over GF({fld.q}); "
-        f"a larger field or more retries will succeed",
+        f"no verified code in {max_retries} attempts over GF({fld.q})",
         attempts=max_retries,
     )
 

@@ -8,6 +8,9 @@ matrix, and its combinatorial minimum distance (largest d in
 [1, n-k+1] such that every eta checks, eta in [n-k-d+2, n-k], see at
 least eta + k variables; n-k+1 when no set of checks sees fewer)
 matches the best distance a code with that zero pattern can reach.
+Both graph types carry the ``CodeParams`` of ``derive_params(n, k, r)``
+and refuse any other: the global checks are the n - k - len(local_checks)
+checks left over, and n1 and n2 are read from the params, never recomputed.
 
 Pruned graphs are the reduced object the multigraph equivalence works
 through: global checks removed, degree-one variables removed, leaving
@@ -39,42 +42,42 @@ from typing import AbstractSet, Sequence
 
 from .errors import (
     EnvelopeExceeded,
+    InvalidParams,
     InvalidTanner,
     NothingToReduce,
     SelfCheckFailed,
     ShapeMismatch,
 )
 from .multigraph import Multigraph
-from .params import CodeParams, is_int
+from .params import CodeParams, derive_params, is_int
 
 CHECK_ENVELOPE = 24
 
 
+def _check_params(params: CodeParams) -> None:
+    """Refuse a ``params`` that is not ``derive_params(n, k, r)``: a hand-built
+    CodeParams can hold any n1.  ``derive_params`` admits exactly the (n, k, r)
+    that have a Tanner graph, since n1 <= n - k exactly when n - k >= ceil(k / r)."""
+    try:
+        if isinstance(params, CodeParams) and params == derive_params(params.n, params.k, params.r):
+            return
+    except InvalidParams:
+        pass
+    raise InvalidTanner(f"params must be derive_params(n, k, r), got {params!r}")
+
+
 @dataclass(frozen=True)
 class FullTannerGraph:
-    n: int
-    k: int
-    r: int
+    params: CodeParams
     local_checks: tuple[frozenset[int], ...]
-    global_count: int
 
     def __post_init__(self):
-        n, k, r = self.n, self.k, self.r
-        if not all(map(is_int, (n, k, r, self.global_count, *(v for c in self.local_checks for v in c)))):
-            raise InvalidTanner("n, k, r, global_count and variable indices must be integers")
-        if not (1 <= r <= k < n):
-            raise InvalidTanner(f"bad parameters (n={n}, k={k}, r={r})")
-        if self.global_count < 0:
-            raise InvalidTanner(f"global_count must be >= 0, got {self.global_count}")
-        n1 = -(-n // (r + 1))
-        if len(self.local_checks) < n1:
-            raise InvalidTanner(
-                f"{len(self.local_checks)} local checks, need at least {n1}"
-            )
-        if len(self.local_checks) + self.global_count != n - k:
-            raise InvalidTanner(
-                f"{len(self.local_checks)} local + {self.global_count} global checks != n - k = {n - k}"
-            )
+        _check_params(self.params)
+        n, k, r, n1 = self.params.n, self.params.k, self.params.r, self.params.n1
+        if not all(is_int(v) for c in self.local_checks for v in c):
+            raise InvalidTanner("variable indices must be integers")
+        if not n1 <= len(self.local_checks) <= n - k:
+            raise InvalidTanner(f"{len(self.local_checks)} local checks outside [{n1}, {n - k}]")
         covered = set()
         for c in self.local_checks:
             if len(c) != r + 1:
@@ -85,29 +88,21 @@ class FullTannerGraph:
         if len(covered) != n:
             raise InvalidTanner("some variable is not covered by any local check")
 
-    @property
-    def check_count(self) -> int:
-        return len(self.local_checks) + self.global_count
-
 
 @dataclass(frozen=True)
 class PrunedGraph:
-    n: int
-    k: int
-    r: int
+    params: CodeParams
     m: int
     checks: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        n, k, r, m = self.n, self.k, self.r, self.m
-        if not all(map(is_int, (n, k, r, m, *(v for c in self.checks for v in c)))):
-            raise InvalidTanner("n, k, r, m and variable indices must be integers")
-        if not (1 <= r <= k < n):
-            raise InvalidTanner(f"bad parameters (n={n}, k={k}, r={r})")
+        _check_params(self.params)
+        n, k, r, n1, m = self.params.n, self.params.k, self.params.r, self.params.n1, self.m
+        if not all(map(is_int, (m, *(v for c in self.checks for v in c)))):
+            raise InvalidTanner("m and variable indices must be integers")
         if not 0 <= m <= n:
             raise InvalidTanner(f"variable count m={m} outside [0, {n}]")
         h = len(self.checks)
-        n1 = -(-n // (r + 1))
         if not n1 <= h <= n - k:
             raise InvalidTanner(f"check count h={h} outside [{n1}, {n - k}]")
         degree = [0] * m
@@ -130,14 +125,6 @@ class PrunedGraph:
     def h(self) -> int:
         return len(self.checks)
 
-    @property
-    def n1(self) -> int:
-        return -(-self.n // (self.r + 1))
-
-    @property
-    def n2(self) -> int:
-        return self.n1 * (self.r + 1) - self.n
-
 
 def _variable_degrees(checks: Sequence[AbstractSet[int]]) -> Counter[int]:
     return Counter(v for c in checks for v in c)
@@ -148,7 +135,7 @@ def _prune(t: FullTannerGraph | PrunedGraph, checks: Sequence[AbstractSet[int]])
     degree = _variable_degrees(checks)
     remap = {v: i for i, v in enumerate(sorted(v for v, d in degree.items() if d >= 2))}
     pruned = tuple(frozenset(remap[v] for v in c if v in remap) for c in checks)
-    return PrunedGraph(n=t.n, k=t.k, r=t.r, m=len(remap), checks=pruned)
+    return PrunedGraph(t.params, len(remap), pruned)
 
 
 def f2p(t: FullTannerGraph) -> PrunedGraph:
@@ -166,14 +153,9 @@ def p2f(p: PrunedGraph) -> FullTannerGraph:
     attachment only relabels the fresh variables, which changes no
     neighbourhood size and so no distance.
     """
-    fresh = iter(range(p.m, p.n))
-    return FullTannerGraph(
-        n=p.n,
-        k=p.k,
-        r=p.r,
-        local_checks=tuple(frozenset(chain(c, islice(fresh, p.r + 1 - len(c)))) for c in p.checks),
-        global_count=(p.n - p.k) - p.h,
-    )
+    fresh = iter(range(p.m, p.params.n))
+    slots = p.params.r + 1
+    return FullTannerGraph(p.params, tuple(frozenset(chain(c, islice(fresh, slots - len(c)))) for c in p.checks))
 
 
 def failing_checks(masks: Sequence[int], k: int) -> tuple[int, ...] | None:
@@ -217,7 +199,7 @@ def tanner_min_distance(t: FullTannerGraph) -> int:
     Any set containing a global check sees all n variables, so only
     all-local sets can fail; ``failing_checks`` finds the largest.
     """
-    n, k = t.n, t.k
+    n, k = t.params.n, t.params.k
     if n - k > CHECK_ENVELOPE:
         raise EnvelopeExceeded(f"check-subset enumeration limited to n - k <= {CHECK_ENVELOPE}")
     failing = failing_checks([sum(1 << v for v in c) for c in t.local_checks], k)
@@ -232,13 +214,13 @@ def reduce_check_nodes(p: PrunedGraph) -> PrunedGraph:
     identity); then variables left at degree one are dropped.  The Tanner
     minimum distance never decreases.
     """
-    if p.h <= p.n1:
-        raise NothingToReduce(f"already at the minimum of {p.n1} checks")
+    if p.h <= p.params.n1:
+        raise NothingToReduce(f"already at the minimum of {p.params.n1} checks")
     checks = [set(c) for c in p.checks]
     victim = min(range(len(checks)), key=lambda i: (len(checks[i]), i))
     removed_degree = len(checks[victim])
     del checks[victim]
-    for _ in range((p.r + 1) - removed_degree):
+    for _ in range((p.params.r + 1) - removed_degree):
         degrees = _variable_degrees(checks)
         candidates = [v for v, d in degrees.items() if d >= 2]
         if not candidates:
@@ -257,7 +239,7 @@ def refine(p: PrunedGraph) -> PrunedGraph:
     variables: a fresh variable joined to two of the host's checks replaces
     one of the host's edges.  Neither step lowers the minimum distance.
     """
-    while p.h > p.n1:
+    while p.h > p.params.n1:
         p = reduce_check_nodes(p)
     checks = [set(c) for c in p.checks]
     m = p.m
@@ -273,12 +255,9 @@ def refine(p: PrunedGraph) -> PrunedGraph:
         checks[c1].add(fresh)
         checks[c2].add(fresh)
         checks[c2].discard(v)
-    out = PrunedGraph(
-        n=p.n, k=p.k, r=p.r, m=m, checks=tuple(frozenset(c) for c in checks)
-    )
-    if out.m != p.n2:
-        raise SelfCheckFailed(f"refined pruned graph has {out.m} variables, not n2 = {p.n2}")
-    return out
+    if m != p.params.n2:
+        raise SelfCheckFailed(f"refined pruned graph has {m} variables, not n2 = {p.params.n2}")
+    return PrunedGraph(p.params, m, tuple(frozenset(c) for c in checks))
 
 
 def graph_to_pruned(g: Multigraph, p: CodeParams) -> PrunedGraph:
@@ -294,6 +273,4 @@ def graph_to_pruned(g: Multigraph, p: CodeParams) -> PrunedGraph:
             checks[u].add(var)
             checks[v].add(var)
             var += 1
-    return PrunedGraph(
-        n=p.n, k=p.k, r=p.r, m=p.n2, checks=tuple(frozenset(c) for c in checks)
-    )
+    return PrunedGraph(p, p.n2, tuple(frozenset(c) for c in checks))

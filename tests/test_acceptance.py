@@ -85,11 +85,7 @@ def random_full_tanner(rng, n, k, r, locals_count):
         rng.shuffle(fill)
         checks = [fill[i * (r + 1):(i + 1) * (r + 1)] for i in range(locals_count)]
         if all(len(set(c)) == r + 1 for c in checks):
-            return FullTannerGraph(
-                n=n, k=k, r=r,
-                local_checks=tuple(frozenset(c) for c in checks),
-                global_count=(n - k) - locals_count,
-            )
+            return FullTannerGraph(derive_params(n, k, r), tuple(frozenset(c) for c in checks))
 
 
 def test_criterion_1_rules_agree_with_oracle():
@@ -284,8 +280,8 @@ def test_criterion_9_refinement_normalizes_and_monotone():
         pruned = f2p(random_full_tanner(rng, n, k, r, locals_count))
         before = tanner_min_distance(p2f(pruned))
         out = refine(pruned)
-        assert out.h == out.n1
-        assert out.m == out.n2
+        assert out.h == out.params.n1
+        assert out.m == out.params.n2
         degrees = [sum(1 for c in out.checks if v in c) for v in range(out.m)]
         assert all(d == 2 for d in degrees)
         assert tanner_min_distance(p2f(out)) >= before

@@ -198,12 +198,14 @@ def test_construct_not_achievable():
 
 
 def test_construct_small_field_may_exhaust_retries():
-    # GF(2) cannot give distance 6 here: success needs luck that tiny fields
-    # rarely provide, and every failure is reported rather than hidden
+    # GF(2) cannot give distance 6 here: the Griesmer bound rules out every
+    # binary [16, 9, 6] code (6+3+2+1+1+1+1+1+1 = 17 > 16), so no number of
+    # retries succeeds, and every failure is reported rather than hidden
     p = derive_params(16, 9, 4)
     with pytest.raises(RetriesExhausted) as exc:
         construct_optimal_lrc(p, field=PrimeField(2), seed=0, max_retries=4)
     assert exc.value.attempts == 4
+    assert "succeed" not in str(exc.value)
 
 
 def test_encode_and_repair_round_trip():
@@ -219,6 +221,18 @@ def test_encode_and_repair_round_trip():
             erased: list = [int(x) for x in word]
             erased[j] = None
             assert repair_symbol(code, erased) == int(word[j])
+
+
+def test_verify_code_checks_the_envelope_before_row_reducing(monkeypatch):
+    # a long code file must fail at once, not after the plan's row reduction of H
+    calls = []
+    rref_mod = gf.rref_mod
+    monkeypatch.setattr(gf, "rref_mod", lambda *a: calls.append(a) or rref_mod(*a))
+    code = LinearCode(params=derive_params(21, 10, 2), field=PrimeField(3),
+                      H=np.random.default_rng(0).integers(0, 3, size=(11, 21)))
+    with pytest.raises(EnvelopeExceeded):
+        verify_code(code)
+    assert calls == []
 
 
 def test_encode_row_reduces_once_per_code(monkeypatch):
@@ -610,12 +624,13 @@ def admitted_tanner_graphs():
 def per_entry_fill(t, q, seed):
     """build_parity_check's fill as one draw per local entry, then one per global row."""
     rng = np.random.default_rng(seed)
-    h = np.zeros((t.n - t.k, t.n), dtype=np.int64)
+    n, k = t.params.n, t.params.k
+    h = np.zeros((n - k, n), dtype=np.int64)
     for i, check in enumerate(t.local_checks):
         for j in sorted(check):
             h[i, j] = int(rng.integers(1, q))
-    for i in range(len(t.local_checks), t.n - t.k):
-        h[i, :] = rng.integers(1, q, size=t.n)
+    for i in range(len(t.local_checks), n - k):
+        h[i, :] = rng.integers(1, q, size=n)
     return h
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations, islice
 
@@ -8,12 +9,13 @@ from lrcdist.codec import LinearCode, PrimeField, min_distance
 from lrcdist.decider import decide
 from lrcdist.errors import (
     EnvelopeExceeded,
+    InvalidParams,
     InvalidTanner,
     NothingToReduce,
     ShapeMismatch,
 )
 from lrcdist.multigraph import Multigraph
-from lrcdist.params import derive_params
+from lrcdist.params import CodeParams, derive_params
 from lrcdist.tanner import (
     FullTannerGraph,
     PrunedGraph,
@@ -29,14 +31,14 @@ from lrcdist.tanner import (
 
 def neighborhood_size(t, checks):
     """|N(S)| for a set of check indices of a full Tanner graph (locals first, then globals)."""
-    total = t.check_count
+    total = t.params.n - t.params.k
     local_count = len(t.local_checks)
     seen = set()
     for c in checks:
         if not 0 <= c < total:
             raise ValueError(f"check index {c} outside 0..{total - 1}")
         if c >= local_count:
-            return t.n
+            return t.params.n
         seen |= t.local_checks[c]
     return len(seen)
 
@@ -50,8 +52,8 @@ def witness_tanner(n, k, r):
 
 def random_full_tanner(rng, n, k, r, locals_count):
     """Random full Tanner graph: deal every variable at least once, then fill."""
-    n1 = -(-n // (r + 1))
-    assert n1 <= locals_count <= n - k
+    p = derive_params(n, k, r)
+    assert p.n1 <= locals_count <= n - k
     while True:
         slots = locals_count * (r + 1)
         fill = list(range(n))
@@ -61,19 +63,12 @@ def random_full_tanner(rng, n, k, r, locals_count):
         rng.shuffle(fill)
         checks = [fill[i * (r + 1):(i + 1) * (r + 1)] for i in range(locals_count)]
         if all(len(set(c)) == r + 1 for c in checks):
-            return FullTannerGraph(
-                n=n,
-                k=k,
-                r=r,
-                local_checks=tuple(frozenset(c) for c in checks),
-                global_count=(n - k) - locals_count,
-            )
+            return FullTannerGraph(p, tuple(frozenset(c) for c in checks))
 
 
 def random_pruned(rng):
     n, k, r = rng.choice([(8, 4, 3), (10, 5, 4), (12, 7, 3), (9, 4, 2)])
-    n1 = -(-n // (r + 1))
-    locals_count = rng.randint(n1, n - k)
+    locals_count = rng.randint(derive_params(n, k, r).n1, n - k)
     return f2p(random_full_tanner(rng, n, k, r, locals_count))
 
 
@@ -106,15 +101,8 @@ def test_graph_to_pruned_shape_mismatch():
 def test_f2p_drops_globals_and_singletons():
     # disjoint locals covering all variables exactly once: everything pruned away
     t = FullTannerGraph(
-        n=12,
-        k=8,
-        r=3,
-        local_checks=(
-            frozenset({0, 1, 2, 3}),
-            frozenset({4, 5, 6, 7}),
-            frozenset({8, 9, 10, 11}),
-        ),
-        global_count=1,
+        derive_params(12, 8, 3),
+        (frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}), frozenset({8, 9, 10, 11})),
     )
     pr = f2p(t)
     assert (pr.m, pr.h) == (0, 3)
@@ -133,11 +121,11 @@ def test_f2p_on_witness_round_trip():
 
 def test_p2f_structure():
     p, d, t = witness_tanner(12, 7, 3)  # n2 = 0: disjoint local groups
-    assert t.global_count == (p.n - p.k) - p.n1
+    assert t.params == p and len(t.local_checks) == p.n1
     assert all(len(c) == p.r + 1 for c in t.local_checks)
     pr = f2p(t)
     full = p2f(pr)
-    assert full.global_count == t.global_count
+    assert len(full.local_checks) == len(t.local_checks)
     assert tanner_min_distance(full) == tanner_min_distance(t)
 
 
@@ -146,27 +134,13 @@ def test_neighborhood_size_examples():
     # any subset containing a global check sees everything
     assert neighborhood_size(t, [0, 3]) == 12
     disjoint = FullTannerGraph(
-        n=12,
-        k=8,
-        r=3,
-        local_checks=(
-            frozenset({0, 1, 2, 3}),
-            frozenset({4, 5, 6, 7}),
-            frozenset({8, 9, 10, 11}),
-        ),
-        global_count=1,
+        derive_params(12, 8, 3),
+        (frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}), frozenset({8, 9, 10, 11})),
     )
     assert neighborhood_size(disjoint, [0, 1]) == 8
     sharing = FullTannerGraph(
-        n=8,
-        k=3,
-        r=3,
-        local_checks=(
-            frozenset({0, 1, 2, 3}),
-            frozenset({2, 3, 4, 5}),
-            frozenset({4, 5, 6, 7}),
-        ),
-        global_count=2,
+        derive_params(8, 3, 3),
+        (frozenset({0, 1, 2, 3}), frozenset({2, 3, 4, 5}), frozenset({4, 5, 6, 7})),
     )
     assert neighborhood_size(sharing, [0, 1]) == 6
     with pytest.raises(ValueError):
@@ -185,7 +159,7 @@ def test_neighborhood_matches_pruned_formula():
                 nt = neighborhood_size(t, s)
                 np_ = len(set().union(*(pr.checks[i] for i in s)))
                 ep = sum(len(pr.checks[i]) for i in s)
-                assert nt == np_ + ((t.r + 1) * len(s) - ep)
+                assert nt == np_ + ((t.params.r + 1) * len(s) - ep)
 
 
 def test_neighborhood_identity_for_graph_built_tanner():
@@ -262,13 +236,7 @@ def test_tanner_min_distance_at_the_envelope_edge():
     p, d, t = witness_tanner(48, 24, 1)
     assert p.n - p.k == 24 and len(t.local_checks) == 24
     assert tanner_min_distance(t) == p.d_star == 2
-    past = FullTannerGraph(
-        n=50,
-        k=25,
-        r=1,
-        local_checks=tuple(frozenset({2 * i, 2 * i + 1}) for i in range(25)),
-        global_count=0,
-    )
+    past = FullTannerGraph(derive_params(50, 25, 1), tuple(frozenset({2 * i, 2 * i + 1}) for i in range(25)))
     with pytest.raises(EnvelopeExceeded):
         tanner_min_distance(past)
 
@@ -277,9 +245,7 @@ def test_tanner_min_distance_vacuous_cap():
     # r = n - 1: the single local check sees every variable, all conditions
     # hold, and the distance reports n - k + 1, the distance of the one-row
     # weight-4 code with that zero pattern
-    t = FullTannerGraph(
-        n=4, k=3, r=3, local_checks=(frozenset({0, 1, 2, 3}),), global_count=0
-    )
+    t = FullTannerGraph(derive_params(4, 3, 3), (frozenset({0, 1, 2, 3}),))
     assert tanner_min_distance(t) == 2
     code = LinearCode(params=derive_params(4, 3, 3), field=PrimeField(5), H=np.array([[1, 2, 3, 4]]))
     assert min_distance(code) == 2
@@ -302,15 +268,15 @@ def attach(pr, fresh):
     """Full Tanner graph whose checks, in order, fill their free slots from
     ``fresh``; its constructor checks every full-graph invariant."""
     fresh = iter(fresh)
-    checks = tuple(frozenset([*c, *islice(fresh, pr.r + 1 - len(c))]) for c in pr.checks)
-    return FullTannerGraph(n=pr.n, k=pr.k, r=pr.r, local_checks=checks, global_count=pr.n - pr.k - pr.h)
+    checks = tuple(frozenset([*c, *islice(fresh, pr.params.r + 1 - len(c))]) for c in pr.checks)
+    return FullTannerGraph(pr.params, checks)
 
 
 def assert_attachments_agree(pr, rng):
     """The fresh variables m..n-1 handed to the check slots in five orders,
     p2f's own, reversed, rotated, shuffled and strided, each give a full
     Tanner graph that prunes back to ``pr``, and all five one distance."""
-    fresh = list(range(pr.m, pr.n))
+    fresh = list(range(pr.m, pr.params.n))
     orders = [fresh, fresh[::-1], fresh[1:] + fresh[:1], rng.sample(fresh, len(fresh)), fresh[::2] + fresh[1::2]]
     fulls = [attach(pr, order) for order in orders]
     assert fulls[0] == p2f(pr)
@@ -329,7 +295,7 @@ def test_reduce_check_nodes():
     reduced_any = False
     for _ in range(30):
         pr = random_pruned(rng)
-        if pr.h == pr.n1:
+        if pr.h == pr.params.n1:
             with pytest.raises(NothingToReduce):
                 reduce_check_nodes(pr)
             continue
@@ -347,8 +313,8 @@ def test_refine_normalizes_and_preserves_distance():
         pr = random_pruned(rng)
         before = tanner_min_distance(p2f(pr))
         out = refine(pr)
-        assert out.h == pr.n1
-        assert out.m == pr.n2
+        assert out.h == pr.params.n1
+        assert out.m == pr.params.n2
         degrees = [sum(1 for c in out.checks if v in c) for v in range(out.m)]
         assert all(d == 2 for d in degrees)
         assert tanner_min_distance(p2f(out)) >= before
@@ -357,7 +323,7 @@ def test_refine_normalizes_and_preserves_distance():
 
 def brute_tanner_distance(t):
     """Referee: evaluate the distance condition over every check subset."""
-    n, k = t.n, t.k
+    n, k = t.params.n, t.params.k
     local_count = len(t.local_checks)
 
     def nbrs(s):
@@ -370,7 +336,7 @@ def brute_tanner_distance(t):
 
     def holds(d):
         for eta in range(max(1, n - k - d + 2), n - k + 1):
-            for s in combinations(range(t.check_count), eta):
+            for s in combinations(range(n - k), eta):
                 if nbrs(s) < eta + k:
                     return False
         return True
@@ -382,58 +348,74 @@ def test_tanner_min_distance_matches_brute_definition():
     rng = random.Random(47)
     for _ in range(40):
         n, k, r = rng.choice([(8, 4, 3), (10, 5, 4), (12, 7, 3), (9, 4, 2)])
-        n1 = -(-n // (r + 1))
-        t = random_full_tanner(rng, n, k, r, rng.randint(n1, n - k))
+        t = random_full_tanner(rng, n, k, r, rng.randint(derive_params(n, k, r).n1, n - k))
         assert tanner_min_distance(t) == brute_tanner_distance(t)
 
 
 def test_constructors_reject_non_integers():
     checks = (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
-    full = dict(n=6, k=3, r=2, local_checks=checks, global_count=1)
+    full = dict(params=derive_params(6, 3, 2), local_checks=checks)
     assert tanner_min_distance(FullTannerGraph(**full)) == 3
-    for change in (
-        {"n": 6.0},
-        {"k": 3.0},
-        {"r": True},
-        {"global_count": 1.0},
-        {"local_checks": (frozenset({0, 1, 2.5}), frozenset({3, 4, 5}))},
-    ):
-        with pytest.raises(InvalidTanner):
-            FullTannerGraph(**{**full, **change})
-    pruned = dict(n=5, k=2, r=2, m=1, checks=(frozenset({0}), frozenset({0})))
+    with pytest.raises(InvalidTanner):
+        FullTannerGraph(**{**full, "local_checks": (frozenset({0, 1, 2.5}), frozenset({3, 4, 5}))})
+    pruned = dict(params=derive_params(5, 2, 2), m=1, checks=(frozenset({0}), frozenset({0})))
     assert PrunedGraph(**pruned).h == 2
-    for change in (
-        {"n": 5.0},
-        {"k": 2.0},
-        {"r": 2.0},
-        {"m": True},
-        {"checks": (frozenset({0.0}), frozenset({0.0}))},
-    ):
+    for change in ({"m": True}, {"checks": (frozenset({0.0}), frozenset({0.0}))}):
         with pytest.raises(InvalidTanner):
             PrunedGraph(**{**pruned, **change})
+    # n, k and r are derive_params's to check: a params it did not make is refused
+    for n, k, r in ((6.0, 3, 2), (6, 3.0, 2), (6, 3, True)):
+        with pytest.raises(InvalidParams):
+            derive_params(n, k, r)
+        with pytest.raises(InvalidTanner):
+            FullTannerGraph(**{**full, "params": CodeParams(n, k, r, *full["params"][3:])})
+        with pytest.raises(InvalidTanner):
+            PrunedGraph(**{**pruned, "params": CodeParams(n, k, r, *pruned["params"][3:])})
+
+
+def test_constructors_refuse_params_that_derive_params_did_not_make():
+    # a hand-built CodeParams can hold any n1 or n2; the constructors
+    # compare the whole record with derive_params(n, k, r)
+    full = FullTannerGraph(derive_params(6, 3, 2), (frozenset({0, 1, 2}), frozenset({3, 4, 5})))
+    pruned = PrunedGraph(derive_params(5, 2, 2), 1, (frozenset({0}), frozenset({0})))
+    for graph in (full, pruned):
+        p = graph.params
+        for change in ({"n1": p.n1 - 1}, {"n1": p.n1 + 1}, {"n2": p.n2 + 1}, {"d_star": p.d_star + 1}):
+            with pytest.raises(InvalidTanner):
+                dataclasses.replace(graph, params=p._replace(**change))
+        with pytest.raises(InvalidTanner):
+            dataclasses.replace(graph, params=tuple(p))
+
+
+def test_derive_params_admits_exactly_the_tanner_shapes():
+    # a full Tanner graph needs n1 = ceil(n / (r + 1)) <= n - k local checks;
+    # derive_params's rate bound n - k >= ceil(k / r) is the same condition
+    for n in range(2, 41):
+        for k in range(1, n):
+            for r in range(1, k + 1):
+                admitted = -(-n // (r + 1)) <= n - k
+                try:
+                    p = derive_params(n, k, r)
+                except InvalidParams as err:
+                    assert not admitted and err.reason == "locality", (n, k, r)
+                else:
+                    assert admitted and p.n1 <= p.n - p.k, (n, k, r)
 
 
 def test_negative_global_count_rejected():
-    # four local checks and -1 global ones add up to n - k = 3
+    # four local checks add up to more than n - k = 3 checks in all
     checks = [[0, 1, 2], [3, 4, 5], [0, 1, 3], [2, 4, 5]]
     with pytest.raises(InvalidTanner):
-        FullTannerGraph(6, 3, 2, tuple(frozenset(c) for c in checks), -1)
+        FullTannerGraph(derive_params(6, 3, 2), tuple(frozenset(c) for c in checks))
 
 
 def test_invalid_tanner_structures():
+    p = derive_params(6, 3, 3)
     with pytest.raises(InvalidTanner):
-        FullTannerGraph(n=6, k=3, r=3, local_checks=(), global_count=3)
+        FullTannerGraph(p, ())
     with pytest.raises(InvalidTanner):  # check degree wrong
-        FullTannerGraph(
-            n=6, k=3, r=3, local_checks=(frozenset({0, 1}),), global_count=2
-        )
+        FullTannerGraph(p, (frozenset({0, 1}),))
     with pytest.raises(InvalidTanner):  # variable 5 uncovered
-        FullTannerGraph(
-            n=6,
-            k=3,
-            r=3,
-            local_checks=(frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 4})),
-            global_count=1,
-        )
+        FullTannerGraph(p, (frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 4})))
     with pytest.raises(InvalidTanner):  # edge identity broken
-        PrunedGraph(n=6, k=3, r=3, m=1, checks=(frozenset({0}), frozenset({0})))
+        PrunedGraph(p, 1, (frozenset({0}), frozenset({0})))
