@@ -11,6 +11,35 @@ closes a dependent set, so no image is ever normalised or sorted.  Each
 step runs for all subsets of one level at once, and a level that would
 outgrow ``_ENTRY_BUDGET`` int64 entries is split into halves.
 
+From the empty prefix the kernel can also visit circuit candidates only.
+A circuit, a minimal dependent column set, is the support of a codeword c,
+and h . c = 0 for every row h of the matrix, so a circuit never meets a
+row's support exactly once: the dual-codeword view of locality of Gopalan,
+Huang, Simitci and Yekhanin.  A candidate is a column set that meets the
+support of every light row (a row that is zero on some column) 0 times or
+at least twice.  Some w columns are dependent iff some circuit has at most
+w columns, and every circuit is a candidate, so the scan may skip the rest.
+It still adds columns in ascending order: a prefix P is dropped once a
+light row meets P exactly once and has no column after P's last, since no
+column added later can meet that row again.  No prefix of a circuit C is
+ever dropped, because each meets every such row as often as C does.
+Candidates are not closed under supersets (a w-set that holds a circuit
+need not be one), so unlike the plain scan, which meets every circuit
+inside some w-set, the cut scan must reach each circuit C at its own node
+C minus its last column.  It therefore keeps every surviving prefix that
+has a later column, of every size up to w - 1, and tests every image of
+every node it keeps, the empty prefix's included: a zero column is a
+circuit of one column that no node reaches.  The cut picks which children
+a pivot step makes, not how: the steps, the work arrays and the halving
+are the plain scan's, and a level is split on the size it has after the
+cut, so the memory bound below holds as it is.  The cut runs where
+``_cut_pays``, from the input alone: on a level of at least
+``_CUT_ENTRIES`` entries whose expected candidates, with the sets taken at
+random, number fewer than its w-sets.  Where w is near n, the plain scan
+ends on few w-sets while the cut scan visits every smaller size, and the
+cut costs ten times the plain scan on (20, 4, 4), whose four light rows
+of five columns cut little.
+
 The scan computes in work arrays that outlive a call: one for the images
 of each depth (the number of pivot steps that made them) and two for the
 pivot columns and products of a step.  Each thread has its own, in a
@@ -22,8 +51,9 @@ which cannot be split, may need up to m * C(n, 2)), so a thread whose
 deepest scan reached level w keeps w + 1 of them: at most (w + 1) x
 ``_ENTRY_BUDGET`` x 8 bytes, 9 MiB for w = 8 at the default budget.  Of
 the codes ``codec.construct_optimal_lrc`` builds (n <= 20, d* up to 20),
-the heaviest, (20, 4, 1) at d* = 14, leaves 2.72 MiB; at d* <= 8 the
-heaviest is (20, 7, 1), at 1.63 MiB.
+the heaviest, (20, 7, 3) at d* = 12, leaves 4.67 MiB; at d* <= 8 the
+heaviest is (20, 11, 5), at 1.65 MiB.  The cut scan of (20, 4, 1) at
+d* = 14 leaves 0.41 MiB, against 2.72 MiB for its plain scan.
 """
 
 from __future__ import annotations
@@ -38,6 +68,7 @@ from .errors import EnvelopeExceeded
 
 _ENTRY_BUDGET = 1 << 17  # int64 entries in one array of the distance scan
 _SMALL_LAYOUT = 32  # most nodes of a ``_pivot`` step whose index arrays are cached
+_CUT_ENTRIES = 1 << 14  # least m * C(n, w) of a level whose scan repays the cut's cost per step
 # slots of a thread's work arrays: the pivot columns and the products of one
 # ``_pivot`` step, then the images of each depth from 1 on
 _PIVOT_COLUMNS, _PRODUCTS, _IMAGES = 0, 1, 2
@@ -140,13 +171,16 @@ def _binomials(n: int) -> np.ndarray:
     return table
 
 
-def _layout(widths: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, ...]:
+def _layout(widths: np.ndarray, count: np.ndarray, keep: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Where ``_pivot`` puts each child: the column of a that it pivots on,
     its width, and, for each of its images, the column of a that the image
-    comes from and the child's index."""
+    comes from and the child's index.  The children are those on each
+    node's first ``count`` columns, or the ones ``keep`` marks among them."""
     j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     pivot = np.repeat(np.cumsum(widths) - widths, count) + j
     child_widths = np.repeat(widths, count) - 1 - j
+    if keep is not None:
+        pivot, child_widths = pivot[keep], child_widths[keep]
     ends = np.cumsum(child_widths)
     x = np.arange(ends[-1]) + np.repeat(pivot + 1 - ends + child_widths, child_widths)
     child = np.repeat(np.arange(len(pivot)), child_widths)
@@ -186,9 +220,12 @@ def _work_array(slot: int, rows: int, cols: int) -> np.ndarray:
     return arrays[slot][:size].reshape(rows, cols)
 
 
-def _pivot(a: np.ndarray, widths: np.ndarray, count: np.ndarray, q: int, depth: int):
+def _pivot(
+    a: np.ndarray, widths: np.ndarray, count: np.ndarray, q: int, depth: int, keep: np.ndarray | None = None
+):
     """One fraction-free pivot step of every node on each of its first
-    ``count`` columns, all nodes and columns at once.
+    ``count`` columns, or on those of them that ``keep`` marks, all nodes and
+    columns at once.
 
     The nodes' images sit side by side in the columns of ``a``: node b owns
     the next ``widths[b]`` of them.  Pivoting node b on its column j makes a
@@ -209,10 +246,10 @@ def _pivot(a: np.ndarray, widths: np.ndarray, count: np.ndarray, q: int, depth: 
     "raise" it fills a fresh buffer first); ``_layout``'s indices are in
     range, so the wrap never applies.
     """
-    if len(widths) <= _SMALL_LAYOUT:
+    if keep is None and len(widths) <= _SMALL_LAYOUT:
         pivot, child_widths, x, child = _small_layout(tuple(widths.tolist()), tuple(count.tolist()))
     else:
-        pivot, child_widths, x, child = _layout(widths, count)
+        pivot, child_widths, x, child = _layout(widths, count, keep)
     m = a.shape[0]
     # take is several times faster than fancy indexing along axis 1
     col = a.take(pivot, axis=1, out=_work_array(_PIVOT_COLUMNS, m, len(pivot)), mode="wrap")
@@ -239,7 +276,65 @@ def _drop_pivot_rows(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out[1:]
 
 
-def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: int) -> bool:
+def _cut_tables(light: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, as uint64 bit masks over the first 64 light rows: the rows
+    whose support holds the column, and the rows whose support ends at or
+    before it.  The cut is sound on any subset of the rows."""
+    light = light[:64]
+    n = light.shape[1]
+    bits = np.left_shift(np.uint64(1), np.arange(len(light), dtype=np.uint64))[:, None]
+    holds = np.bitwise_or.reduce(np.where(light, bits, np.uint64(0)), axis=0)
+    last = n - 1 - light[:, ::-1].argmax(axis=1)
+    closed = np.bitwise_or.reduce(np.where(np.arange(n) >= last[:, None], bits, np.uint64(0)), axis=0)
+    return holds, closed
+
+
+def _cut_pays(light: np.ndarray, m: int, w: int) -> bool:
+    """Whether the circuit cut is expected to pay on level w of an m-row
+    matrix with these light-row supports.
+
+    It pays when the level is large, m * C(n, w) >= ``_CUT_ENTRIES``, and
+    fewer column sets of sizes 2..w than the C(n, w) that the plain scan
+    ends on are expected to be candidates.  That expectation takes the sets
+    at random and the rows apart: an s-set meets a row of l columns exactly
+    once with probability l * C(n - l, s - 1) / C(n, s).
+    """
+    n = light.shape[1]
+    if m * comb(n, w) < _CUT_ENTRIES:
+        return False
+    table = _binomials(n)
+    sizes = light.sum(axis=1)[:, None]
+    s = np.arange(2, w + 1)
+    once = sizes * table[n - sizes, s - 1] / table[n, s]
+    return bool((table[n, s] * (1 - once).prod(axis=0)).sum() < table[n, w])
+
+
+def _cut(widths: np.ndarray, hits: np.ndarray, tables: tuple[np.ndarray, np.ndarray]):
+    """The children the circuit cut keeps among each node's first
+    widths - 1 columns (those with a later column).
+
+    ``hits`` holds, per node, the masks of the light rows its columns meet
+    once and at least once.  A node's last column is n - 1 - width, so the
+    child on its column j adds column n - width + j.  The child is dropped
+    when a light row that ends at or before that column meets it exactly
+    once.  Returns the count per node, the mask of kept children, their
+    hit masks and their widths.
+    """
+    holds, closed = tables
+    n = len(holds)
+    count = widths - 1
+    starts = np.cumsum(count) - count
+    column = np.arange(count.sum()) + np.repeat(n - widths - starts, count)
+    hit = holds[column]
+    once, seen = np.repeat(hits, count, axis=1)
+    once = (once & ~hit) | (hit & ~seen)
+    keep = (once & closed[column]) == 0
+    return count, keep, np.stack((once[keep], (seen | hit)[keep])), n - 1 - column[keep]
+
+
+def batch_columns_independent(
+    h: np.ndarray, q: int, prefix: np.ndarray, extra: int, light: np.ndarray | None = None
+) -> bool:
     """Whether the columns ``prefix`` of h together with every ``extra`` >= 1
     later columns are linearly independent over GF(q).
 
@@ -254,40 +349,61 @@ def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: 
     here or in ``dependent``, which adds the later columns one pivot step at
     a time and splits its levels until each fits ``_ENTRY_BUDGET`` int64
     entries or holds one node.
+
+    ``light`` is a boolean (l, n) array of the supports of some rows of h,
+    and may be given only with the empty prefix.  Where ``_cut_pays``, the
+    scan visits circuit candidates only (the module docstring); the answer
+    is the same.
     """
     s = len(prefix)
     m, n = h.shape
+    if s and light is not None:
+        raise ValueError("the circuit cut needs the empty prefix")
     if s + extra > m:  # s + extra columns in m rows are dependent
         return False
 
-    def dependent(a, widths, extra, chunk, depth):
-        """Whether adding ``extra`` >= 2 more columns to some node closes a
-        dependent set.
+    def dependent(a, widths, extra, chunk, depth, hits):
+        """Whether adding up to ``extra`` >= 2 more columns to some node
+        closes a dependent set.
 
         A node is the prefix with some later columns added, and its images
         are those of the columns after its last one.  One ``_pivot`` makes
         every child that adds one of a node's first widths - extra + 1
-        columns, so that extra - 1 columns are left after it.  A child with a
-        zero image closes a dependent set; so does a node with a zero image,
-        whose first child then reads zero there or, if the zero image is its
-        first, everywhere.  Nodes whose next level and whose subsets to come
-        would take more than ``chunk`` entries are split into halves, the
-        later half first, since its nodes have the fewest later columns.
-        Each earlier half gets twice the chunk, up to ``_ENTRY_BUDGET``, and
-        the first chunk is an eighth of it: a scan that meets a dependent set
-        in the small subtrees it takes first stops early, and a scan that
-        visits every subset splits a few times only.
+        columns, so that extra - 1 columns are left after it; under the cut
+        (``hits`` holds each node's light-row masks, else None), every child
+        with a later column that ``_cut`` keeps.  A child with a zero image
+        closes a dependent set; so does a node with a zero image, whose
+        first child then reads zero there or, if the zero image is its
+        first, everywhere.  Nodes whose next level, and without the cut
+        whose subsets to come, would take more than ``chunk`` entries are
+        split into halves, the later half first, since its nodes have the
+        fewest later columns.  Each earlier half gets twice the chunk, up to
+        ``_ENTRY_BUDGET``, and the first chunk is an eighth of it: a scan
+        that meets a dependent set in the small subtrees it takes first
+        stops early, and a scan that visits every subset splits a few times
+        only.
         """
-        if len(widths) > 1 and a.shape[0] * _binomials(n)[widths][:, [2, extra]].sum() > chunk:
-            half = len(widths) // 2
-            cut = int(widths[:half].sum())
-            return dependent(a[:, cut:], widths[half:], extra, chunk, depth) or dependent(
-                a[:, :cut], widths[:half], extra, min(2 * chunk, _ENTRY_BUDGET), depth
-            )
-        out, rows, widths = _pivot(a, widths, widths - extra + 1, q, depth)
+        if hits is None:
+            count, keep, child_hits = widths - extra + 1, None, None
+        else:
+            count, keep, child_hits, child_widths = _cut(widths, hits, tables)
+            if not len(child_widths):
+                return False
+        if len(widths) > 1:
+            entries = _binomials(n)[widths][:, [2, extra]].sum() if hits is None else child_widths.sum()
+            if a.shape[0] * entries > chunk:
+                half = len(widths) // 2
+                cut = int(widths[:half].sum())
+                earlier, later = (None, None) if hits is None else (hits[:, :half], hits[:, half:])
+                return dependent(a[:, cut:], widths[half:], extra, chunk, depth, later) or dependent(
+                    a[:, :cut], widths[:half], extra, min(2 * chunk, _ENTRY_BUDGET), depth, earlier
+                )
+        out, rows, widths = _pivot(a, widths, count, q, depth, keep)
         if not out.any(axis=0).all():
             return True
-        return extra > 2 and dependent(_drop_pivot_rows(out, rows), widths, extra - 1, chunk, depth + 1)
+        return extra > 2 and dependent(
+            _drop_pivot_rows(out, rows), widths, extra - 1, chunk, depth + 1, child_hits
+        )
 
     first = int(prefix[-1]) + 1 if s else 0
     a = np.asarray(h, dtype=np.int64).take(np.concatenate((prefix, np.arange(first, n))), axis=1) % q
@@ -297,4 +413,11 @@ def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: 
         a = _drop_pivot_rows(out, rows)
     if extra == 1:
         return not (a == 0).all(axis=0).any()
-    return not dependent(a, widths, extra, _ENTRY_BUDGET // 8, s)
+    tables = hits = None
+    if light is not None and _cut_pays(light, m, extra):
+        # a zero column is a circuit of one column, which no node of the cut
+        # reaches: the empty prefix's own images are its only test
+        if not a.any(axis=0).all():
+            return False
+        tables, hits = _cut_tables(light), np.zeros((2, 1), dtype=np.uint64)
+    return not dependent(a, widths, extra, _ENTRY_BUDGET // 8, s, hits)

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 import numpy as np
 import pytest
@@ -756,7 +757,7 @@ def test_min_distance_scans_the_same_levels_under_any_claim(monkeypatch):
     d = code.params.d_star
     levels = []
     scan = codec._has_dependent_columns
-    monkeypatch.setattr(codec, "_has_dependent_columns", lambda h, q, w: levels.append(w) or scan(h, q, w))
+    monkeypatch.setattr(codec, "_has_dependent_columns", lambda *args: levels.append(args[2]) or scan(*args))
     for claim in (d - 1, d, d + 1, 9, None):
         levels.clear()
         assert min_distance(dataclasses.replace(code, claimed_distance=claim)) == d
@@ -767,7 +768,7 @@ def pattern_bound(code, monkeypatch):
     """The bound min_distance reads off H's zero pattern: with every scanned
     level stubbed to hold no dependent set, min_distance returns it."""
     with monkeypatch.context() as patch:
-        patch.setattr(codec, "_has_dependent_columns", lambda h, q, w: False)
+        patch.setattr(codec, "_has_dependent_columns", lambda *args: False)
         return min_distance(code)
 
 
@@ -851,7 +852,7 @@ def test_every_population_code_takes_the_fast_path(monkeypatch):
     runs = []
     measure, scan = codec.min_distance, codec._has_dependent_columns
     monkeypatch.setattr(codec, "min_distance", lambda c, floor=0: runs.append([]) or measure(c, floor))
-    monkeypatch.setattr(codec, "_has_dependent_columns", lambda h, q, w: runs[-1].append(w) or scan(h, q, w))
+    monkeypatch.setattr(codec, "_has_dependent_columns", lambda *args: runs[-1].append(args[2]) or scan(*args))
     graphs = admitted_tanner_graphs()
     assert len(graphs) == 839
     for p, _ in graphs:
@@ -935,3 +936,97 @@ def test_min_distance_over_the_largest_field():
             h[:, 2] = (h[:, 0].astype(object) * a + h[:, 1].astype(object) * b) % q
         code = LinearCode(params=derive_params(n, k, k), field=PrimeField(q), H=h)
         assert min_distance(code) == rank_distance(h, q)
+
+
+def test_row_masks_stay_exact_past_63_columns():
+    # the int64 product (h != 0) @ (1 << arange(n)) wraps at n = 64: it read
+    # the first two rows as -1 and -32, which the zero-pattern walk misreads
+    h = np.zeros((3, 64), dtype=np.int64)
+    h[0] = 1
+    h[1, 5:] = 7
+    h[2, 63] = 2
+    assert codec._row_masks(h) == ((1 << 64) - 1, (1 << 64) - 32, 1 << 63)
+
+
+def test_the_distance_scan_cuts_a_code_with_many_light_rows(monkeypatch):
+    # (20, 7, 1) seed 0 has 10 light rows, its local rows; its level-7 scan
+    # makes 131,763 pivot-step columns without the circuit cut and 1,675
+    # with it
+    code = construct_optimal_lrc(derive_params(20, 7, 1), seed=0)
+    columns = []
+    pivot = gf._pivot
+
+    def counted(*args):
+        out = pivot(*args)
+        columns.append(out[0].shape[1])
+        return out
+
+    monkeypatch.setattr(gf, "_pivot", counted)
+    assert min_distance(code) == 8
+    assert len(code.plan.light) == 10 and 0 < sum(columns) < 5000
+
+
+def tamo_barg(n, k, r, seed):
+    """The Tamo-Barg code (Tamo and Barg, IEEE Trans. IT 60(8), 2014) for
+    (r + 1) | n and r | k, over the least prime q > n with (r + 1) | q - 1.
+
+    The evaluation points are n / (r + 1) cosets of the order-(r + 1)
+    subgroup of GF(q)*, on which x**(r + 1) is constant, and the generator
+    rows are x**i * (x**(r + 1))**j for i < r, j < k / r.  H holds one local
+    row per coset, with the weights 1 / prod(beta - beta') over the coset's
+    other points, then null-space vectors of the generator rows while they
+    raise the rank; its columns are shuffled by ``seed``.
+    """
+    q = next(q for q in range(n + 1, 1 << 20) if gf.is_prime(q) and (q - 1) % (r + 1) == 0)
+    cosets = {}
+    for x in range(1, q):
+        cosets.setdefault(pow(x, r + 1, q), []).append(x)
+    groups = list(cosets.values())[: n // (r + 1)]
+    points = [x for group in groups for x in group]
+    g = np.array([[pow(x, i + (r + 1) * j, q) for x in points] for j in range(k // r) for i in range(r)])
+    rows = []
+    for t, group in enumerate(groups):
+        row = [0] * n
+        for a, beta in enumerate(group):
+            row[t * (r + 1) + a] = pow(prod(beta - x for x in group if x != beta) % q, -1, q)
+        rows.append(row)
+    reduced, pivots = gf.rref_mod(g, q)
+    for f in (j for j in range(n) if j not in pivots):
+        row = [0] * n
+        row[f] = 1
+        for i, j in enumerate(pivots):
+            row[j] = int(-reduced[i, f] % q)
+        if gf.rank_mod(np.array([*rows, row]), q) > len(rows):
+            rows.append(row)
+    h = np.array(rows, dtype=np.int64)
+    assert len(pivots) == k and h.shape == (n - k, n) and not (g @ h.T % q).any()
+    return LinearCode(params=derive_params(n, k, r), field=PrimeField(q), H=h[:, np.random.default_rng(seed).permutation(n)])
+
+
+def test_min_distance_equals_the_tamo_barg_distance(monkeypatch):
+    # codes whose distance a theorem fixes, n - k - k / r + 2 = d*, checked
+    # with nothing from the random fill or the zero-pattern bound: every
+    # Tamo-Barg triple with n <= 20, the circuit cut on from one light row
+    monkeypatch.setattr(gf, "_cut_pays", lambda *args: True)
+    cuts = []
+    cut = gf._cut
+    monkeypatch.setattr(gf, "_cut", lambda *args: cuts.append(1) or cut(*args))
+    triples = [
+        (n, k, r)
+        for n in range(2, 21)
+        for r in range(1, n)
+        for k in range(r, n, r)
+        if n % (r + 1) == 0 and n - k >= k // r
+    ]
+    assert len(triples) == 129
+    for seed, (n, k, r) in enumerate(triples):
+        code = tamo_barg(n, k, r, seed)
+        d = code.params.d_star
+        assert n - k - k // r + 2 == d
+        assert verify_code(code) == (True, True, d), (n, k, r)
+        # the scan itself, whatever bound the zero pattern gives: some d
+        # columns are dependent and no d - 1 are
+        h, q, light = code.H, code.field.q, code.plan.light
+        assert codec._has_dependent_columns(h, q, d, light), (n, k, r)
+        assert not codec._has_dependent_columns(h, q, d - 1, light), (n, k, r)
+    assert len(cuts) > 500

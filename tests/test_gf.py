@@ -227,6 +227,95 @@ def test_split_levels_give_the_same_answers(monkeypatch, layout_in_range):
     assert len(layout_in_range) > 1000
 
 
+def sparse_matrices(rng, count):
+    """Random sparse matrices over small prime fields, some with a zero row
+    or a zero column, with the supports of their light rows (the rows that
+    are zero on some column) and the least w at which some w columns are
+    dependent, from rank_mod of every subset up to that level."""
+    for _ in range(count):
+        q = int(rng.choice([2, 3, 5, 7]))
+        m = int(rng.integers(2, 7))
+        n = int(rng.integers(m, 10))
+        mat = rng.integers(1, q, size=(m, n)) * (rng.random((m, n)) < rng.uniform(0.4, 0.9))
+        if rng.random() < 0.15:
+            mat[rng.integers(m)] = 0
+        if rng.random() < 0.15:
+            mat[:, rng.integers(n)] = 0
+        mat = mat.astype(np.int64)
+        support = mat != 0
+        distance = next(
+            (w for w in range(1, m + 1) if any(gf.rank_mod(mat[:, s], q) < w for s in map(list, combinations(range(n), w)))),
+            m + 1,
+        )
+        yield mat, q, support[~support.all(axis=1)], distance
+
+
+def count_cut_children(monkeypatch):
+    """From here on, count the children ``gf._cut`` keeps and drops."""
+    kept = {True: 0, False: 0}
+    cut = gf._cut
+
+    def counted(*args):
+        result = cut(*args)
+        keep = result[1]
+        kept[True] += int(keep.sum())
+        kept[False] += int((~keep).sum())
+        return result
+
+    monkeypatch.setattr(gf, "_cut", counted)
+    return kept
+
+
+def test_circuit_cut_matches_per_subset_rank_at_every_level(monkeypatch):
+    # the cut visits circuit candidates only, of every size up to w, and
+    # must read a level dependent exactly when rank_mod finds w dependent
+    # columns; with the cut at one light row it runs on every matrix here,
+    # and zero rows and columns put the first dependent level anywhere
+    # from 1 to m + 1
+    monkeypatch.setattr(gf, "_cut_pays", lambda *args: True)
+    kept = count_cut_children(monkeypatch)
+    rng = np.random.default_rng(40)
+    empty = np.empty(0, dtype=np.int64)
+    distances = set()
+    for mat, q, light, distance in sparse_matrices(rng, 300):
+        distances.add(distance)
+        for w in range(1, min(mat.shape) + 1):
+            got = gf.batch_columns_independent(mat, q, empty, w, light)
+            assert got == (w < distance), (mat.tolist(), q, w)
+    assert distances == set(range(1, 8)) and kept[False] > 1000 and kept[True] > 1000
+
+
+def test_circuit_cut_under_split_levels(monkeypatch, layout_in_range):
+    # budgets of 8 and 300 entries split the cut's levels, and every index
+    # of every pivot step, the cut's included, is in range
+    monkeypatch.setattr(gf, "_cut_pays", lambda *args: True)
+    kept = count_cut_children(monkeypatch)
+    rng = np.random.default_rng(41)
+    empty = np.empty(0, dtype=np.int64)
+    for budget in (8, 300):
+        monkeypatch.setattr(gf, "_ENTRY_BUDGET", budget)
+        for mat, q, light, distance in sparse_matrices(rng, 80):
+            for w in range(2, min(mat.shape) + 1):
+                assert gf.batch_columns_independent(mat, q, empty, w, light) == (w < distance)
+    assert kept[False] > 200 and len(layout_in_range) > 500
+
+
+def test_circuit_cut_finds_a_zero_column_whose_prefixes_are_all_cut(monkeypatch):
+    # column 2 is zero, a circuit of one column, and the cut drops both {0}
+    # and {1}, each of which meets the light row that ends on it once: only
+    # the zero test of the empty prefix's own images finds the set
+    monkeypatch.setattr(gf, "_cut_pays", lambda *args: True)
+    mat = np.array([[1, 0, 0], [1, 1, 0]], dtype=np.int64)
+    assert gf.batch_columns_independent(mat, 5, np.empty(0, dtype=np.int64), 2, mat != 0) is False
+
+
+def test_circuit_cut_needs_the_empty_prefix():
+    # a set that holds the prefix need not be a circuit candidate
+    mat = np.eye(3, dtype=np.int64)
+    with pytest.raises(ValueError):
+        gf.batch_columns_independent(mat, 5, np.array([0]), 2, mat[:2] != 0)
+
+
 def planted_matrices(rng, count):
     """Random matrices of mixed shapes and fields, half of them with one
     column a combination of two others."""
