@@ -18,7 +18,8 @@ it sits on; ``dataclasses.replace`` relabels a code as a new one, checked
 again.  What depends on H alone is the code's plan, made at its first read
 and kept on the code: the rank from one row reduction, the pivot and free
 columns, the parity block that solves the pivot symbols, for each
-coordinate the light row that repairs it, and each row's support.
+coordinate the light row that repairs it, and each row's support as an
+exact Python int.
 ``verify_locality`` reads it first, ``min_distance`` takes the rank and
 the supports from it, and the encodes and repairs that follow take the
 rest, so a code is row reduced once however many codes a caller
@@ -49,10 +50,9 @@ subset that extends the columns chosen so far, and a column whose image
 modulo their span reads zero closes a dependent set.  The kernel splits a
 level into halves whenever it would hold more than ``gf._ENTRY_BUDGET``
 int64 entries, so memory stays flat however many subsets a level has, and
-it stops at the first dependent set.  ``min_distance`` passes the supports
-of the rows of H that have a zero, the rows the zero pattern's walk reads,
-and on a large level where they promise to cut enough the kernel visits
-circuit candidates only: column sets that meet each such row 0 times or at
+it stops at the first dependent set.  On a large level where the rows of
+H that have a zero, the rows the zero pattern's walk reads, promise to
+cut enough, the kernel visits circuit candidates only: column sets that meet each such row 0 times or at
 least twice, since h . c = 0 for every row h and codeword c.  The level's
 scan of (20, 7, 1), whose 10 local rows have a zero, fell from
 about 12 ms to 0.7 ms, and of (20, 4, 1) at d* = 14 from about 33 ms to
@@ -62,10 +62,6 @@ a step's products, each within the budget, so a thread whose deepest scan
 reached level w holds at most (w + 1) x ``gf._ENTRY_BUDGET`` x 8 bytes
 (9 MiB at level 8); the heaviest code ``construct_optimal_lrc`` builds,
 (20, 7, 3) at d* = 12, leaves 4.67 MiB.
-
-The plan keeps each row's support as a Python int, bit j for column j, so
-the masks that the zero-pattern walk reads stay exact at any n; an int64
-product of H's zero pattern with the powers of two wraps at n = 64.
 """
 
 from __future__ import annotations
@@ -117,7 +113,6 @@ class _Plan(NamedTuple):
     # entry on j; None if no such row exists
     covers: tuple[tuple[tuple[int, ...], tuple[int, ...], int] | None, ...]
     masks: tuple[int, ...]  # each row's support, bit j for column j (``_row_masks``)
-    light: np.ndarray  # the supports of the rows that are zero on some column, as booleans
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,9 +163,7 @@ class LinearCode:
         frees = np.array([j for j in range(self.params.n) if j not in pivot_set], dtype=np.intp)
         parity = -reduced[:, frees] % q
         pivots = np.array(pivots, dtype=np.intp)
-        nonzero = self.H != 0
-        light = nonzero[~nonzero.all(axis=1)]
-        for array in (pivots, frees, parity, light):
+        for array in (pivots, frees, parity):
             array.setflags(write=False)  # shared by every call on this code
         covers = [None] * self.params.n
         for row in self.H.tolist():
@@ -181,7 +174,7 @@ class LinearCode:
                 if covers[j] is None:
                     others = tuple(l for l in support if l != j)
                     covers[j] = (others, tuple(row[l] for l in others), pow(row[j], -1, q))
-        return _Plan(len(pivots), pivots, frees, parity, tuple(covers), _row_masks(self.H), light)
+        return _Plan(len(pivots), pivots, frees, parity, tuple(covers), _row_masks(self.H))
 
 
 def _row_masks(h: np.ndarray) -> tuple[int, ...]:
@@ -220,15 +213,13 @@ def _check_distance_envelope(p: CodeParams) -> None:
         raise EnvelopeExceeded(f"distance search limited to n <= {DISTANCE_LENGTH_ENVELOPE}")
 
 
-def _has_dependent_columns(h: np.ndarray, q: int, w: int, light: np.ndarray) -> bool:
+def _has_dependent_columns(h: np.ndarray, q: int, w: int) -> bool:
     """Whether some w columns of h, 1 <= w <= rows, are linearly dependent over GF(q).
 
     One kernel call extends the empty prefix by w columns, one pivot step
-    per column after the first; w = 1 is the zero-column test.  ``light``
-    holds the supports of the rows of h that have a zero, which the
-    kernel's circuit cut reads.
+    per column after the first; w = 1 is the zero-column test.
     """
-    return not gf.batch_columns_independent(h, q, np.empty(0, dtype=np.int64), w, light)
+    return not gf.batch_columns_independent(h, q, np.empty(0, dtype=np.int64), w)
 
 
 def min_distance(c: LinearCode, floor: int = 0) -> int:
@@ -261,11 +252,10 @@ def min_distance(c: LinearCode, floor: int = 0) -> int:
     b = m + 1 - len(failing_checks(masks, p.k) or ())
     if b <= floor:
         return floor
-    light = c.plan.light
-    if b == 1 or not _has_dependent_columns(h, q, b - 1, light):
+    if b == 1 or not _has_dependent_columns(h, q, b - 1):
         return b
     levels = range(max(floor, 1), b - 1)
-    return next((w for w in levels if _has_dependent_columns(h, q, w, light)), b - 1)
+    return next((w for w in levels if _has_dependent_columns(h, q, w)), b - 1)
 
 
 def verify_locality(c: LinearCode) -> bool:

@@ -297,7 +297,12 @@ def _cut_pays(light: np.ndarray, m: int, w: int) -> bool:
     fewer column sets of sizes 2..w than the C(n, w) that the plain scan
     ends on are expected to be candidates.  That expectation takes the sets
     at random and the rows apart: an s-set meets a row of l columns exactly
-    once with probability l * C(n - l, s - 1) / C(n, s).
+    once with probability l * C(n - l, s - 1) / C(n, s).  Without the size
+    floor, the expectation alone also picks small levels, where ``_cut``'s
+    fixed cost per step outweighs what it saves: on the levels that the
+    bench's ``codes`` workload scans, the cut ran 2.1 to 3.0 times slower
+    than the plain scan below 2^12 entries, 1.3 to 1.6 times slower from
+    2^12 to 2^14, and 0.24 to 0.84 times as long from 2^14 up.
     """
     n = light.shape[1]
     if m * comb(n, w) < _CUT_ENTRIES:
@@ -332,9 +337,7 @@ def _cut(widths: np.ndarray, hits: np.ndarray, tables: tuple[np.ndarray, np.ndar
     return count, keep, np.stack((once[keep], (seen | hit)[keep])), n - 1 - column[keep]
 
 
-def batch_columns_independent(
-    h: np.ndarray, q: int, prefix: np.ndarray, extra: int, light: np.ndarray | None = None
-) -> bool:
+def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: int) -> bool:
     """Whether the columns ``prefix`` of h together with every ``extra`` >= 1
     later columns are linearly independent over GF(q).
 
@@ -348,21 +351,16 @@ def batch_columns_independent(
     whatever columns join it, so the answer is False iff an image reads zero
     here or in ``dependent``, which adds the later columns one pivot step at
     a time and splits its levels until each fits ``_ENTRY_BUDGET`` int64
-    entries or holds one node.
-
-    ``light`` is a boolean (l, n) array of the supports of some rows of h,
-    and may be given only with the empty prefix.  Where ``_cut_pays``, the
-    scan visits circuit candidates only (the module docstring); the answer
-    is the same.
+    entries or holds one node.  From the empty prefix, where ``_cut_pays``
+    on the supports of h's light rows, the scan visits circuit candidates
+    only (the module docstring); the answer is the same.
     """
     s = len(prefix)
     m, n = h.shape
-    if s and light is not None:
-        raise ValueError("the circuit cut needs the empty prefix")
     if s + extra > m:  # s + extra columns in m rows are dependent
         return False
 
-    def dependent(a, widths, extra, chunk, depth, hits):
+    def dependent(a, widths, extra, chunk, depth, cut):
         """Whether adding up to ``extra`` >= 2 more columns to some node
         closes a dependent set.
 
@@ -370,40 +368,46 @@ def batch_columns_independent(
         are those of the columns after its last one.  One ``_pivot`` makes
         every child that adds one of a node's first widths - extra + 1
         columns, so that extra - 1 columns are left after it; under the cut
-        (``hits`` holds each node's light-row masks, else None), every child
-        with a later column that ``_cut`` keeps.  A child with a zero image
+        (``cut`` holds ``_cut`` of these nodes, else None), every child with
+        a later column that ``_cut`` keeps.  A child with a zero image
         closes a dependent set; so does a node with a zero image, whose
         first child then reads zero there or, if the zero image is its
         first, everywhere.  Nodes whose next level, and without the cut
         whose subsets to come, would take more than ``chunk`` entries are
         split into halves, the later half first, since its nodes have the
-        fewest later columns.  Each earlier half gets twice the chunk, up to
-        ``_ENTRY_BUDGET``, and the first chunk is an eighth of it: a scan
-        that meets a dependent set in the small subtrees it takes first
-        stops early, and a scan that visits every subset splits a few times
-        only.
+        fewest later columns; each half takes its own slice of ``cut``.
+        Each earlier half gets twice the chunk, up to ``_ENTRY_BUDGET``, and
+        the first chunk is an eighth of it: a scan that meets a dependent
+        set in the small subtrees it takes first stops early, and a scan
+        that visits every subset splits a few times only.
         """
-        if hits is None:
-            count, keep, child_hits = widths - extra + 1, None, None
+        if cut is None:
+            count, keep = widths - extra + 1, None
+            entries = _binomials(n)[widths][:, [2, extra]].sum()
         else:
-            count, keep, child_hits, child_widths = _cut(widths, hits, tables)
+            count, keep, child_hits, child_widths = cut
             if not len(child_widths):
                 return False
-        if len(widths) > 1:
-            entries = _binomials(n)[widths][:, [2, extra]].sum() if hits is None else child_widths.sum()
-            if a.shape[0] * entries > chunk:
-                half = len(widths) // 2
-                cut = int(widths[:half].sum())
-                earlier, later = (None, None) if hits is None else (hits[:, :half], hits[:, half:])
-                return dependent(a[:, cut:], widths[half:], extra, chunk, depth, later) or dependent(
-                    a[:, :cut], widths[:half], extra, min(2 * chunk, _ENTRY_BUDGET), depth, earlier
-                )
+            entries = child_widths.sum()
+        if len(widths) > 1 and a.shape[0] * entries > chunk:
+            half = len(widths) // 2
+            columns = int(widths[:half].sum())
+            earlier = later = None
+            if cut is not None:
+                children = int(count[:half].sum())
+                kept = int(keep[:children].sum())
+                earlier = count[:half], keep[:children], child_hits[:, :kept], child_widths[:kept]
+                later = count[half:], keep[children:], child_hits[:, kept:], child_widths[kept:]
+            return dependent(a[:, columns:], widths[half:], extra, chunk, depth, later) or dependent(
+                a[:, :columns], widths[:half], extra, min(2 * chunk, _ENTRY_BUDGET), depth, earlier
+            )
         out, rows, widths = _pivot(a, widths, count, q, depth, keep)
         if not out.any(axis=0).all():
             return True
-        return extra > 2 and dependent(
-            _drop_pivot_rows(out, rows), widths, extra - 1, chunk, depth + 1, child_hits
-        )
+        if extra == 2:
+            return False
+        cut = None if cut is None else _cut(widths, child_hits, tables)
+        return dependent(_drop_pivot_rows(out, rows), widths, extra - 1, chunk, depth + 1, cut)
 
     first = int(prefix[-1]) + 1 if s else 0
     a = np.asarray(h, dtype=np.int64).take(np.concatenate((prefix, np.arange(first, n))), axis=1) % q
@@ -413,11 +417,15 @@ def batch_columns_independent(
         a = _drop_pivot_rows(out, rows)
     if extra == 1:
         return not (a == 0).all(axis=0).any()
-    tables = hits = None
-    if light is not None and _cut_pays(light, m, extra):
-        # a zero column is a circuit of one column, which no node of the cut
-        # reaches: the empty prefix's own images are its only test
-        if not a.any(axis=0).all():
-            return False
-        tables, hits = _cut_tables(light), np.zeros((2, 1), dtype=np.uint64)
-    return not dependent(a, widths, extra, _ENTRY_BUDGET // 8, s, hits)
+    tables = cut = None
+    if not s:
+        nonzero = a != 0
+        light = nonzero[~nonzero.all(axis=1)]
+        if _cut_pays(light, m, extra):
+            # a zero column is a circuit of one column, which no node of the
+            # cut reaches: the empty prefix's own images are its only test
+            if not nonzero.any(axis=0).all():
+                return False
+            tables = _cut_tables(light)
+            cut = _cut(widths, np.zeros((2, 1), dtype=np.uint64), tables)
+    return not dependent(a, widths, extra, _ENTRY_BUDGET // 8, s, cut)

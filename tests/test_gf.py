@@ -229,8 +229,7 @@ def test_split_levels_give_the_same_answers(monkeypatch, layout_in_range):
 
 def sparse_matrices(rng, count):
     """Random sparse matrices over small prime fields, some with a zero row
-    or a zero column, with the supports of their light rows (the rows that
-    are zero on some column) and the least w at which some w columns are
+    or a zero column, with the least w at which some w columns are
     dependent, from rank_mod of every subset up to that level."""
     for _ in range(count):
         q = int(rng.choice([2, 3, 5, 7]))
@@ -242,12 +241,11 @@ def sparse_matrices(rng, count):
         if rng.random() < 0.15:
             mat[:, rng.integers(n)] = 0
         mat = mat.astype(np.int64)
-        support = mat != 0
         distance = next(
             (w for w in range(1, m + 1) if any(gf.rank_mod(mat[:, s], q) < w for s in map(list, combinations(range(n), w)))),
             m + 1,
         )
-        yield mat, q, support[~support.all(axis=1)], distance
+        yield mat, q, distance
 
 
 def count_cut_children(monkeypatch):
@@ -277,10 +275,10 @@ def test_circuit_cut_matches_per_subset_rank_at_every_level(monkeypatch):
     rng = np.random.default_rng(40)
     empty = np.empty(0, dtype=np.int64)
     distances = set()
-    for mat, q, light, distance in sparse_matrices(rng, 300):
+    for mat, q, distance in sparse_matrices(rng, 300):
         distances.add(distance)
         for w in range(1, min(mat.shape) + 1):
-            got = gf.batch_columns_independent(mat, q, empty, w, light)
+            got = gf.batch_columns_independent(mat, q, empty, w)
             assert got == (w < distance), (mat.tolist(), q, w)
     assert distances == set(range(1, 8)) and kept[False] > 1000 and kept[True] > 1000
 
@@ -294,10 +292,34 @@ def test_circuit_cut_under_split_levels(monkeypatch, layout_in_range):
     empty = np.empty(0, dtype=np.int64)
     for budget in (8, 300):
         monkeypatch.setattr(gf, "_ENTRY_BUDGET", budget)
-        for mat, q, light, distance in sparse_matrices(rng, 80):
+        for mat, q, distance in sparse_matrices(rng, 80):
             for w in range(2, min(mat.shape) + 1):
-                assert gf.batch_columns_independent(mat, q, empty, w, light) == (w < distance)
+                assert gf.batch_columns_independent(mat, q, empty, w) == (w < distance)
     assert kept[False] > 200 and len(layout_in_range) > 500
+
+
+def test_circuit_cut_splits_levels_with_few_circuits(monkeypatch, layout_in_range):
+    # a diagonal block beside one or two sparse columns, shuffled, has one
+    # to a few circuits, so the cut scan must reach each at its own node:
+    # where random matrices have many circuits, a half of a split level
+    # that got another half's light-row masks still finds one of them
+    rng = np.random.default_rng(42)
+    empty = np.empty(0, dtype=np.int64)
+    for budget in (8, 300):
+        monkeypatch.setattr(gf, "_ENTRY_BUDGET", budget)
+        for _ in range(60):
+            q = int(rng.choice([2, 3, 5, 7]))
+            m, e = int(rng.integers(3, 10)), int(rng.integers(1, 3))
+            mat = np.zeros((m, m + e), dtype=np.int64)
+            mat[np.arange(m), np.arange(m)] = rng.integers(1, q, size=m)
+            mat[:, m:] = rng.integers(1, q, size=(m, e)) * (rng.random((m, e)) < rng.uniform(0.3, 0.9))
+            mat = mat[:, rng.permutation(m + e)]
+            for w in range(2, m + 1):
+                monkeypatch.setattr(gf, "_cut_pays", lambda *args: False)
+                plain = gf.batch_columns_independent(mat, q, empty, w)
+                monkeypatch.setattr(gf, "_cut_pays", lambda *args: True)
+                assert gf.batch_columns_independent(mat, q, empty, w) == plain, (mat.tolist(), q, w)
+    assert len(layout_in_range) > 1000
 
 
 def test_circuit_cut_finds_a_zero_column_whose_prefixes_are_all_cut(monkeypatch):
@@ -306,14 +328,7 @@ def test_circuit_cut_finds_a_zero_column_whose_prefixes_are_all_cut(monkeypatch)
     # the zero test of the empty prefix's own images finds the set
     monkeypatch.setattr(gf, "_cut_pays", lambda *args: True)
     mat = np.array([[1, 0, 0], [1, 1, 0]], dtype=np.int64)
-    assert gf.batch_columns_independent(mat, 5, np.empty(0, dtype=np.int64), 2, mat != 0) is False
-
-
-def test_circuit_cut_needs_the_empty_prefix():
-    # a set that holds the prefix need not be a circuit candidate
-    mat = np.eye(3, dtype=np.int64)
-    with pytest.raises(ValueError):
-        gf.batch_columns_independent(mat, 5, np.array([0]), 2, mat[:2] != 0)
+    assert gf.batch_columns_independent(mat, 5, np.empty(0, dtype=np.int64), 2) is False
 
 
 def planted_matrices(rng, count):
