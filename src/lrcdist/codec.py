@@ -10,7 +10,8 @@ success is the norm).  Verification is never probabilistic: ``verify_code``
 checks rank, locality and minimum distance exhaustively, and it is the one
 verifier behind both ``construct_optimal_lrc`` and ``lrcdist verify``.
 
-A ``LinearCode`` is checked once, when it is made: H must be an integer
+A ``LinearCode`` is checked once, when it is made: its params must be
+``derive_params(n, k, r)``, its field a ``PrimeField`` and H an integer
 array of shape (n - k, n) with entries in [0, q), else BadArgs.  The code
 keeps H as a read-only int64 array over an immutable buffer, and its
 fields cannot be assigned, so a ``verified`` flag always describes the H
@@ -42,26 +43,10 @@ first dependent level, or at b - 1.  The result is the exact distance for
 every H and q; ``claimed_distance`` is only a label that ``verify``
 compares the result against.
 
-A scanned level is one call of ``gf.batch_columns_independent`` that
-builds the w-subsets one column at a time from the empty prefix and
-returns one flag for them all: level 1 is the zero-column test, and from
-w = 2 on adding a column is one fraction-free pivot step, shared by every
-subset that extends the columns chosen so far, and a column whose image
-modulo their span reads zero closes a dependent set.  The kernel splits a
-level into halves whenever it would hold more than ``gf._ENTRY_BUDGET``
-int64 entries, so memory stays flat however many subsets a level has, and
-it stops at the first dependent set.  On a large level where the rows of
-H that have a zero, the rows the zero pattern's walk reads, promise to
-cut enough, the kernel visits circuit candidates only: column sets that meet each such row 0 times or at
-least twice, since h . c = 0 for every row h and codeword c.  The level's
-scan of (20, 7, 1), whose 10 local rows have a zero, fell from
-about 12 ms to 0.7 ms, and of (20, 4, 1) at d* = 14 from about 33 ms to
-1.5 ms.  The kernel computes in work arrays that it keeps between pivot
-steps and calls, one set per thread: one per depth of the scan and two for
-a step's products, each within the budget, so a thread whose deepest scan
-reached level w holds at most (w + 1) x ``gf._ENTRY_BUDGET`` x 8 bytes
-(9 MiB at level 8); the heaviest code ``construct_optimal_lrc`` builds,
-(20, 7, 3) at d* = 12, leaves 4.67 MiB.
+A scanned level w is one call of ``gf.batch_columns_independent`` from
+the empty prefix, which answers for all w-subsets at once and stops at the
+first dependent set; how it builds them, where it cuts them to circuit
+candidates and what memory it keeps are in the ``gf`` module docstring.
 """
 
 from __future__ import annotations
@@ -84,7 +69,7 @@ from .errors import (
     RetriesExhausted,
     SelfCheckFailed,
 )
-from .params import CodeParams, derive_params, is_int
+from .params import CodeParams, derive_params, is_derived, is_int
 from .tanner import FullTannerGraph, failing_checks, graph_to_pruned, p2f
 
 DISTANCE_LENGTH_ENVELOPE = 20
@@ -112,7 +97,7 @@ class _Plan(NamedTuple):
     # nonzero on j: its other columns, their entries and the inverse of its
     # entry on j; None if no such row exists
     covers: tuple[tuple[tuple[int, ...], tuple[int, ...], int] | None, ...]
-    masks: tuple[int, ...]  # each row's support, bit j for column j (``_row_masks``)
+    masks: tuple[int, ...]  # each row's support, bit j for column j
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +122,10 @@ class LinearCode:
 
     def __post_init__(self):
         h, p = self.H, self.params
+        if not is_derived(p):
+            raise BadArgs(f"params must be derive_params(n, k, r), got {p!r}")
+        if not isinstance(self.field, PrimeField):
+            raise BadArgs(f"field must be a PrimeField, got {self.field!r}")
         if not isinstance(h, np.ndarray) or h.dtype.kind not in "iu":
             got = h.dtype if isinstance(h, np.ndarray) else type(h).__name__
             raise BadArgs(f"H must be an integer array, got {got}")
@@ -165,23 +154,17 @@ class LinearCode:
         pivots = np.array(pivots, dtype=np.intp)
         for array in (pivots, frees, parity):
             array.setflags(write=False)  # shared by every call on this code
-        covers = [None] * self.params.n
+        covers, masks = [None] * self.params.n, []
         for row in self.H.tolist():
             support = [j for j, x in enumerate(row) if x]
+            masks.append(sum(1 << j for j in support))  # exact at any n
             if len(support) > r + 1:
                 continue
             for j in support:
                 if covers[j] is None:
                     others = tuple(l for l in support if l != j)
                     covers[j] = (others, tuple(row[l] for l in others), pow(row[j], -1, q))
-        return _Plan(len(pivots), pivots, frees, parity, tuple(covers), _row_masks(self.H))
-
-
-def _row_masks(h: np.ndarray) -> tuple[int, ...]:
-    """Each row's support as a Python int, bit j for column j, exact at any n."""
-    packed = np.packbits(h != 0, axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
-    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+        return _Plan(len(pivots), pivots, frees, parity, tuple(covers), tuple(masks))
 
 
 def default_field(p: CodeParams) -> PrimeField:

@@ -5,11 +5,13 @@ search in ``codec.min_distance``.  It takes one column prefix and answers
 whether it stays independent with every ``extra`` later columns.  It builds
 those subsets one column at a time: the images of the later columns (their
 residues modulo the span of the columns chosen so far) are updated by one
-fraction-free pivot step per added column, with no division, and every
-extension of a subset shares that step.  A column whose image reads zero
-closes a dependent set, so no image is ever normalised or sorted.  Each
-step runs for all subsets of one level at once, and a level that would
-outgrow ``_ENTRY_BUDGET`` int64 entries is split into halves.
+fraction-free pivot step per added column, with no division, which also
+drops the row it zeroes, and every extension of a subset shares that step.
+A column whose image reads zero closes a dependent set, so no image is
+ever normalised or sorted.  The prefix's own images take that test once,
+before the first step, and it is the whole of level 1.  Each step runs
+for all subsets of one level at once, and a level that would outgrow
+``_ENTRY_BUDGET`` int64 entries is split into halves.
 
 From the empty prefix the kernel can also visit circuit candidates only.
 A circuit, a minimal dependent column set, is the support of a codeword c,
@@ -28,12 +30,12 @@ need not be one), so unlike the plain scan, which meets every circuit
 inside some w-set, the cut scan must reach each circuit C at its own node
 C minus its last column.  It therefore keeps every surviving prefix that
 has a later column, of every size up to w - 1, and tests every image of
-every node it keeps, the empty prefix's included: a zero column is a
-circuit of one column that no node reaches.  The cut picks which children
-a pivot step makes, not how: the steps, the work arrays and the halving
-are the plain scan's, and a level is split on the size it has after the
-cut, so the memory bound below holds as it is.  The cut runs where
-``_cut_pays``, from the input alone: on a level of at least
+every node it keeps.  A zero column is a circuit of one column that no
+node reaches, and the empty prefix's own test finds it.  The cut picks
+which children a pivot step makes, not how: the steps, the work arrays
+and the halving are the plain scan's, and a level is split on the size it
+has after the cut, so the memory bound below holds as it is.  The cut
+runs where ``_cut_pays``, from the input alone: on a level of at least
 ``_CUT_ENTRIES`` entries whose expected candidates, with the sets taken at
 random, number fewer than its w-sets.  Where w is near n, the plain scan
 ends on few w-sets while the cut scan visits every smaller size, and the
@@ -67,7 +69,6 @@ import numpy as np
 from .errors import EnvelopeExceeded
 
 _ENTRY_BUDGET = 1 << 17  # int64 entries in one array of the distance scan
-_SMALL_LAYOUT = 32  # most nodes of a ``_pivot`` step whose index arrays are cached
 _CUT_ENTRIES = 1 << 14  # least m * C(n, w) of a level whose scan repays the cut's cost per step
 # slots of a thread's work arrays: the pivot columns and the products of one
 # ``_pivot`` step, then the images of each depth from 1 on
@@ -187,17 +188,6 @@ def _layout(widths: np.ndarray, count: np.ndarray, keep: np.ndarray | None = Non
     return pivot, child_widths, x, child
 
 
-@lru_cache(maxsize=64)
-def _small_layout(widths: tuple[int, ...], count: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """``_layout`` of the few nodes near the top of a scan, where the same
-    widths come back for every code of a length and the index arithmetic
-    would cost more than the pivot step."""
-    layout = _layout(np.array(widths), np.array(count))
-    for array in layout:
-        array.setflags(write=False)  # shared by every caller
-    return layout
-
-
 class _WorkArrays(threading.local):
     """The distance scan's int64 work arrays of one thread, by slot; each
     thread starts with none."""
@@ -233,10 +223,12 @@ def _pivot(
     nonzero entry of column j, in row i, every such column x becomes
     x * p - x_i * (column j) mod q, so no division is needed and row i reads
     zero.  A zero column j turns every image zero.  Returns the children's
-    images side by side, in the order of their nodes and then of j, the
-    pivot row under each image and each child's width.  The products stay
-    below q**2, which fits in int64 for every q that ``codec.PrimeField``
-    accepts.
+    images side by side, in the order of their nodes and then of j, and
+    each child's width.  The images come without their zero pivot row: row
+    0 takes its place, which permutes the rows and so keeps every image's
+    span, and an image is zero exactly when it was before.  The products
+    stay below q**2, which fits in int64 for every q that
+    ``codec.PrimeField`` accepts.
 
     ``depth`` is the number of pivot steps that made ``a``.  The children's
     images are written into this thread's work array of depth + 1, which
@@ -246,10 +238,7 @@ def _pivot(
     "raise" it fills a fresh buffer first); ``_layout``'s indices are in
     range, so the wrap never applies.
     """
-    if keep is None and len(widths) <= _SMALL_LAYOUT:
-        pivot, child_widths, x, child = _small_layout(tuple(widths.tolist()), tuple(count.tolist()))
-    else:
-        pivot, child_widths, x, child = _layout(widths, count, keep)
+    pivot, child_widths, x, child = _layout(widths, count, keep)
     m = a.shape[0]
     # take is several times faster than fancy indexing along axis 1
     col = a.take(pivot, axis=1, out=_work_array(_PIVOT_COLUMNS, m, len(pivot)), mode="wrap")
@@ -266,14 +255,8 @@ def _pivot(
     quotient = np.floor_divide(out, q, out=subtrahend)
     quotient *= q
     out -= quotient
-    return out, rows, child_widths
-
-
-def _drop_pivot_rows(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``out`` without the zero pivot row under each image: row 0 takes its
-    place, which permutes the rows and so keeps every image's span."""
-    out[rows, np.arange(out.shape[1])] = out[0]
-    return out[1:]
+    out[rows, np.arange(len(x))] = out[0]
+    return out[1:], child_widths
 
 
 def _cut_tables(light: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,11 +328,12 @@ def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: 
     matrix h; the later columns are those after its last one (all of them
     when s = 0), at least ``extra`` of them.  The prefix is stacked with all
     later columns and eliminated by s pivot steps (``_pivot``); the later
-    columns' images are then the entries below the pivots, up to an
-    invertible row transform, and a prefix without a pivot zeroes them all.
-    A zero image closes a dependent set, and a dependent set stays dependent
-    whatever columns join it, so the answer is False iff an image reads zero
-    here or in ``dependent``, which adds the later columns one pivot step at
+    columns' images are then their m - s rows left, up to an invertible row
+    transform, and a prefix without a pivot zeroes them all.  A zero image
+    closes a dependent set, and a dependent set stays dependent whatever
+    columns join it, so the answer is False iff an image reads zero here,
+    in the one test that settles ``extra`` = 1 and a zero column under the
+    cut, or in ``dependent``, which adds the later columns one pivot step at
     a time and splits its levels until each fits ``_ENTRY_BUDGET`` int64
     entries or holds one node.  From the empty prefix, where ``_cut_pays``
     on the supports of h's light rows, the scan visits circuit candidates
@@ -370,12 +354,11 @@ def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: 
         columns, so that extra - 1 columns are left after it; under the cut
         (``cut`` holds ``_cut`` of these nodes, else None), every child with
         a later column that ``_cut`` keeps.  A child with a zero image
-        closes a dependent set; so does a node with a zero image, whose
-        first child then reads zero there or, if the zero image is its
-        first, everywhere.  Nodes whose next level, and without the cut
-        whose subsets to come, would take more than ``chunk`` entries are
-        split into halves, the later half first, since its nodes have the
-        fewest later columns; each half takes its own slice of ``cut``.
+        closes a dependent set; the nodes' own images were tested when they
+        were made.  Nodes whose next level, and without the cut whose
+        subsets to come, would take more than ``chunk`` entries are split
+        into halves, the later half first, since its nodes have the fewest
+        later columns; each half takes its own slice of ``cut``.
         Each earlier half gets twice the chunk, up to ``_ENTRY_BUDGET``, and
         the first chunk is an eighth of it: a scan that meets a dependent
         set in the small subtrees it takes first stops early, and a scan
@@ -401,31 +384,28 @@ def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: 
             return dependent(a[:, columns:], widths[half:], extra, chunk, depth, later) or dependent(
                 a[:, :columns], widths[:half], extra, min(2 * chunk, _ENTRY_BUDGET), depth, earlier
             )
-        out, rows, widths = _pivot(a, widths, count, q, depth, keep)
+        out, widths = _pivot(a, widths, count, q, depth, keep)
         if not out.any(axis=0).all():
             return True
         if extra == 2:
             return False
         cut = None if cut is None else _cut(widths, child_hits, tables)
-        return dependent(_drop_pivot_rows(out, rows), widths, extra - 1, chunk, depth + 1, cut)
+        return dependent(out, widths, extra - 1, chunk, depth + 1, cut)
 
     first = int(prefix[-1]) + 1 if s else 0
     a = np.asarray(h, dtype=np.int64).take(np.concatenate((prefix, np.arange(first, n))), axis=1) % q
     widths = np.array([a.shape[1]])
     for depth in range(s):
-        out, rows, widths = _pivot(a, widths, np.ones_like(widths), q, depth)
-        a = _drop_pivot_rows(out, rows)
+        a, widths = _pivot(a, widths, np.ones_like(widths), q, depth)
+    nonzero = a != 0
+    if not nonzero.any(axis=0).all():
+        return False
     if extra == 1:
-        return not (a == 0).all(axis=0).any()
+        return True
     tables = cut = None
     if not s:
-        nonzero = a != 0
         light = nonzero[~nonzero.all(axis=1)]
         if _cut_pays(light, m, extra):
-            # a zero column is a circuit of one column, which no node of the
-            # cut reaches: the empty prefix's own images are its only test
-            if not nonzero.any(axis=0).all():
-                return False
             tables = _cut_tables(light)
             cut = _cut(widths, np.zeros((2, 1), dtype=np.uint64), tables)
     return not dependent(a, widths, extra, _ENTRY_BUDGET // 8, s, cut)

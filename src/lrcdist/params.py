@@ -58,3 +58,12 @@ def derive_params(n: int, k: int, r: int) -> CodeParams:
         )
     d_star = n - k - k1 + 2
     return CodeParams(n, k, r, n1, n2, k1, k2, d_star)
+
+
+def is_derived(p) -> bool:
+    """Whether p is ``derive_params(p.n, p.k, p.r)``: a hand-built or edited
+    CodeParams can hold any n1 or d*, or an (n, k, r) that no code has."""
+    try:
+        return isinstance(p, CodeParams) and p == derive_params(p.n, p.k, p.r)
+    except InvalidParams:
+        return False

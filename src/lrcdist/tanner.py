@@ -42,28 +42,23 @@ from typing import AbstractSet, Sequence
 
 from .errors import (
     EnvelopeExceeded,
-    InvalidParams,
     InvalidTanner,
     NothingToReduce,
     SelfCheckFailed,
     ShapeMismatch,
 )
 from .multigraph import Multigraph
-from .params import CodeParams, derive_params, is_int
+from .params import CodeParams, is_derived, is_int
 
 CHECK_ENVELOPE = 24
 
 
 def _check_params(params: CodeParams) -> None:
-    """Refuse a ``params`` that is not ``derive_params(n, k, r)``: a hand-built
-    CodeParams can hold any n1.  ``derive_params`` admits exactly the (n, k, r)
-    that have a Tanner graph, since n1 <= n - k exactly when n - k >= ceil(k / r)."""
-    try:
-        if isinstance(params, CodeParams) and params == derive_params(params.n, params.k, params.r):
-            return
-    except InvalidParams:
-        pass
-    raise InvalidTanner(f"params must be derive_params(n, k, r), got {params!r}")
+    """Refuse a ``params`` that is not ``derive_params(n, k, r)``.
+    ``derive_params`` admits exactly the (n, k, r) that have a Tanner graph,
+    since n1 <= n - k exactly when n - k >= ceil(k / r)."""
+    if not is_derived(params):
+        raise InvalidTanner(f"params must be derive_params(n, k, r), got {params!r}")
 
 
 @dataclass(frozen=True)

@@ -368,6 +368,17 @@ def test_every_reader_of_the_parity_check_matrix_rejects_a_malformed_one():
     assert (encode(narrow, msg) == encode(code, msg)).all()
 
 
+def test_a_code_refuses_params_and_fields_that_derive_params_and_prime_field_did_not_make():
+    # params edited to r = 5 > k = 2 were accepted, and verify_locality then
+    # read the weight-6 rows as light covers; a plain tuple as params, or an
+    # int as the field, died with a raw AttributeError
+    p, h = derive_params(6, 2, 1), np.ones((4, 6), dtype=np.int64)
+    for params, field in ((p._replace(r=5), PrimeField(5)), (tuple(p), PrimeField(5)), (p, 5)):
+        with pytest.raises(BadArgs):
+            LinearCode(params=params, field=field, H=h)
+    assert not verify_locality(LinearCode(params=p, field=PrimeField(5), H=h))
+
+
 def test_repair_input_validation():
     code = construct_optimal_lrc(derive_params(12, 7, 3), seed=0)
     for word in ([0] * 12, [None, 0, 0, 0], [None] + [0] * 12, [None] * 2 + [0] * 10,
@@ -947,7 +958,8 @@ def test_row_masks_stay_exact_past_63_columns():
     h[0] = 1
     h[1, 5:] = 7
     h[2, 63] = 2
-    assert codec._row_masks(h) == ((1 << 64) - 1, (1 << 64) - 32, 1 << 63)
+    code = LinearCode(params=derive_params(64, 61, 21), field=PrimeField(11), H=h)
+    assert code.plan.masks == ((1 << 64) - 1, (1 << 64) - 32, 1 << 63)
 
 
 def test_the_distance_scan_cuts_a_code_with_many_light_rows(monkeypatch):
@@ -1032,3 +1044,37 @@ def test_min_distance_equals_the_tamo_barg_distance(monkeypatch):
         assert codec._has_dependent_columns(h, q, d), (n, k, r)
         assert not codec._has_dependent_columns(h, q, d - 1), (n, k, r)
     assert len(cuts) > 500
+
+
+def grs(n, k, rng):
+    """A generalized Reed-Solomon code of length n and dimension k over the
+    least prime q >= n: H[i][j] = v_j * alpha_j**i mod q for i < n - k, with
+    the points alpha_j = 0, ..., n - 1, random nonzero weights v_j and
+    shuffled columns.  Any n - k columns of H are a Vandermonde matrix on
+    distinct points times a nonzero diagonal, so the distance is n - k + 1."""
+    q = next(q for q in range(n, 1 << 20) if gf.is_prime(q))
+    v = rng.integers(1, q, size=n)
+    h = np.array([[int(v[j]) * pow(j, i, q) % q for j in range(n)] for i in range(n - k)], dtype=np.int64)
+    return LinearCode(params=derive_params(n, k, k), field=PrimeField(q), H=h[:, rng.permutation(n)])
+
+
+def test_min_distance_equals_the_grs_distance(monkeypatch):
+    # MDS codes, whose distance n - k + 1 a theorem fixes, for every
+    # 1 <= k < n <= 20 over a field of about n elements: the plain scan on
+    # all 190, then the circuit cut forced on the 153 with n <= 18 (their
+    # rows but the first are light, zero on the point 0); n = 19 and 20
+    # would take three times as long as the rest together
+    rng = np.random.default_rng(0)
+    codes = [grs(n, k, rng) for n in range(2, 21) for k in range(1, n)]
+    assert len(codes) == 190
+    for code in codes:
+        assert min_distance(code) == code.params.n - code.params.k + 1, code.params
+    monkeypatch.setattr(gf, "_cut_pays", lambda *args: True)
+    cuts = []
+    cut = gf._cut
+    monkeypatch.setattr(gf, "_cut", lambda *args: cuts.append(1) or cut(*args))
+    forced = [code for code in codes if code.params.n <= 18]
+    assert len(forced) == 153
+    for code in forced:
+        assert min_distance(code) == code.params.n - code.params.k + 1, code.params
+    assert len(cuts) > 1000
