@@ -487,9 +487,11 @@ def _moore_cap(order: int, k: int) -> int:
     n0(d, 2r) = 2 * sum_{i<r} (d - 1)^i.  With d = 2e / order the test
     n0 <= order is multiplied through by order^r and checked in integers.
     n0 grows with d, so the cap is the last e from order on that passes.
-    At e = order (d = 2) n0 is g itself, so for k >= order no e passes and
-    the cap is order - 1: the graph is a forest.
+    At e = order (d = 2) n0 is g itself, so for k >= order the cap is
+    order - 1 at once: the graph is a forest.
     """
+    if k >= order:
+        return max(order - 1, 0)
     g = k + 1
     r = g // 2
 

@@ -11,7 +11,9 @@ A column whose image reads zero closes a dependent set, so no image is
 ever normalised or sorted.  The prefix's own images take that test once,
 before the first step, and it is the whole of level 1.  Each step runs
 for all subsets of one level at once, and a level that would outgrow
-``_ENTRY_BUDGET`` int64 entries is split into halves.
+``_ENTRY_BUDGET`` int64 entries is split into halves.  ``_children`` alone
+says where a step's children sit: the column each pivots on and how many
+later columns it keeps.
 
 From the empty prefix the kernel can also visit circuit candidates only.
 A circuit, a minimal dependent column set, is the support of a codeword c,
@@ -31,16 +33,16 @@ inside some w-set, the cut scan must reach each circuit C at its own node
 C minus its last column.  It therefore keeps every surviving prefix that
 has a later column, of every size up to w - 1, and tests every image of
 every node it keeps.  A zero column is a circuit of one column that no
-node reaches, and the empty prefix's own test finds it.  The cut picks
-which children a pivot step makes, not how: the steps, the work arrays
-and the halving are the plain scan's, and a level is split on the size it
-has after the cut, so the memory bound below holds as it is.  The cut
-runs where ``_cut_pays``, from the input alone: on a level of at least
-``_CUT_ENTRIES`` entries whose expected candidates, with the sets taken at
-random, number fewer than its w-sets.  Where w is near n, the plain scan
-ends on few w-sets while the cut scan visits every smaller size, and the
-cut costs ten times the plain scan on (20, 4, 4), whose four light rows
-of five columns cut little.
+node reaches, and the empty prefix's own test finds it.  The cut filters
+the ``_children`` of a pivot step and places none itself: the steps, the
+work arrays and the halving are the plain scan's, and a level is split on
+the size it has after the cut, so the memory bound below holds as it is.
+The cut runs where ``_cut_pays``, from the input alone: on a level of at
+least ``_CUT_ENTRIES`` entries whose expected candidates, with the sets
+taken at random, number fewer than its w-sets.  Where w is near n, the
+plain scan ends on few w-sets while the cut scan visits every smaller
+size, and the cut costs ten times the plain scan on (20, 4, 4), whose
+four light rows of five columns cut little.
 
 The scan computes in work arrays that outlive a call: one for the images
 of each depth (the number of pivot steps that made them) and two for the
@@ -172,20 +174,15 @@ def _binomials(n: int) -> np.ndarray:
     return table
 
 
-def _layout(widths: np.ndarray, count: np.ndarray, keep: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """Where ``_pivot`` puts each child: the column of a that it pivots on,
-    its width, and, for each of its images, the column of a that the image
-    comes from and the child's index.  The children are those on each
-    node's first ``count`` columns, or the ones ``keep`` marks among them."""
+def _children(widths: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The children of a pivot step on each node's first ``count`` columns,
+    in the order of their nodes and then of j: the column of a that each
+    pivots on, ascending, and its width.  The nodes' images sit side by
+    side in a, node b owning the next ``widths[b]`` columns, so the child on
+    node b's column j pivots on b's start + j and keeps the widths[b] - 1 - j
+    columns after it."""
     j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    pivot = np.repeat(np.cumsum(widths) - widths, count) + j
-    child_widths = np.repeat(widths, count) - 1 - j
-    if keep is not None:
-        pivot, child_widths = pivot[keep], child_widths[keep]
-    ends = np.cumsum(child_widths)
-    x = np.arange(ends[-1]) + np.repeat(pivot + 1 - ends + child_widths, child_widths)
-    child = np.repeat(np.arange(len(pivot)), child_widths)
-    return pivot, child_widths, x, child
+    return np.repeat(np.cumsum(widths) - widths, count) + j, np.repeat(widths, count) - 1 - j
 
 
 class _WorkArrays(threading.local):
@@ -210,35 +207,33 @@ def _work_array(slot: int, rows: int, cols: int) -> np.ndarray:
     return arrays[slot][:size].reshape(rows, cols)
 
 
-def _pivot(
-    a: np.ndarray, widths: np.ndarray, count: np.ndarray, q: int, depth: int, keep: np.ndarray | None = None
-):
-    """One fraction-free pivot step of every node on each of its first
-    ``count`` columns, or on those of them that ``keep`` marks, all nodes and
-    columns at once.
+def _pivot(a: np.ndarray, pivot: np.ndarray, child_widths: np.ndarray, q: int, depth: int) -> np.ndarray:
+    """One fraction-free pivot step that makes the given children, all at
+    once.
 
-    The nodes' images sit side by side in the columns of ``a``: node b owns
-    the next ``widths[b]`` of them.  Pivoting node b on its column j makes a
-    child whose images are those of the columns after j: with p the first
-    nonzero entry of column j, in row i, every such column x becomes
-    x * p - x_i * (column j) mod q, so no division is needed and row i reads
-    zero.  A zero column j turns every image zero.  Returns the children's
-    images side by side, in the order of their nodes and then of j, and
-    each child's width.  The images come without their zero pivot row: row
-    0 takes its place, which permutes the rows and so keeps every image's
-    span, and an image is zero exactly when it was before.  The products
-    stay below q**2, which fits in int64 for every q that
-    ``codec.PrimeField`` accepts.
+    Each child, from ``_children`` and perhaps filtered by ``_cut``, pivots
+    on column ``pivot`` of ``a`` and keeps as its images the
+    ``child_widths`` columns after it, all in its own node.  With p the
+    first nonzero entry of the pivot column, in row i, every such column x
+    becomes x * p - x_i * (pivot column) mod q, so no division is needed and
+    row i reads zero.  A zero pivot column turns every image zero.  Returns
+    the children's images side by side, in the order given.  The images
+    come without their zero pivot row: row 0 takes its place, which
+    permutes the rows and so keeps every image's span, and an image is zero
+    exactly when it was before.  The products stay below q**2, which fits
+    in int64 for every q that ``codec.PrimeField`` accepts.
 
     ``depth`` is the number of pivot steps that made ``a``.  The children's
     images are written into this thread's work array of depth + 1, which
     holds them until the next step at this depth, and the products into
     two work arrays that every depth shares.  ``take`` runs with
     mode="wrap", which writes straight into its ``out`` (under the default
-    "raise" it fills a fresh buffer first); ``_layout``'s indices are in
+    "raise" it fills a fresh buffer first); the children's columns are in
     range, so the wrap never applies.
     """
-    pivot, child_widths, x, child = _layout(widths, count, keep)
+    ends = np.cumsum(child_widths)
+    x = np.arange(ends[-1]) + np.repeat(pivot + 1 - ends + child_widths, child_widths)
+    child = np.repeat(np.arange(len(pivot)), child_widths)
     m = a.shape[0]
     # take is several times faster than fancy indexing along axis 1
     col = a.take(pivot, axis=1, out=_work_array(_PIVOT_COLUMNS, m, len(pivot)), mode="wrap")
@@ -256,7 +251,7 @@ def _pivot(
     quotient *= q
     out -= quotient
     out[rows, np.arange(len(x))] = out[0]
-    return out[1:], child_widths
+    return out[1:]
 
 
 def _cut_tables(light: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,26 +293,24 @@ def _cut_pays(light: np.ndarray, m: int, w: int) -> bool:
 
 
 def _cut(widths: np.ndarray, hits: np.ndarray, tables: tuple[np.ndarray, np.ndarray]):
-    """The children the circuit cut keeps among each node's first
-    widths - 1 columns (those with a later column).
+    """The children the circuit cut keeps among ``_children`` on each
+    node's first widths - 1 columns (those with a later column).
 
     ``hits`` holds, per node, the masks of the light rows its columns meet
-    once and at least once.  A node's last column is n - 1 - width, so the
-    child on its column j adds column n - width + j.  The child is dropped
-    when a light row that ends at or before that column meets it exactly
-    once.  Returns the count per node, the mask of kept children, their
-    hit masks and their widths.
+    once and at least once.  A node's images are those of every column of
+    h after its last, so a child of width w adds column n - 1 - w.  The
+    child is dropped when a light row that ends at or before that column
+    meets it exactly once.  Returns the kept children's pivots, widths and
+    hit masks.
     """
     holds, closed = tables
-    n = len(holds)
-    count = widths - 1
-    starts = np.cumsum(count) - count
-    column = np.arange(count.sum()) + np.repeat(n - widths - starts, count)
+    pivot, child_widths = _children(widths, widths - 1)
+    column = len(holds) - 1 - child_widths
     hit = holds[column]
-    once, seen = np.repeat(hits, count, axis=1)
+    once, seen = np.repeat(hits, widths - 1, axis=1)
     once = (once & ~hit) | (hit & ~seen)
     keep = (once & closed[column]) == 0
-    return count, keep, np.stack((once[keep], (seen | hit)[keep])), n - 1 - column[keep]
+    return pivot[keep], child_widths[keep], np.stack((once[keep], (seen | hit)[keep]))
 
 
 def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: int) -> bool:
@@ -350,26 +343,26 @@ def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: 
 
         A node is the prefix with some later columns added, and its images
         are those of the columns after its last one.  One ``_pivot`` makes
-        every child that adds one of a node's first widths - extra + 1
-        columns, so that extra - 1 columns are left after it; under the cut
-        (``cut`` holds ``_cut`` of these nodes, else None), every child with
-        a later column that ``_cut`` keeps.  A child with a zero image
-        closes a dependent set; the nodes' own images were tested when they
-        were made.  Nodes whose next level, and without the cut whose
-        subsets to come, would take more than ``chunk`` entries are split
-        into halves, the later half first, since its nodes have the fewest
-        later columns; each half takes its own slice of ``cut``.
+        the ``_children`` on a node's first widths - extra + 1 columns, so
+        that extra - 1 columns are left after each; under the cut (``cut``
+        holds ``_cut`` of these nodes, else None), the children that ``_cut``
+        keeps.  A child with a zero image closes a dependent set; the nodes'
+        own images were tested when they were made.  Nodes whose next level,
+        and without the cut whose subsets to come, would take more than
+        ``chunk`` entries are split into halves, the later half first, since
+        its nodes have the fewest later columns.  Under the cut each half
+        takes the kept children whose pivots lie in its columns, the later
+        half's shifted to its own first column.
         Each earlier half gets twice the chunk, up to ``_ENTRY_BUDGET``, and
         the first chunk is an eighth of it: a scan that meets a dependent
         set in the small subtrees it takes first stops early, and a scan
         that visits every subset splits a few times only.
         """
         if cut is None:
-            count, keep = widths - extra + 1, None
             entries = _binomials(n)[widths][:, [2, extra]].sum()
         else:
-            count, keep, child_hits, child_widths = cut
-            if not len(child_widths):
+            pivot, child_widths, child_hits = cut
+            if not len(pivot):
                 return False
             entries = child_widths.sum()
         if len(widths) > 1 and a.shape[0] * entries > chunk:
@@ -377,26 +370,28 @@ def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: 
             columns = int(widths[:half].sum())
             earlier = later = None
             if cut is not None:
-                children = int(count[:half].sum())
-                kept = int(keep[:children].sum())
-                earlier = count[:half], keep[:children], child_hits[:, :kept], child_widths[:kept]
-                later = count[half:], keep[children:], child_hits[:, kept:], child_widths[kept:]
+                i = np.searchsorted(pivot, columns)
+                earlier = pivot[:i], child_widths[:i], child_hits[:, :i]
+                later = pivot[i:] - columns, child_widths[i:], child_hits[:, i:]
             return dependent(a[:, columns:], widths[half:], extra, chunk, depth, later) or dependent(
                 a[:, :columns], widths[:half], extra, min(2 * chunk, _ENTRY_BUDGET), depth, earlier
             )
-        out, widths = _pivot(a, widths, count, q, depth, keep)
+        if cut is None:
+            pivot, child_widths = _children(widths, widths - extra + 1)
+        out = _pivot(a, pivot, child_widths, q, depth)
         if not out.any(axis=0).all():
             return True
         if extra == 2:
             return False
-        cut = None if cut is None else _cut(widths, child_hits, tables)
-        return dependent(out, widths, extra - 1, chunk, depth + 1, cut)
+        cut = None if cut is None else _cut(child_widths, child_hits, tables)
+        return dependent(out, child_widths, extra - 1, chunk, depth + 1, cut)
 
     first = int(prefix[-1]) + 1 if s else 0
     a = np.asarray(h, dtype=np.int64).take(np.concatenate((prefix, np.arange(first, n))), axis=1) % q
     widths = np.array([a.shape[1]])
     for depth in range(s):
-        a, widths = _pivot(a, widths, np.ones_like(widths), q, depth)
+        pivot, widths = _children(widths, np.ones_like(widths))
+        a = _pivot(a, pivot, widths, q, depth)
     nonzero = a != 0
     if not nonzero.any(axis=0).all():
         return False

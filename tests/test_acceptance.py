@@ -7,7 +7,7 @@ lines and timings.
 import random
 import time
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from lrcdist.codec import (
     build_parity_check,
@@ -20,7 +20,6 @@ from lrcdist.codec import (
 from lrcdist.constructions import DegreeSequence, is_graphic, realize
 from lrcdist import extremal
 from lrcdist.decider import decide, forest_component_min
-from lrcdist.errors import InvalidParams
 from lrcdist.extremal import (
     free_multigraph,
     max_size_girth,
@@ -31,7 +30,6 @@ from lrcdist.extremal import (
 from lrcdist.multigraph import ForbiddenFamily, Multigraph, is_family_free
 from lrcdist.params import derive_params
 from lrcdist.tanner import (
-    FullTannerGraph,
     f2p,
     graph_to_pruned,
     p2f,
@@ -39,9 +37,10 @@ from lrcdist.tanner import (
     tanner_min_distance,
 )
 
+from test_decider import valid_envelope
 from test_extremal import ceil_peel
-from test_multigraph import density_profile
-from test_tanner import assert_attachments_agree
+from test_multigraph import density_profile, random_multigraph
+from test_tanner import assert_attachments_agree, random_full_tanner
 
 
 def _report(num, name, t0, detail=""):
@@ -49,49 +48,15 @@ def _report(num, name, t0, detail=""):
     print(f"ACCEPTANCE {num} ({name}): PASS in {time.time() - t0:.1f}s{extra}")
 
 
-def envelope_instances(n_max=24, r_max=6, n1_max=8):
-    for n in range(2, n_max + 1):
-        for k in range(1, n):
-            for r in range(1, min(k, r_max) + 1):
-                try:
-                    p = derive_params(n, k, r)
-                except InvalidParams:
-                    continue
-                if p.n1 <= n1_max:
-                    yield p
-
-
 def oracle_value(p):
     witness = free_multigraph(p.n1, p.n2, ForbiddenFamily(p.k1, p.k2))
     return p.d_star if witness is not None else p.d_star - 1
 
 
-def random_multigraph(rng, order, size):
-    pairs = list(combinations(range(order), 2))
-    mult = {}
-    for _ in range(size):
-        u, v = rng.choice(pairs)
-        mult[(u, v)] = mult.get((u, v), 0) + 1
-    return Multigraph(order, mult)
-
-
-def random_full_tanner(rng, n, k, r, locals_count):
-    while True:
-        slots = locals_count * (r + 1)
-        fill = list(range(n))
-        rng.shuffle(fill)
-        while len(fill) < slots:
-            fill.append(rng.randrange(n))
-        rng.shuffle(fill)
-        checks = [fill[i * (r + 1):(i + 1) * (r + 1)] for i in range(locals_count)]
-        if all(len(set(c)) == r + 1 for c in checks):
-            return FullTannerGraph(derive_params(n, k, r), tuple(frozenset(c) for c in checks))
-
-
 def test_criterion_1_rules_agree_with_oracle():
     t0 = time.time()
     count = 0
-    for p in envelope_instances():
+    for p in valid_envelope():
         a = decide(p, 8)
         b = decide(p, 8, use_rules=False)
         assert a.status == b.status == "exact", p
@@ -107,7 +72,7 @@ def test_criterion_1b_circulant_witnesses_agree_with_the_search(monkeypatch):
     # circulant witness has the asked size, passes the kernel, and the
     # search without the circulant step also finds a witness
     t0 = time.time()
-    keys = {(p.n1, p.n2, p.k1, p.k2) for p in envelope_instances(n_max=60, r_max=10)}
+    keys = {(p.n1, p.n2, p.k1, p.k2) for p in valid_envelope(n_max=60, r_max=10)}
     hits = []
     for n1, n2, k1, k2 in sorted(keys):
         assign = extremal._circulant(n1, k1, k2, min(k2, n2), n2)
@@ -191,7 +156,7 @@ def test_criterion_4c_girth_oracle_answers_orders_9_and_10_within_a_second():
 def test_criterion_5_forest_rule_matches_oracle():
     t0 = time.time()
     count = 0
-    for p in envelope_instances():
+    for p in valid_envelope():
         if p.k2 >= p.k1 - 1:
             continue
         count += 1
@@ -204,7 +169,7 @@ def test_criterion_5_forest_rule_matches_oracle():
 def test_criterion_6_degree_peeling_rule_matches_oracle():
     t0 = time.time()
     count = 0
-    for p in envelope_instances():
+    for p in valid_envelope():
         if p.n1 - p.k1 != 1:
             continue
         count += 1

@@ -350,6 +350,15 @@ def run_subprocess(*argv, timeout=60, max_memory=None):
     )
 
 
+def test_girth_oracle_answers_a_huge_girth_bound_at_once():
+    # no cycle fits in 10 vertices when k >= 10, so the Moore cap is a
+    # forest's 9 edges without the bound's walk, whose cost grows as k**3
+    done = run_subprocess("oracle", "girth-ex", "--vertices", "10", "--girth-k", "1000000", timeout=10)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["value"] == 9 and len(payload["witness"]["edges"]) == 9
+
+
 def test_decide_forest_and_cycle_rules_need_no_subset_sweep():
     # C(30, 15) = 155,117,520 k1-subsets: the rules must settle these by arithmetic
     cases = (((610, 286, 20), "forest_n2_lt_n1"), ((900, 436, 30), "cycle_n2_eq_n1"))
