@@ -64,7 +64,11 @@ def cycle_graph(order: int) -> Multigraph:
     """Cycle on `order` vertices; order 2 gives the multigraph 2-cycle (a double edge)."""
     if not is_int(order) or order < 2:
         raise BadArgs(f"cycle needs an integer order >= 2, got {order!r}")
-    return Multigraph.from_edges(order, [(v, (v + 1) % order) for v in range(order)])
+    if order == 2:
+        return Multigraph._of_pairs(2, [((0, 1), 2)])
+    # in lexicographic order: the closing pair (0, order - 1) comes second
+    pairs = [((0, 1), 1), ((0, order - 1), 1), *(((v, v + 1), 1) for v in range(1, order - 1))]
+    return Multigraph._of_pairs(order, pairs)
 
 
 def saturated_pairs(order: int, pair_multiplicity: int) -> Iterator[tuple[tuple[int, int], int]]:

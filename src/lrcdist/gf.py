@@ -10,10 +10,12 @@ drops the row it zeroes, and every extension of a subset shares that step.
 A column whose image reads zero closes a dependent set, so no image is
 ever normalised or sorted.  The prefix's own images take that test once,
 before the first step, and it is the whole of level 1.  Each step runs
-for all subsets of one level at once, and a level that would outgrow
-``_ENTRY_BUDGET`` int64 entries is split into halves.  ``_children`` alone
-says where a step's children sit: the column each pivots on and how many
-later columns it keeps.
+for all subsets of one level at once.  A level's children are placed
+before the level runs, and a level whose children would outgrow
+``_ENTRY_BUDGET`` int64 entries is split into halves, each taking the
+children of its own nodes.  ``_children`` alone says where a step's
+children sit: the column each pivots on and how many later columns it
+keeps.
 
 From the empty prefix the kernel can also visit circuit candidates only.
 A circuit, a minimal dependent column set, is the support of a codeword c,
@@ -34,9 +36,10 @@ C minus its last column.  It therefore keeps every surviving prefix that
 has a later column, of every size up to w - 1, and tests every image of
 every node it keeps.  A zero column is a circuit of one column that no
 node reaches, and the empty prefix's own test finds it.  The cut filters
-the ``_children`` of a pivot step and places none itself: the steps, the
-work arrays and the halving are the plain scan's, and a level is split on
-the size it has after the cut, so the memory bound below holds as it is.
+the ``_children`` of a pivot step and places none itself, and that is all
+that tells the two scans apart: the steps, the work arrays and the split
+rule are the same, and a level is split on the size of its children after
+the cut, so the memory bound below holds for both.
 The cut runs where ``_cut_pays``, from the input alone: on a level of at
 least ``_CUT_ENTRIES`` entries whose expected candidates, with the sets
 taken at random, number fewer than its w-sets.  Where w is near n, the
@@ -55,9 +58,10 @@ which cannot be split, may need up to m * C(n, 2)), so a thread whose
 deepest scan reached level w keeps w + 1 of them: at most (w + 1) x
 ``_ENTRY_BUDGET`` x 8 bytes, 9 MiB for w = 8 at the default budget.  Of
 the codes ``codec.construct_optimal_lrc`` builds (n <= 20, d* up to 20),
-the heaviest, (20, 7, 3) at d* = 12, leaves 4.67 MiB; at d* <= 8 the
-heaviest is (20, 11, 5), at 1.65 MiB.  The cut scan of (20, 4, 1) at
-d* = 14 leaves 0.41 MiB, against 2.72 MiB for its plain scan.
+with seed 0, the heaviest, (20, 8, 4) at d* = 12, leaves 6.24 MiB; at
+d* <= 8 the heaviest is (20, 12, 7), at 2.15 MiB.  The cut scan of
+(20, 4, 1) at d* = 14 leaves 0.41 MiB, against 6.69 MiB for its plain
+scan.
 """
 
 from __future__ import annotations
@@ -168,7 +172,7 @@ def rank_mod(mat: np.ndarray, q: int) -> int:
 
 @lru_cache(maxsize=8)
 def _binomials(n: int) -> np.ndarray:
-    """C(i, j) for 0 <= i, j <= n, as floats: the sizes that the distance scan splits by."""
+    """C(i, j) for 0 <= i, j <= n, as floats: the set counts that ``_cut_pays`` weighs."""
     table = np.array([[comb(i, j) for j in range(n + 1)] for i in range(n + 1)], dtype=float)
     table.setflags(write=False)  # shared by every caller
     return table
@@ -337,54 +341,50 @@ def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: 
     if s + extra > m:  # s + extra columns in m rows are dependent
         return False
 
-    def dependent(a, widths, extra, chunk, depth, cut):
+    def dependent(a, widths, extra, chunk, depth, children):
         """Whether adding up to ``extra`` >= 2 more columns to some node
         closes a dependent set.
 
         A node is the prefix with some later columns added, and its images
-        are those of the columns after its last one.  One ``_pivot`` makes
-        the ``_children`` on a node's first widths - extra + 1 columns, so
-        that extra - 1 columns are left after each; under the cut (``cut``
-        holds ``_cut`` of these nodes, else None), the children that ``_cut``
-        keeps.  A child with a zero image closes a dependent set; the nodes'
-        own images were tested when they were made.  Nodes whose next level,
-        and without the cut whose subsets to come, would take more than
-        ``chunk`` entries are split into halves, the later half first, since
-        its nodes have the fewest later columns.  Under the cut each half
-        takes the kept children whose pivots lie in its columns, the later
-        half's shifted to its own first column.
-        Each earlier half gets twice the chunk, up to ``_ENTRY_BUDGET``, and
-        the first chunk is an eighth of it: a scan that meets a dependent
-        set in the small subtrees it takes first stops early, and a scan
-        that visits every subset splits a few times only.
+        are those of the columns after its last one.  ``children`` are the
+        nodes' children, made before this level is split: the ``_children``
+        on a node's first widths - extra + 1 columns, so that extra - 1
+        columns are left after each, or under the cut the children that
+        ``_cut`` keeps, with their hit masks.  One ``_pivot`` makes them
+        all, and a child with a zero image closes a dependent set; the
+        nodes' own images were tested when they were made.  Nodes whose
+        children would take more than ``chunk`` entries are split into
+        halves, the later half first, since its nodes have the fewest later
+        columns.  Each half takes the children whose pivots lie in its
+        columns, the later half's shifted to its own first column.  Each
+        earlier half gets twice the chunk, up to ``_ENTRY_BUDGET``, and the
+        first chunk is an eighth of it: a scan that meets a dependent set in
+        the small subtrees it takes first stops early, and a scan that
+        visits every subset splits a few times only.
         """
-        if cut is None:
-            entries = _binomials(n)[widths][:, [2, extra]].sum()
-        else:
-            pivot, child_widths, child_hits = cut
-            if not len(pivot):
-                return False
-            entries = child_widths.sum()
-        if len(widths) > 1 and a.shape[0] * entries > chunk:
+        pivot, child_widths = children[:2]
+        if not len(pivot):
+            return False
+        if len(widths) > 1 and a.shape[0] * child_widths.sum() > chunk:
             half = len(widths) // 2
             columns = int(widths[:half].sum())
-            earlier = later = None
-            if cut is not None:
-                i = np.searchsorted(pivot, columns)
-                earlier = pivot[:i], child_widths[:i], child_hits[:, :i]
-                later = pivot[i:] - columns, child_widths[i:], child_hits[:, i:]
+            i = np.searchsorted(pivot, columns)
+            # the hit masks hold a child per entry of their last axis
+            earlier = tuple(c[..., :i] for c in children)
+            later = (pivot[i:] - columns, *(c[..., i:] for c in children[1:]))
             return dependent(a[:, columns:], widths[half:], extra, chunk, depth, later) or dependent(
                 a[:, :columns], widths[:half], extra, min(2 * chunk, _ENTRY_BUDGET), depth, earlier
             )
-        if cut is None:
-            pivot, child_widths = _children(widths, widths - extra + 1)
         out = _pivot(a, pivot, child_widths, q, depth)
         if not out.any(axis=0).all():
             return True
         if extra == 2:
             return False
-        cut = None if cut is None else _cut(child_widths, child_hits, tables)
-        return dependent(out, child_widths, extra - 1, chunk, depth + 1, cut)
+        if tables is None:
+            children = _children(child_widths, child_widths - extra + 2)
+        else:
+            children = _cut(child_widths, children[2], tables)
+        return dependent(out, child_widths, extra - 1, chunk, depth + 1, children)
 
     first = int(prefix[-1]) + 1 if s else 0
     a = np.asarray(h, dtype=np.int64).take(np.concatenate((prefix, np.arange(first, n))), axis=1) % q
@@ -397,10 +397,10 @@ def batch_columns_independent(h: np.ndarray, q: int, prefix: np.ndarray, extra: 
         return False
     if extra == 1:
         return True
-    tables = cut = None
+    tables, children = None, _children(widths, widths - extra + 1)
     if not s:
         light = nonzero[~nonzero.all(axis=1)]
         if _cut_pays(light, m, extra):
             tables = _cut_tables(light)
-            cut = _cut(widths, np.zeros((2, 1), dtype=np.uint64), tables)
-    return not dependent(a, widths, extra, _ENTRY_BUDGET // 8, s, cut)
+            children = _cut(widths, np.zeros((2, 1), dtype=np.uint64), tables)
+    return not dependent(a, widths, extra, _ENTRY_BUDGET // 8, s, children)

@@ -92,6 +92,17 @@ def test_cycle_examples():
     assert two.size == 2 and two.multiplicity(0, 1) == 2
 
 
+def test_cycle_graph_matches_its_edge_list():
+    # cycle_graph hands its pairs to Multigraph._of_pairs, which checks
+    # nothing; the validated edge list of the cycle must give the same
+    # graph, with the pairs in the same order
+    for order in range(2, 40):
+        g = cycle_graph(order)
+        checked = Multigraph.from_edges(order, [(v, (v + 1) % order) for v in range(order)])
+        assert list(g.pair_multiplicities()) == list(checked.pair_multiplicities())
+        assert (g.size, hash(g)) == (checked.size, hash(checked)) and g == checked
+
+
 def test_cycle_density_is_k_minus_1():
     for n in range(4, 9):
         for k in range(3, n):

@@ -1,5 +1,6 @@
 import sys
 import threading
+from collections import Counter
 from itertools import combinations
 from math import comb, prod
 
@@ -319,6 +320,46 @@ def test_circuit_cut_splits_levels_with_few_circuits(monkeypatch, layout_in_rang
                 monkeypatch.setattr(gf, "_cut_pays", lambda *args: True)
                 assert gf.batch_columns_independent(mat, q, empty, w) == plain, (mat.tolist(), q, w)
     assert len(layout_in_range) > 1000
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_split_levels_make_the_same_children(monkeypatch, cut):
+    # a scan that meets no dependent set visits every node of its tree, so
+    # the children of its pivot steps, totalled by depth, cannot depend on
+    # how its levels were split: a budget of a few hundred entries must make
+    # the same totals as the default, in more steps on some scans, on the
+    # plain scan and on the forced circuit cut alike
+    monkeypatch.setattr(gf, "_cut_pays", lambda *args: cut)
+    kept = count_cut_children(monkeypatch)
+    pivot, children, steps = gf._pivot, Counter(), []
+
+    def counted(a, columns, child_widths, q, depth):
+        children[depth] += len(columns)
+        steps.append(depth)
+        return pivot(a, columns, child_widths, q, depth)
+
+    monkeypatch.setattr(gf, "_pivot", counted)
+    rng = np.random.default_rng(43)
+    empty = np.empty(0, dtype=np.int64)
+    budget, scans, split = gf._ENTRY_BUDGET, 0, 0
+    for _ in range(40):
+        q = int(rng.choice([5, 101, 3037000493]))
+        m = int(rng.integers(3, 8))
+        n = int(rng.integers(m + 1, 12))
+        mat = (rng.integers(1, q, size=(m, n)) * (rng.random((m, n)) < rng.uniform(0.5, 0.9))).astype(np.int64)
+        for w in range(2, m + 1):
+            seen = []
+            for entries in (budget, 300):
+                monkeypatch.setattr(gf, "_ENTRY_BUDGET", entries)
+                children.clear()
+                steps.clear()
+                seen.append((gf.batch_columns_independent(mat, q, empty, w), dict(children), len(steps)))
+            if not seen[0][0]:  # a dependent set ends the scan where the split put it
+                break
+            assert seen[0][:2] == seen[1][:2], (mat.tolist(), q, w)
+            scans += 1
+            split += seen[1][2] > seen[0][2]
+    assert scans > 100 and split > 50 and (kept[False] > 1000) == cut
 
 
 def test_circuit_cut_finds_a_zero_column_whose_prefixes_are_all_cut(monkeypatch):
