@@ -17,10 +17,10 @@ keeps H as a read-only int64 array over an immutable buffer, and its
 fields cannot be assigned, so a ``verified`` flag always describes the H
 it sits on; ``dataclasses.replace`` relabels a code as a new one, checked
 again.  What depends on H alone is the code's plan, made at its first read
-and kept on the code: the rank from one row reduction, the pivot and free
-columns, the parity block that solves the pivot symbols, for each
-coordinate the light row that repairs it, and each row's support as an
-exact Python int.
+and kept on the code: the pivot columns of one row reduction, as many as
+H's rank, the free columns, the parity block that solves the pivot
+symbols, for each coordinate the light row that repairs it, and each
+row's support as an exact Python int.
 ``verify_locality`` reads it first, ``min_distance`` takes the rank and
 the supports from it, and the encodes and repairs that follow take the
 rest, so a code is row reduced once however many codes a caller
@@ -89,8 +89,7 @@ class PrimeField:
 class _Plan(NamedTuple):
     """What the rank check, ``encode`` and ``repair_symbol`` read of one H."""
 
-    rank: int
-    pivots: np.ndarray  # pivot columns of the row-reduced H, ascending
+    pivots: np.ndarray  # pivot columns of the row-reduced H, ascending: as many as H's rank
     frees: np.ndarray  # the other columns, which hold a message's symbols
     parity: np.ndarray  # (-R[:, frees]) % q: pivot symbol i is row i times the message
     # per coordinate j, from the lowest-index row of weight <= r + 1 that is
@@ -164,7 +163,7 @@ class LinearCode:
                 if covers[j] is None:
                     others = tuple(l for l in support if l != j)
                     covers[j] = (others, tuple(row[l] for l in others), pow(row[j], -1, q))
-        return _Plan(len(pivots), pivots, frees, parity, tuple(covers), tuple(masks))
+        return _Plan(pivots, frees, parity, tuple(covers), tuple(masks))
 
 
 def default_field(p: CodeParams) -> PrimeField:
@@ -227,7 +226,7 @@ def min_distance(c: LinearCode, floor: int = 0) -> int:
     p, h, q = c.params, c.H, c.field.q
     _check_distance_envelope(p)
     m, n = h.shape
-    if c.plan.rank != m:
+    if len(c.plan.pivots) != m:
         raise DegenerateCode("parity-check matrix does not have full row rank")
     # a row set holding a dense row never fails: its union has all n = m + k columns
     full = (1 << n) - 1
@@ -270,12 +269,12 @@ def construct_optimal_lrc(
 ) -> LinearCode:
     """Decide the instance, and when the answer is d*, build and verify a code.
 
-    The distance envelope, ``verify``'s n <= 20 at any d*, is checked first,
-    since it needs only p.  Attempt i uses seed + i; ``verify_code`` checks
-    each attempt exhaustively (full row rank, locality, exact minimum
-    distance equal to the decided value).  Its floor is d* - 1, so an
-    attempt whose distance falls short stops at the first dependent set of
-    level d* - 1 and is not measured further.  A single attempt fails with
+    The arguments and the distance envelope, ``verify``'s n <= 20 at any
+    d*, are checked first, since they need no decision.  Attempt i uses
+    seed + i; ``verify_code`` checks each attempt exhaustively (full row
+    rank, locality, exact minimum distance equal to the decided value).
+    Its floor is d* - 1, so an attempt whose distance falls short stops at
+    the first dependent set of level d* - 1 and is not measured further.  A single attempt fails with
     probability at most (d*-1)*C(n, d*-1)/q by the union bound, so over the
     default field (q just above that product) the bound is under one and the
     observed rate is far lower; over a user-supplied small field success may
@@ -286,6 +285,10 @@ def construct_optimal_lrc(
         raise BadArgs(f"seed must be an integer >= 0, got {seed!r}")
     if not is_int(max_retries) or max_retries < 1:
         raise BadArgs(f"max_retries must be an integer >= 1, got {max_retries!r}")
+    if not is_derived(p):
+        raise BadArgs(f"params must be derive_params(n, k, r), got {p!r}")
+    if field is not None and not isinstance(field, PrimeField):
+        raise BadArgs(f"field must be a PrimeField or None, got {field!r}")
     _check_distance_envelope(p)
     decision = decide(p)
     if decision.status != "exact":
@@ -344,7 +347,7 @@ def encode(c: LinearCode, message: list[int] | np.ndarray) -> np.ndarray:
     """
     p, q, plan = c.params, c.field.q, c.plan
     msg = _symbols(message, p.k, "message") % q
-    if plan.rank != p.n - p.k:
+    if len(plan.pivots) != p.n - p.k:
         raise DegenerateCode("parity-check matrix does not have full row rank")
     word = np.empty(p.n, dtype=np.int64)
     word[plan.frees] = msg

@@ -1,10 +1,13 @@
 """Named witness-graph builders used by the decision rules.
 
-Every builder returns a Multigraph whose k-density is known (or easily
+Every builder gives a witness whose k-density is known (or easily
 checkable), so the decider can attach it as an explicit witness that the
-distance bound d* is attained.  ``realize``, the greedy pairing of a graphic
-``DegreeSequence``, has no caller here: it is the tests' reference for the
-pairs that ``almost_regular`` lists in closed form.
+distance bound d* is attained.  Most return a Multigraph;
+``saturated_pairs`` and ``turan_pairs`` yield its pairs, in descending
+order, which ``decider._take`` cuts to the size it needs.  ``realize``,
+the greedy pairing of a graphic ``DegreeSequence``, has no caller here:
+it is the tests' reference for the pairs that ``almost_regular`` lists
+in closed form.
 """
 
 from __future__ import annotations
@@ -36,9 +39,6 @@ class DegreeSequence:
         if ds[-1] < 0:
             raise BadArgs(f"negative degree in {ds}")
         object.__setattr__(self, "degrees", ds)
-
-    def __len__(self) -> int:
-        return len(self.degrees)
 
 
 def balanced_forest(order: int, components: int) -> Multigraph:

@@ -65,7 +65,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from math import comb
 
 from .errors import BadArgs, EnvelopeExceeded, SelfCheckFailed, UnboundedFamily
@@ -394,13 +394,13 @@ def _max_size_family(order: int, f_order: int, f_size: int, simple: bool) -> Ext
             f"a witness of up to {cap} edges exceeds the limit of {WITNESS_EDGE_LIMIT} edges"
         )
     if f_order == 2:
-        witness = Multigraph(order, dict.fromkeys(combinations(range(order), 2), pair_cap))
+        witness = Multigraph._of_pairs(order, zip(combinations(range(order), 2), repeat(pair_cap)))
         return ExtremalResult(value=witness.size, witness=witness)
     value, assign = 0, {}
     while True:
         found = _family_search(order, f_order, f_size, min(pair_cap, value + 1), value + 1)
         if found is None:
-            return ExtremalResult(value=value, witness=Multigraph(order, assign))
+            return ExtremalResult(value=value, witness=Multigraph._of_pairs(order, assign.items()))
         value, assign = value + 1, found
 
 
@@ -452,7 +452,7 @@ def free_multigraph(order: int, size: int, family: ForbiddenFamily) -> Multigrap
     assign = _family_search(order, f_order, f_size, pair_cap, size)
     if assign is None:
         return None
-    g = Multigraph(order, assign)
+    g = Multigraph._of_pairs(order, assign.items())
     if g.size != size:
         raise SelfCheckFailed(f"family search reached size {size} but built size {g.size}")
     return g
@@ -543,7 +543,7 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
         raise SelfCheckFailed(
             f"girth > {k} seed on {order} vertices has {len(best)} edges, {side} the Moore cap {cap}"
         )
-    return ExtremalResult(value=cap, witness=Multigraph.from_edges(order, best))
+    return ExtremalResult(value=cap, witness=Multigraph._of_pairs(order, zip(best, repeat(1))))
 
 
 def t_bound(n1: int, n2: int, k1: int) -> int:

@@ -80,27 +80,15 @@ _CUT_ENTRIES = 1 << 14  # least m * C(n, w) of a level whose scan repays the cut
 # ``_pivot`` step, then the images of each depth from 1 on
 _PIVOT_COLUMNS, _PRODUCTS, _IMAGES = 0, 1, 2
 # Miller-Rabin bases, and for each the least composite that is a strong
-# probable prime to it and every base before it
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PSEUDOPRIMES = (
-    2047,
-    1373653,
-    25326001,
-    3215031751,
-    2152302898747,
-    3474749660383,
-    341550071728321,
-    341550071728321,
-    3825123056546413051,
-    3825123056546413051,
-    3825123056546413051,
-    318665857834031151167461,
-)
+# probable prime to it and every base before it; the last lies above
+# ``codec.FIELD_ORDER_ENVELOPE``, the largest field order the package accepts
+_WITNESSES = (2, 3, 5, 7)
+_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751)
 
 
 def is_prime(q: int) -> bool:
     """Deterministic Miller-Rabin: exact for every q below the last entry
-    of ``_PSEUDOPRIMES``, and EnvelopeExceeded above it.
+    of ``_PSEUDOPRIMES``, and EnvelopeExceeded from it on.
 
     Trial division by the bases settles every q that shares a factor with
     them.  Past them, q must be a strong probable prime to each base in

@@ -67,6 +67,51 @@ def test_criterion_1_rules_agree_with_oracle():
     _report(1, "rule/oracle agreement", t0, f"[{count} instances]")
 
 
+def code_law_violations(n_max, r_max):
+    """The rows of the decided table, n <= n_max and r <= r_max, that break
+    a law every LRC obeys, as (law, row, other row or None) triples.
+
+    Every valid (n, k, r) is decided in process, and its best distance D
+    is read as the interval [D, D] when exact, [d* - 1, d*] when
+    unresolved.  A law D(row) >= D(other) is broken when the row's upper
+    end is below the other's lower end; every other row obeys it, however
+    the open rows settle.  No law goes through the graph reduction:
+
+    (a) "locality": D(n, k, r) >= D(n, k, r - 1), since a code with
+        locality r - 1 has locality r.
+    (b) "shortening": D(n, k, r) >= D(n + 1, k + 1, r), since the
+        codewords of an (n + 1, k + 1, r) code that vanish on one
+        coordinate, with it deleted, span at least k dimensions and keep
+        the distance and every repair group but that coordinate.
+    (c) "tamo_barg": D(n, k, r) = d* when (r + 1) | n and r | k, since
+        Tamo and Barg's codes (IEEE Trans. IT 60(8), 2014) reach d* there.
+    """
+    table = {}
+    for n in range(2, n_max + 1):
+        for k in range(1, n):
+            for r in range(1, min(k, r_max) + 1):
+                if n - k >= -(-k // r):  # the locality bound derive_params applies
+                    d = decide(derive_params(n, k, r))
+                    table[n, k, r] = d.value if d.status == "unresolved" else (d.value, d.value)
+    violations = []
+    for (n, k, r), (_, upper) in table.items():
+        for law, other in (("locality", (n, k, r - 1)), ("shortening", (n + 1, k + 1, r))):
+            if other in table and upper < table[other][0]:
+                violations.append((law, (n, k, r), other))
+        if n % (r + 1) == 0 and k % r == 0 and upper < n - k - k // r + 2:
+            violations.append(("tamo_barg", (n, k, r), None))
+    return violations
+
+
+def test_decisions_obey_the_code_side_laws():
+    # the laws see past criterion 1's n1 <= 8, where a wrong rule placed
+    # before the family search would go unnoticed; CI runs n <= 160, r <= 16
+    t0 = time.time()
+    violations = code_law_violations(100, 12)
+    assert not violations, violations[:10]
+    _report("1c", "code-side laws", t0, "[n <= 100, r <= 12]")
+
+
 def test_criterion_1b_circulant_witnesses_agree_with_the_search(monkeypatch):
     # every family key of the rule audit (n <= 60, r <= 10, n1 <= 8): a
     # circulant witness has the asked size, passes the kernel, and the

@@ -705,6 +705,30 @@ def test_construct_checks_envelope_before_deciding(monkeypatch):
         construct_optimal_lrc(derive_params(92, 65, 12))
 
 
+def test_construct_refuses_a_field_that_is_not_a_prime_field_before_deciding(monkeypatch):
+    # a bare int died in build_parity_check with an AttributeError, after
+    # the decision and the Tanner graph were already made
+    def refuse(*args, **kwargs):
+        raise AssertionError("decide ran for a construct call with a bad field")
+
+    monkeypatch.setattr(codec, "decide", refuse)
+    for field in (21841, "21841"):
+        with pytest.raises(BadArgs):
+            construct_optimal_lrc(derive_params(16, 9, 4), field=field)
+
+
+def test_construct_refuses_params_that_derive_params_did_not_make_before_deciding(monkeypatch):
+    # an edited d* surfaced as InvalidTanner from graph_to_pruned, after deciding
+    def refuse(*args, **kwargs):
+        raise AssertionError("decide ran for a construct call with bad params")
+
+    monkeypatch.setattr(codec, "decide", refuse)
+    p = derive_params(16, 9, 4)
+    for params in (p._replace(d_star=99), p._replace(n1=3), tuple(p), p._replace(n=92)):
+        with pytest.raises(BadArgs):
+            construct_optimal_lrc(params)
+
+
 def test_construct_envelope_needs_no_family_search():
     # construct decides at the default search limit; that is sound only while
     # a closed-form rule settles every instance it admits, with or without

@@ -2,12 +2,12 @@ import sys
 import threading
 from collections import Counter
 from itertools import combinations
-from math import comb, prod
+from math import comb, isqrt, prod
 
 import numpy as np
 import pytest
 
-from lrcdist import gf
+from lrcdist import codec, gf
 from lrcdist.errors import EnvelopeExceeded
 
 
@@ -38,38 +38,40 @@ def test_is_prime_matches_trial_division():
     for d in range(2, 448):  # 447**2 < 200,000 < 448**2
         composite |= (qs % d == 0) & (qs != d)
     assert [gf.is_prime(q) for q in range(200_000)] == (~composite).tolist()
-    carmichaels = [561, 1105, 1729, 2465, 2821, 6601, 41041, 825265, 321197185, 5394826801, 232250619601]
+    carmichaels = [561, 1105, 1729, 2465, 2821, 6601, 41041, 825265, 321197185, 1299963601, 2301745249]
     for q in carmichaels:
         assert not gf.is_prime(q), q
-    assert gf.is_prime(2**31 - 1) and gf.is_prime(3037000493) and gf.is_prime(2**61 - 1)
-    assert not gf.is_prime(3037000493 * (2**31 - 1))
+    assert gf.is_prime(2**31 - 1) and gf.is_prime(3037000493)
+    # past the table's last pseudoprime is_prime refuses to answer, for
+    # primes and composites alike
+    for q in (5394826801, 232250619601, 2**61 - 1, 3037000493 * (2**31 - 1)):
+        with pytest.raises(EnvelopeExceeded):
+            gf.is_prime(q)
 
 
 def test_is_prime_pseudoprime_table():
     # each entry is composite and fools the bases up to its own, so the
     # bases after it are needed from there on; the last fools them all,
     # and from it on is_prime refuses to answer
-    factors = [
-        (23, 89),
-        (829, 1657),
-        (2251, 11251),
-        (151, 751, 28351),
-        (6763, 10627, 29947),
-        (1303, 16927, 157543),
-        (10670053, 32010157),
-        (10670053, 32010157),
-        (149491, 747451, 34233211),
-        (149491, 747451, 34233211),
-        (149491, 747451, 34233211),
-        (399165290221, 798330580441),
-    ]
+    factors = [(23, 89), (829, 1657), (2251, 11251), (151, 751, 28351)]
     assert len(factors) == len(gf._PSEUDOPRIMES) == len(gf._WITNESSES)
     for i, (q, fs) in enumerate(zip(gf._PSEUDOPRIMES, factors)):
         assert prod(fs) == q
         assert all(strong_probable_prime(q, a) for a in gf._WITNESSES[: i + 1]), q
         if q < gf._PSEUDOPRIMES[-1]:
             assert not gf.is_prime(q), q
-    assert {2047, 1373653, 25326001, 3215031751, 3825123056546413051} <= set(gf._PSEUDOPRIMES)
+    assert gf._PSEUDOPRIMES == (2047, 1373653, 25326001, 3215031751)
+    with pytest.raises(EnvelopeExceeded):
+        gf.is_prime(gf._PSEUDOPRIMES[-1])
+
+
+def test_is_prime_covers_every_field_order_the_package_accepts():
+    # PrimeField refuses q > FIELD_ORDER_ENVELOPE before it asks is_prime,
+    # so the four bases must be exact up to there, and one prime past it
+    assert gf._PSEUDOPRIMES[-1] > codec.FIELD_ORDER_ENVELOPE
+    q = gf.next_prime_above(codec.FIELD_ORDER_ENVELOPE)
+    assert q > codec.FIELD_ORDER_ENVELOPE
+    assert all(q % d for d in range(2, isqrt(q) + 1))
     with pytest.raises(EnvelopeExceeded):
         gf.is_prime(gf._PSEUDOPRIMES[-1])
 
