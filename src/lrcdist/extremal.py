@@ -13,9 +13,10 @@ Three maximum-size questions are answered exactly at desk scale
 
 The family questions rest on one decision search for a family-free
 graph of a given size, in three steps.  Greedy randomized seeds are
-tried first and often reach the size with no search at all; once they
-all miss, the most edges any of them reached is kept for the shape, and
-a larger size skips them.  Circulants come next: on Z_order every pair
+tried first and often reach the size with no search at all; a seed
+returns at the pair that reaches it.  Once they all miss, the most
+edges any of them reached is kept for the shape, and a larger size
+skips them.  Circulants come next: on Z_order every pair
 at cyclic distance d gets the same multiplicity, so the induced size of
 a subset is a dot product of its distance counts with the
 multiplicities, and a capped depth-first walk over the multiplicities
@@ -47,10 +48,11 @@ the seeds and the circulant step.  The pair and subset tables, with
 each pair's later pairs, are built once per order and family order.
 
 The girth question needs no search.  The irregular Moore bound caps it
-(k >= order, a forest, is its d = 2 end), and the best greedy seed meets
-the cap at every order <= 10 and every k, so that seed is the answer; a
-seed off the cap fails the self-check.  Both greedy seeds try the same
-fixed pair orders, drawn once per number of pairs and cached.
+(k >= order, a forest, is its d = 2 end), and some greedy seed meets the
+cap at every order <= 10 and every k, so the seeds stop at the first
+that does and it is the answer; a seed above the cap, or a best seed
+below it, fails the self-check.  Both greedy seeds try the same fixed
+pair orders, drawn once per number of pairs and cached.
 
 ``free_multigraph`` asks the decision search once: is there a
 family-free multigraph of the given order and exact size?  It stops at
@@ -257,9 +259,11 @@ def _family_search(
     """The first family-free assignment of ``target`` edges, or None.
 
     The greedy seeds are tried first, in ``_seed_orders`` order, and the
-    first to reach ``target`` is returned; then the ``_circulant`` step.
-    A seed that misses never cut an edge to the target, so its size is
-    that of its walk with no target.  Once every seed has missed,
+    first to reach ``target`` is returned at the pair that reaches it,
+    which takes only the edges still missing; target 0 returns the empty
+    graph.  Then comes the ``_circulant`` step.  A seed that misses takes
+    each pair's whole room and walks every pair, so its size is that of
+    its walk with no target.  Once every seed has missed,
     ``_seed_reach`` keeps the largest such size for the shape (order,
     f_order, f_size, pair_cap), and a later target above it skips the
     seeds, which would all miss again.
@@ -315,13 +319,15 @@ def _family_search(
             tot = 0
             assign: dict[tuple[int, int], int] = {}
             for pi in perm:
-                m = min(room[pi], target - tot)
-                if m > 0:
+                m = room[pi]
+                if m >= target - tot:
+                    if target > tot:
+                        assign[pairs[pi]] = target - tot
+                    return assign
+                if m:
                     assign[pairs[pi]] = m
                     tot += m
                     add(cur, room, pi, m)
-            if tot == target:
-                return assign
             if tot > best:
                 best = tot
         _seed_reach[shape] = best
@@ -517,15 +523,17 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
     ``_seed_orders`` pair orders and adds every pair that closes no cycle
     of length <= k: adding edge (u, v) closes a cycle of length
     dist(u, v) + 1, so the edge is addable iff dist(u, v) >= k, read from
-    a distance matrix that keeps only distances below k.  The best seed is
-    the answer when it meets ``_moore_cap``, a proven upper bound; it does
-    at every order <= 10 and every k.  A seed above or below the cap fails
-    the self-check.
+    a distance matrix that keeps only distances below k.  The seeds stop
+    at the first that meets ``_moore_cap``, a proven upper bound, and it
+    is the answer; one does at every order <= 10 and every k.  A seed
+    above the cap, or a best seed below it after every walk, fails the
+    self-check.
     """
     _check_envelope(order)
     if not is_int(k) or k < 3:
         raise BadArgs(f"need an integer k >= 3, got {k!r}")
     pairs = list(combinations(range(order), 2))
+    cap = _moore_cap(order, k)
     best: list[tuple[int, int]] = []
     for perm in _seed_orders(len(pairs)):
         dist = [[0 if a == b else _FAR for b in range(order)] for a in range(order)]
@@ -537,7 +545,8 @@ def max_size_girth(order: int, k: int) -> ExtremalResult:
                 _add_edge(dist, u, v, k)
         if len(chosen) > len(best):
             best = chosen
-    cap = _moore_cap(order, k)
+            if len(best) >= cap:
+                break
     if len(best) != cap:
         side = "above" if len(best) > cap else "below"
         raise SelfCheckFailed(

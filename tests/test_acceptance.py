@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import hashlib
 import random
 import time
 from functools import lru_cache
@@ -101,6 +102,27 @@ def code_law_violations(n_max, r_max):
         if n % (r + 1) == 0 and k % r == 0 and upper < n - k - k // r + 2:
             violations.append(("tamo_barg", (n, k, r), None))
     return violations
+
+
+def audit_witness_md5(n_max, r_max, n1_max):
+    """md5 of every answer and witness of the rule audit.
+
+    The valid (n, k, r) with n <= n_max and r <= r_max are taken in
+    lexicographic order, and the first of each family key (n1, n2, k1, k2)
+    with n1 <= n1_max is decided by the family search alone.  Each key
+    feeds repr((key, value == d*, rule, w)) to the md5, where w is the
+    witness's sorted pair multiplicities, or None with no witness.
+    """
+    md5 = hashlib.md5()
+    seen = set()
+    for p in valid_envelope(n_max, r_max, n1_max):
+        key = (p.n1, p.n2, p.k1, p.k2)
+        if key not in seen:
+            seen.add(key)
+            d = decide(p, 8, use_rules=False)
+            w = None if d.witness is None else sorted(d.witness.pair_multiplicities())
+            md5.update(repr((key, d.value == p.d_star, d.rule, w)).encode())
+    return md5.hexdigest()
 
 
 def test_decisions_obey_the_code_side_laws():

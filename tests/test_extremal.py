@@ -693,6 +693,70 @@ def test_a_shape_whose_seeds_all_missed_walks_no_seed_above_their_reach(monkeypa
             assert missed, shape
 
 
+def full_pass_seed_phase(order, f_order, f_size, pair_cap, target):
+    """The greedy seeds as they were before a walk returned at the target: each
+    pair takes min(room, edges still missing), every walk runs to its end, and
+    the target is checked after it.  Returns (assignment or None, best walk)."""
+    pairs, sub_of_pair, pairs_of_sub, _ = extremal._incidence(order, f_order)
+    best = 0
+    for perm in _seed_orders(len(pairs)):
+        cur = [0] * len(pairs_of_sub)
+        room = [pair_cap] * len(pairs)
+        tot = 0
+        assign = {}
+        for pi in perm:
+            m = min(room[pi], target - tot)
+            if m > 0:
+                assign[pairs[pi]] = m
+                tot += m
+                for s in sub_of_pair[pi]:
+                    cur[s] += m
+                    spare = f_size - cur[s]
+                    for j in pairs_of_sub[s]:
+                        if room[j] > spare:
+                            room[j] = spare
+        if tot == target:
+            return assign, best
+        best = max(best, tot)
+    return None, best
+
+
+class SeedsMissed(Exception):
+    pass
+
+
+def test_the_seed_phase_returns_what_the_full_pass_returns(monkeypatch):
+    # a seed returns at the pair that reaches the target; a seed that misses
+    # still walks every pair, so the reach kept for the shape is unchanged;
+    # target 0 gives the empty graph, also where every pair has room
+    def seeds_missed(*args):
+        raise SeedsMissed
+
+    monkeypatch.setattr(extremal, "_circulant", seeds_missed)
+    for order in range(2, 8):
+        for f_order in range(1, order + 1):
+            for f_size in range(6):
+                for pair_cap in range(f_size + 1):
+                    shape = (order, f_order, f_size, pair_cap)
+                    top = _induced_caps(*shape)[order]
+                    for target in range(top + 2):
+                        extremal._seed_reach.clear()
+                        query = (*shape, target)
+                        if target > top:
+                            assert extremal._family_search(*query) is None, query
+                            assert shape not in extremal._seed_reach, query
+                            continue
+                        assign, best = full_pass_seed_phase(*query)
+                        if assign is not None:
+                            found = extremal._family_search(*query)
+                            assert list(found.items()) == list(assign.items()), query
+                        else:
+                            with pytest.raises(SeedsMissed):
+                                extremal._family_search(*query)
+                            assert extremal._seed_reach[shape] == best, query
+    extremal._seed_reach.clear()
+
+
 def circulant(order, x):
     return Multigraph(order, {
         (u, v): x[min(v - u, order - v + u) - 1] for u, v in combinations(range(order), 2)
@@ -867,6 +931,51 @@ def test_a_seed_above_the_moore_cap_fails_the_self_check(monkeypatch):
         max_size_girth.cache_clear()
         with pytest.raises(SelfCheckFailed):
             max_size_girth(5, 3)
+    finally:
+        max_size_girth.cache_clear()
+
+
+def girth_walks(order, k):
+    """Every greedy walk of the girth oracle, one per ``_seed_orders`` pair order."""
+    pairs = list(combinations(range(order), 2))
+    walks = []
+    for perm in _seed_orders(len(pairs)):
+        dist = [[0 if a == b else _FAR for b in range(order)] for a in range(order)]
+        chosen = []
+        for pi in perm:
+            u, v = pairs[pi]
+            if dist[u][v] == _FAR:
+                chosen.append((u, v))
+                _add_edge(dist, u, v, k)
+        walks.append(chosen)
+    return walks
+
+
+def test_the_girth_oracle_stops_at_the_first_walk_that_meets_the_moore_cap(monkeypatch):
+    # the oracle no longer runs the walks after its witness, so their check
+    # against the cap is made here; for k >= order every walk builds the same
+    # spanning forest, so k up to order + 1 covers every k
+    ran = []
+
+    def counted_seed_orders(npairs):
+        for perm in _seed_orders(npairs):
+            ran.append(perm)
+            yield perm
+
+    monkeypatch.setattr(extremal, "_seed_orders", counted_seed_orders)
+    try:
+        for order in range(0, 11):
+            for k in range(3, order + 2):
+                cap = _moore_cap(order, k)
+                walks = girth_walks(order, k)
+                sizes = list(map(len, walks))
+                assert max(sizes) == cap, (order, k)
+                first = sizes.index(cap)
+                max_size_girth.cache_clear()
+                ran.clear()
+                res = max_size_girth(order, k)
+                assert res.witness == Multigraph.from_edges(order, walks[first]), (order, k)
+                assert len(ran) == first + 1, (order, k)
     finally:
         max_size_girth.cache_clear()
 
